@@ -782,6 +782,8 @@ def main(argv=None) -> int:
             print(json.dumps(docs[args.name], indent=2))
             return EXIT_OK
 
+        if getattr(args, "max_degree", 0) < 0:
+            raise ValidationError("--max-degree must be nonnegative")
         obj = parse_input(_read_document(args.input))
 
         if args.command == "info":
@@ -813,16 +815,7 @@ def main(argv=None) -> int:
         else:
             print(_table_text(table))
         return EXIT_OK
-    except TruncationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except (SchemaError, ValidationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except MaghomError as e:
+    except (MaghomError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -273,6 +273,8 @@ def metric_from_digraph(vertices: Iterable, edges: Iterable[tuple],
     dist = {(u, v): (Fraction(0) if u == v else INF) for u in vs for v in vs}
     for e in edges:
         u, v = e
+        if u not in vs or v not in vs:
+            raise ValidationError(f"edge ({u!r}, {v!r}) names an undeclared vertex")
         w = as_fraction(weights[e]) if weights is not None else Fraction(1)
         if w <= 0:
             raise ValidationError("edge weights must be positive")

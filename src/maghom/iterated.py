@@ -8,13 +8,17 @@ routes agree, and the test suite leans on that agreement hard.
 
 Horizontal structure composes along the outer tuple (1-cells), vertical
 structure runs inside each hom (2-cells). Groups with a conjugation-
-invariant norm get a grading-by-grading version where faces come with the
-length-preservation side conditions spelled out in their own builders.
+invariant norm get a grading-by-grading version: matrices of group
+elements whose faces vanish unless they preserve total length. Every
+builder here supplies only its generators and generator-level faces and
+degeneracies; simplicial.assemble_simplicial and assemble_bisimplicial
+tabulate them, and simplicial.diagonal_maps composes the diagonal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Union
 
 from .complexes import (
@@ -30,12 +34,16 @@ from .enriched_data import (
     NormedGroup,
     StrictNCat,
     as_category,
+    metric_of_normed_group,
 )
 from .errors import ValidationError
-from .magnitude_core import nerve_category
+from .magnitude_core import _enumerate_tuples, nerve_category
 from .simplicial import (
     BasedBisimplicialObject,
     BasedSimplicialObject,
+    assemble_bisimplicial,
+    assemble_simplicial,
+    diagonal_maps,
     double_chains,
     row_normalize,
     unnormalized_chains,
@@ -191,9 +199,8 @@ def _tuple_generators(H: _HomNerves, p: int, q: int):
     return tuple(out)
 
 
-def _h_face_gen(H: _HomNerves, q: int, i: int, gen):
+def _h_face_gen(H: _HomNerves, p: int, q: int, i: int, gen):
     xs, legs = gen
-    p = len(legs)
     if i == 0:
         return (xs[1:], legs[1:])
     if i == p:
@@ -204,7 +211,7 @@ def _h_face_gen(H: _HomNerves, q: int, i: int, gen):
     return (xs[:i] + xs[i + 1:], legs[: i - 1] + (merged,) + legs[i + 1:])
 
 
-def _v_face_gen(H: _HomNerves, q: int, j: int, gen):
+def _v_face_gen(H: _HomNerves, p: int, q: int, j: int, gen):
     xs, legs = gen
     new = []
     for idx, leg in enumerate(legs):
@@ -215,53 +222,27 @@ def _v_face_gen(H: _HomNerves, q: int, j: int, gen):
     return (xs, tuple(new))
 
 
-def _h_degen_gen(H: _HomNerves, q: int, i: int, gen):
+def _h_degen_gen(H: _HomNerves, p: int, q: int, i: int, gen):
     xs, legs = gen
     ident = H.identity_gen(xs[i], q)
     return (xs[: i + 1] + xs[i:], legs[:i] + (ident,) + legs[i:])
 
 
-def _v_degen_gen(H: _HomNerves, q: int, j: int, gen):
+def _v_degen_gen(H: _HomNerves, p: int, q: int, j: int, gen):
     xs, legs = gen
     return (xs, tuple(H.hom_degen(xs[idx], xs[idx + 1], q, j, leg)
                       for idx, leg in enumerate(legs)))
 
 
+def _generator_maps(H: _HomNerves) -> tuple:
+    """h-face, v-face, h-degeneracy and v-degeneracy of the double nerve."""
+    return tuple(partial(f, H) for f in (_h_face_gen, _v_face_gen, _h_degen_gen, _v_degen_gen))
+
+
 def _double_nerve(H: _HomNerves, P: int, Q: int,
                   total_bound: Optional[int] = None) -> BasedBisimplicialObject:
-    basis = {}
-    h_face = {}
-    v_face = {}
-    h_degen = {}
-    v_degen = {}
-
-    def present(p, q):
-        return total_bound is None or p + q <= total_bound
-
-    for p in range(P + 1):
-        for q in range(Q + 1):
-            if not present(p, q):
-                continue
-            gens = _tuple_generators(H, p, q)
-            basis[(p, q)] = gens
-            if p >= 1:
-                h_face[(p, q)] = tuple(
-                    {g: _h_face_gen(H, q, i, g) for g in gens} for i in range(p + 1)
-                )
-            if q >= 1:
-                v_face[(p, q)] = tuple(
-                    {g: _v_face_gen(H, q, j, g) for g in gens} for j in range(q + 1)
-                )
-            if p + 1 <= P and present(p + 1, q):
-                h_degen[(p, q)] = tuple(
-                    {g: _h_degen_gen(H, q, i, g) for g in gens} for i in range(p + 1)
-                )
-            if q + 1 <= Q and present(p, q + 1):
-                v_degen[(p, q)] = tuple(
-                    {g: _v_degen_gen(H, q, j, g) for g in gens} for j in range(q + 1)
-                )
-    return BasedBisimplicialObject(
-        P, Q, basis, h_face, v_face, h_degen, v_degen, total_bound
+    return assemble_bisimplicial(
+        P, Q, total_bound, partial(_tuple_generators, H), *_generator_maps(H)
     )
 
 
@@ -271,28 +252,10 @@ def _diagonal_nerve(H: _HomNerves, D: int) -> BasedSimplicialObject:
     Equivalent to diagonal(_double_nerve(H, D, D)) but never materializes
     the off-diagonal bidegrees.
     """
-    basis = tuple(_tuple_generators(H, n, n) for n in range(D + 1))
-    face: list[tuple] = [()]
-    for n in range(1, D + 1):
-        maps = []
-        for i in range(n + 1):
-            fm = {}
-            for g in basis[n]:
-                mid = _v_face_gen(H, n, i, g)
-                fm[g] = None if mid is None else _h_face_gen(H, n - 1, i, mid)
-            maps.append(fm)
-        face.append(tuple(maps))
-    degen: list[tuple] = []
-    for n in range(D):
-        maps = []
-        for i in range(n + 1):
-            sm = {}
-            for g in basis[n]:
-                mid = _v_degen_gen(H, n, i, g)
-                sm[g] = _h_degen_gen(H, n + 1, i, mid)
-            maps.append(sm)
-        degen.append(tuple(maps))
-    return BasedSimplicialObject(basis, tuple(face), tuple(degen))
+    return assemble_simplicial(
+        (_tuple_generators(H, n, n) for n in range(D + 1)),
+        *diagonal_maps(*_generator_maps(H)),
+    )
 
 
 def _hom_nerves_for(X, max_q: int) -> _HomNerves:
@@ -369,31 +332,16 @@ def iterated_homology(
 # normed groups, grading by grading
 
 
-def _columns_by_length(N: NormedGroup, height: int) -> dict[Fraction, list[tuple]]:
-    """All columns (tuples of group elements) of the given height, bucketed
-    by the sum of their consecutive distances."""
-    G = N.group
-    buckets: dict[Fraction, list[tuple]] = {}
-
-    def rec(col, total):
-        if len(col) == height:
-            buckets.setdefault(total, []).append(col)
-            return
-        last = col[-1]
-        for g in G.elements:
-            rec(col + (g,), total + N.d(last, g))
-
-    for g in G.elements:
-        rec((g,), Fraction(0))
-    return buckets
-
-
 def _matrices_of_length(N: NormedGroup, p: int, q: int, ell: Fraction) -> tuple:
     """(q+1) x p matrices (as column tuples) of total length ell, ordered
     lexicographically by row-major element index."""
+    ell = Fraction(ell)
+    if ell < 0:
+        raise ValidationError("gradings are nonnegative")
     if p == 0:
         return ((),) if ell == 0 else ()
-    buckets = _columns_by_length(N, q + 1)
+    tuples = _enumerate_tuples(metric_of_normed_group(N), q, distinct=False)
+    buckets = {length: cols for (n, length), cols in tuples.items() if n == q}
     lengths = sorted(buckets)
     out: list[tuple] = []
 
@@ -422,9 +370,8 @@ def _col_length(N: NormedGroup, col: tuple) -> Fraction:
     return sum((N.d(a, b) for a, b in zip(col, col[1:])), Fraction(0))
 
 
-def _normed_h_face(N: NormedGroup, mat: tuple, i: int):
+def _normed_h_face(N: NormedGroup, p: int, q: int, i: int, mat: tuple):
     """Drop or merge columns; zero unless the step lengths survive exactly."""
-    p = len(mat)
     if i == 0 or i == p:
         col = mat[0] if i == 0 else mat[-1]
         if any(a != b for a, b in zip(col, col[1:])):
@@ -439,7 +386,7 @@ def _normed_h_face(N: NormedGroup, mat: tuple, i: int):
     return mat[: i - 1] + (merged,) + mat[i + 1:]
 
 
-def _normed_v_face(N: NormedGroup, mat: tuple, j: int, q: int):
+def _normed_v_face(N: NormedGroup, p: int, q: int, j: int, mat: tuple):
     """Drop a row; zero unless every column passes the betweenness test."""
     if not mat:
         return mat
@@ -457,13 +404,19 @@ def _normed_v_face(N: NormedGroup, mat: tuple, j: int, q: int):
     return tuple(col[:j] + col[j + 1:] for col in mat)
 
 
-def _normed_h_degen(N: NormedGroup, mat: tuple, i: int, q: int):
+def _normed_h_degen(N: NormedGroup, p: int, q: int, i: int, mat: tuple):
     e_col = (N.group.identity,) * (q + 1)
     return mat[:i] + (e_col,) + mat[i:]
 
 
-def _normed_v_degen(mat: tuple, j: int):
+def _normed_v_degen(N: NormedGroup, p: int, q: int, j: int, mat: tuple):
     return tuple(col[: j + 1] + col[j:] for col in mat)
+
+
+def _normed_maps(N: NormedGroup) -> tuple:
+    """h-face, v-face, h-degeneracy and v-degeneracy of a grading slice."""
+    return tuple(partial(f, N) for f in (_normed_h_face, _normed_v_face,
+                                          _normed_h_degen, _normed_v_degen))
 
 
 def double_nerve_normed_group(
@@ -475,36 +428,10 @@ def double_nerve_normed_group(
     whose columns' lengths sum to the grading; the empty matrix spans
     (0, q) in grading 0 only. Bases cover p + q <= max_total_degree + 1.
     """
-    ell = Fraction(grading)
-    if ell < 0:
-        raise ValidationError("gradings are nonnegative")
     T = max_total_degree + 1
-    basis = {}
-    h_face = {}
-    v_face = {}
-    h_degen = {}
-    v_degen = {}
-    for p in range(T + 1):
-        for q in range(T + 1 - p):
-            gens = _matrices_of_length(N, p, q, ell)
-            basis[(p, q)] = gens
-            if p >= 1:
-                h_face[(p, q)] = tuple(
-                    {m: _normed_h_face(N, m, i) for m in gens} for i in range(p + 1)
-                )
-            if q >= 1:
-                v_face[(p, q)] = tuple(
-                    {m: _normed_v_face(N, m, j, q) for m in gens} for j in range(q + 1)
-                )
-            if p + 1 + q <= T:
-                h_degen[(p, q)] = tuple(
-                    {m: _normed_h_degen(N, m, i, q) for m in gens} for i in range(p + 1)
-                )
-            if p + q + 1 <= T:
-                v_degen[(p, q)] = tuple(
-                    {m: _normed_v_degen(m, j) for m in gens} for j in range(q + 1)
-                )
-    return BasedBisimplicialObject(T, T, basis, h_face, v_face, h_degen, v_degen, T)
+    return assemble_bisimplicial(
+        T, T, T, lambda p, q: _matrices_of_length(N, p, q, grading), *_normed_maps(N)
+    )
 
 
 def diag_nerve_normed_group(
@@ -512,28 +439,10 @@ def diag_nerve_normed_group(
 ) -> BasedSimplicialObject:
     """Diagonal slice: degree n is the (n+1) x n matrices of total length
     equal to the grading, with composite faces and degeneracies."""
-    ell = Fraction(grading)
-    basis = tuple(_matrices_of_length(N, n, n, ell) for n in range(max_degree + 1))
-    face: list[tuple] = [()]
-    for n in range(1, max_degree + 1):
-        maps = []
-        for i in range(n + 1):
-            fm = {}
-            for m in basis[n]:
-                mid = _normed_v_face(N, m, i, n)
-                fm[m] = None if mid is None else _normed_h_face(N, mid, i)
-            maps.append(fm)
-        face.append(tuple(maps))
-    degen: list[tuple] = []
-    for n in range(max_degree):
-        maps = []
-        for i in range(n + 1):
-            sm = {}
-            for m in basis[n]:
-                sm[m] = _normed_h_degen(N, _normed_v_degen(m, i), i, n + 1)
-            maps.append(sm)
-        degen.append(tuple(maps))
-    return BasedSimplicialObject(basis, tuple(face), tuple(degen))
+    return assemble_simplicial(
+        (_matrices_of_length(N, n, n, grading) for n in range(max_degree + 1)),
+        *diagonal_maps(*_normed_maps(N)),
+    )
 
 
 def reachable_normed_gradings(N: NormedGroup, max_degree: int,

@@ -18,12 +18,11 @@ from .complexes import (
     HomologyTable,
     graded_homology_table,
     homology_table,
-    validate_complex,
 )
 from .enriched_data import INF, FinCategory, GenMetricSpace, d_add
 from .errors import ValidationError
 from .exact_linalg import IntMatrix
-from .simplicial import BasedSimplicialObject
+from .simplicial import BasedSimplicialObject, assemble_simplicial
 
 GradingSpec = Union[str, Iterable]
 
@@ -50,39 +49,22 @@ def nerve_category(X: FinCategory, max_degree: int) -> BasedSimplicialObject:
                     new.append(tup + (m,))
         basis.append(tuple(new))
 
-    face: list[tuple] = [()]
-    for n in range(1, D + 1):
-        maps = []
-        for i in range(n + 1):
-            fm = {}
-            for tup in basis[n]:
-                if n == 1:
-                    f = tup[0]
-                    fm[tup] = X.target[f] if i == 0 else X.source[f]
-                elif i == 0:
-                    fm[tup] = tup[1:]
-                elif i == n:
-                    fm[tup] = tup[:-1]
-                else:
-                    fm[tup] = tup[: i - 1] + (X.compose[(tup[i], tup[i - 1])],) + tup[i + 1:]
-            maps.append(fm)
-        face.append(tuple(maps))
+    def face(n, i, tup):
+        if n == 1:
+            return X.target[tup[0]] if i == 0 else X.source[tup[0]]
+        if i == 0:
+            return tup[1:]
+        if i == n:
+            return tup[:-1]
+        return tup[: i - 1] + (X.compose[(tup[i], tup[i - 1])],) + tup[i + 1:]
 
-    degeneracy: list[tuple] = []
-    for n in range(D):
-        maps = []
-        for i in range(n + 1):
-            sm = {}
-            for tup in basis[n]:
-                if n == 0:
-                    sm[tup] = (X.identity[tup],)
-                else:
-                    at = X.source[tup[i]] if i < n else X.target[tup[n - 1]]
-                    sm[tup] = tup[:i] + (X.identity[at],) + tup[i:]
-            maps.append(sm)
-        degeneracy.append(tuple(maps))
+    def degen(n, i, tup):
+        if n == 0:
+            return (X.identity[tup],)
+        at = X.source[tup[i]] if i < n else X.target[tup[n - 1]]
+        return tup[:i] + (X.identity[at],) + tup[i:]
 
-    return BasedSimplicialObject(tuple(basis), tuple(face), tuple(degeneracy))
+    return assemble_simplicial(basis, face, degen)
 
 
 class MetricChainGenerator(NamedTuple):
@@ -193,9 +175,7 @@ def magnitude_complex_metric(
                             col.pop(t, None)
                 cols.append(col)
             boundary.append(IntMatrix.from_columns(len(basis[n - 1]), cols))
-        piece = BasedChainComplex(tuple(basis), tuple(boundary), max_degree - 1)
-        validate_complex(piece)
-        pieces[ell] = piece
+        pieces[ell] = BasedChainComplex(tuple(basis), tuple(boundary), max_degree - 1)
     return GradedChainComplex(pieces)
 
 
@@ -209,34 +189,25 @@ def metric_nerve(
     step has length 0; inner faces test betweenness; degeneracies repeat
     a point.
     """
+
+    def face(n, i, tup):
+        if i == 0:
+            return tup[1:] if tup[0] == tup[1] else None
+        if i == n:
+            return tup[:-1] if tup[n - 1] == tup[n] else None
+        if is_between(X, tup[i], tup[i - 1], tup[i + 1]):
+            return tup[:i] + tup[i + 1:]
+        return None
+
+    def degen(n, i, tup):
+        return tup[: i + 1] + tup[i:]
+
     wanted = _resolve_gradings(X, max_degree, gradings)
     buckets = _enumerate_tuples(X, max_degree, distinct=False)
     out = {}
     for ell in wanted:
         basis = [tuple(buckets.get((n, ell), ())) for n in range(max_degree + 1)]
-        face: list[tuple] = [()]
-        for n in range(1, max_degree + 1):
-            maps = []
-            for i in range(n + 1):
-                fm = {}
-                for tup in basis[n]:
-                    if i == 0:
-                        fm[tup] = tup[1:] if tup[0] == tup[1] else None
-                    elif i == n:
-                        fm[tup] = tup[:-1] if tup[n - 1] == tup[n] else None
-                    elif is_between(X, tup[i], tup[i - 1], tup[i + 1]):
-                        fm[tup] = tup[:i] + tup[i + 1:]
-                    else:
-                        fm[tup] = None
-                maps.append(fm)
-            face.append(tuple(maps))
-        degeneracy: list[tuple] = []
-        for n in range(max_degree):
-            maps = []
-            for i in range(n + 1):
-                maps.append({tup: tup[: i + 1] + tup[i:] for tup in basis[n]})
-            degeneracy.append(tuple(maps))
-        out[ell] = BasedSimplicialObject(tuple(basis), tuple(face), tuple(degeneracy))
+        out[ell] = assemble_simplicial(basis, face, degen)
     return out
 
 

@@ -4,6 +4,8 @@ Face maps send each generator to a single generator or to zero; degeneracy
 maps send generators to generators, injectively. This is the shape of every
 nerve built in this package, and it makes normalization a basis filter:
 the quotient by degenerate generators just drops them from the basis.
+Every nerve builder supplies generator-level maps, and assemble_simplicial
+or assemble_bisimplicial tabulates them into these objects.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import Hashable, Mapping, Optional
 from .complexes import (
     BasedChainComplex,
     BasedDoubleComplex,
-    validate_complex,
     validate_double_complex,
 )
 from .errors import ValidationError
@@ -137,6 +138,25 @@ def make_simplicial(basis, face, degeneracy, check: bool = True) -> BasedSimplic
     return S
 
 
+def assemble_simplicial(basis, face, degen) -> BasedSimplicialObject:
+    """Tabulate generator-level structure maps over a graded basis.
+
+    face(n, i, x) is the i-th face of x in degree n >= 1 (None for zero)
+    and degen(n, i, x) its i-th degeneracy, asked for below the top degree.
+    """
+    basis = tuple(tuple(b) for b in basis)
+    D = len(basis) - 1
+    faces = ((),) + tuple(
+        tuple({x: face(n, i, x) for x in basis[n]} for i in range(n + 1))
+        for n in range(1, D + 1)
+    )
+    degens = tuple(
+        tuple({x: degen(n, i, x) for x in basis[n]} for i in range(n + 1))
+        for n in range(D)
+    )
+    return BasedSimplicialObject(basis, faces, degens)
+
+
 def _alternating_matrix(
     source: tuple, target: tuple, maps: tuple, signs: Optional[list[int]] = None,
     keep: Optional[set] = None,
@@ -166,9 +186,7 @@ def unnormalized_chains(S: BasedSimplicialObject) -> BasedChainComplex:
     boundary = [IntMatrix.zero(0, S.dim(0))]
     for n in range(1, D + 1):
         boundary.append(_alternating_matrix(S.basis[n], S.basis[n - 1], S.face[n]))
-    C = BasedChainComplex(S.basis, tuple(boundary), D - 1)
-    validate_complex(C)
-    return C
+    return BasedChainComplex(S.basis, tuple(boundary), D - 1)
 
 
 def degenerate_labels(S: BasedSimplicialObject, n: int) -> set:
@@ -198,9 +216,7 @@ def normalized_chains(S: BasedSimplicialObject) -> BasedChainComplex:
         boundary.append(
             _alternating_matrix(nondeg[n], nondeg[n - 1], S.face[n], keep=keep)
         )
-    C = BasedChainComplex(tuple(nondeg), tuple(boundary), D - 1)
-    validate_complex(C)
-    return C
+    return BasedChainComplex(tuple(nondeg), tuple(boundary), D - 1)
 
 
 @dataclass(frozen=True)
@@ -384,30 +400,72 @@ def make_bisimplicial(
     return B
 
 
+def assemble_bisimplicial(
+    P, Q, total_bound, basis, h_face, v_face, h_degen, v_degen
+) -> BasedBisimplicialObject:
+    """Tabulate generator-level structure maps over every present bidegree.
+
+    basis(p, q) lists the generators; h_face(p, q, i, x) and v_face(p, q, j, x)
+    give faces out of (p, q) (None for zero), h_degen and v_degen the
+    degeneracies, which are only asked for when their target is present.
+    """
+    B = BasedBisimplicialObject(P, Q, {}, {}, {}, {}, {}, total_bound)
+    for p in range(P + 1):
+        for q in range(Q + 1):
+            if not B.present(p, q):
+                continue
+            gens = B.basis[(p, q)] = tuple(basis(p, q))
+            if p >= 1:
+                B.h_face[(p, q)] = tuple(
+                    {x: h_face(p, q, i, x) for x in gens} for i in range(p + 1)
+                )
+            if q >= 1:
+                B.v_face[(p, q)] = tuple(
+                    {x: v_face(p, q, j, x) for x in gens} for j in range(q + 1)
+                )
+            if B.present(p + 1, q):
+                B.h_degen[(p, q)] = tuple(
+                    {x: h_degen(p, q, i, x) for x in gens} for i in range(p + 1)
+                )
+            if B.present(p, q + 1):
+                B.v_degen[(p, q)] = tuple(
+                    {x: v_degen(p, q, j, x) for x in gens} for j in range(q + 1)
+                )
+    return B
+
+
+def diagonal_maps(h_face, v_face, h_degen, v_degen):
+    """Face and degeneracy of the diagonal, from generator-level
+    bisimplicial maps in the signature of assemble_bisimplicial.
+
+    In degree n, the i-th face is the i-th vertical face out of (n, n)
+    followed by the i-th horizontal face out of (n, n-1); degeneracies
+    compose the same way upwards.
+    """
+
+    def face(n, i, x):
+        y = v_face(n, n, i, x)
+        return None if y is None else h_face(n, n - 1, i, y)
+
+    def degen(n, i, x):
+        return h_degen(n, n + 1, i, v_degen(n, n, i, x))
+
+    return face, degen
+
+
 def diagonal(B: BasedBisimplicialObject) -> BasedSimplicialObject:
     """Restrict to bidegrees (n,n); faces and degeneracies compose both ways."""
     if B.P != B.Q or B.total_bound is not None:
         raise ValidationError("diagonal requires a square truncation")
-    D = B.P
-    basis = tuple(B.basis.get((n, n), ()) for n in range(D + 1))
-    face = [()]
-    for n in range(1, D + 1):
-        maps = []
-        for i in range(n + 1):
-            vf = B.v_faces(n, n)[i]
-            hf = B.h_faces(n, n - 1)[i]
-            maps.append({x: _compose(hf, vf, x) for x in B.basis.get((n, n), ())})
-        face.append(tuple(maps))
-    degen = []
-    for n in range(D):
-        maps = []
-        for i in range(n + 1):
-            vs = B.v_degens(n, n)[i]
-            hs = B.h_degens(n, n + 1)[i]
-            maps.append({x: hs[vs[x]] for x in B.basis.get((n, n), ())})
-        degen.append(tuple(maps))
-    S = BasedSimplicialObject(basis, tuple(face), tuple(degen))
-    return S
+    return assemble_simplicial(
+        (B.basis.get((n, n), ()) for n in range(B.P + 1)),
+        *diagonal_maps(
+            lambda p, q, i, x: B.h_faces(p, q)[i].get(x),
+            lambda p, q, j, x: B.v_faces(p, q)[j].get(x),
+            lambda p, q, i, x: B.h_degens(p, q)[i][x],
+            lambda p, q, j, x: B.v_degens(p, q)[j][x],
+        ),
+    )
 
 
 def double_chains(B: BasedBisimplicialObject) -> BasedDoubleComplex:
@@ -476,38 +534,20 @@ def external_product(
     so the total complex of its chains is the tensor of the two chain
     complexes and the diagonal is the degreewise tensor.
     """
-    P, Q = A.max_degree, Bs.max_degree
-    basis = {}
-    h_face = {}
-    v_face = {}
-    h_degen = {}
-    v_degen = {}
-    for p in range(P + 1):
-        for q in range(Q + 1):
-            labels = tuple((a, b) for a in A.basis[p] for b in Bs.basis[q])
-            basis[(p, q)] = labels
-            if p >= 1:
-                h_face[(p, q)] = tuple(
-                    {
-                        (a, b): (None if fm.get(a) is None else (fm[a], b))
-                        for (a, b) in labels
-                    }
-                    for fm in A.face[p]
-                )
-            if p < P:
-                h_degen[(p, q)] = tuple(
-                    {(a, b): (sm[a], b) for (a, b) in labels} for sm in A.degeneracy[p]
-                )
-            if q >= 1:
-                v_face[(p, q)] = tuple(
-                    {
-                        (a, b): (None if fm.get(b) is None else (a, fm[b]))
-                        for (a, b) in labels
-                    }
-                    for fm in Bs.face[q]
-                )
-            if q < Q:
-                v_degen[(p, q)] = tuple(
-                    {(a, b): (a, sm[b]) for (a, b) in labels} for sm in Bs.degeneracy[q]
-                )
-    return BasedBisimplicialObject(P, Q, basis, h_face, v_face, h_degen, v_degen)
+
+    def h_face(p, q, i, x):
+        a = A.face[p][i].get(x[0])
+        return None if a is None else (a, x[1])
+
+    def v_face(p, q, j, x):
+        b = Bs.face[q][j].get(x[1])
+        return None if b is None else (x[0], b)
+
+    return assemble_bisimplicial(
+        A.max_degree, Bs.max_degree, None,
+        lambda p, q: ((a, b) for a in A.basis[p] for b in Bs.basis[q]),
+        h_face,
+        v_face,
+        lambda p, q, i, x: (A.degeneracy[p][i][x[0]], x[1]),
+        lambda p, q, j, x: (x[0], Bs.degeneracy[q][j][x[1]]),
+    )

@@ -210,3 +210,43 @@ def test_info_invalid_document(tmp_path):
     code, _, err = run_cli(["info", str(path)])
     assert code == 2
     assert "separat" in err
+
+
+# --- exit-code contract ------------------------------------------------------
+
+
+def _assert_one_line_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def test_digraph_edge_to_undeclared_vertex_is_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(
+        {"kind": "digraph", "vertices": [0, 1], "edges": [[0, 1], [1, 2]]}
+    ))
+    _assert_one_line_error(*run_cli(["homology", str(path)]))
+    assert "undeclared vertex" in run_cli(["info", str(path)])[2]
+
+
+def test_negative_max_degree_is_rejected(tmp_path):
+    path = doc_file(tmp_path, "two-point-metric")
+    for command in ("homology", "verify"):
+        _assert_one_line_error(*run_cli([command, path, "--max-degree", "-1"]))
+
+
+def test_negative_normed_grading_is_rejected_on_both_routes(tmp_path):
+    path = doc_file(tmp_path, "s3-word-norm")
+    for route in ("diag", "tot"):
+        code, out, err = run_cli(
+            ["homology", path, "--route", route, "--max-degree", "1", "--grading", "-1"]
+        )
+        _assert_one_line_error(code, out, err)
+        assert "nonnegative" in err
+
+
+def test_unreadable_document_path_is_rejected(tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):
+        _assert_one_line_error(*run_cli(["homology", str(path)]))

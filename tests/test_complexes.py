@@ -185,3 +185,54 @@ def test_graded_homology_table():
     assert t.group(1, 1) == FgAbelianGroup(2)
     assert t.group(2, 2) == FgAbelianGroup(2)
     assert t.group(1, 2).is_trivial
+
+
+# --- one d*d check per complex, where homology is read -------------------------
+
+
+def _count_mul_calls(monkeypatch) -> list:
+    calls = []
+    mul = IntMatrix.mul
+
+    def counting(self, other):
+        calls.append((self.nrows, self.ncols, other.ncols))
+        return mul(self, other)
+
+    monkeypatch.setattr(IntMatrix, "mul", counting)
+    return calls
+
+
+def test_homology_multiplies_each_boundary_pair_once(monkeypatch):
+    S = nerve_category(parallel_arrows_category(), 3)
+    calls = _count_mul_calls(monkeypatch)
+    C = normalized_chains(S)
+    homology_table(C, 2)
+    assert len(calls) == C.max_degree == 3
+
+    calls.clear()
+    T = tensor_complex(s1_complex(2), s1_complex(2))
+    homology_table(T, 1)
+    assert len(calls) == T.max_degree
+
+    calls.clear()
+    G = magnitude_complex_metric(discrete_space(3, 1), 3)
+    graded_homology_table(G, 2)
+    assert len(calls) == sum(p.max_degree for p in G.pieces.values())
+
+
+def _broken_complex():
+    # d1 d2 = [1] != 0, built without the constructor's check
+    from maghom import BasedChainComplex
+
+    return BasedChainComplex(
+        (("a",), ("b",), ("c",)),
+        (IntMatrix.zero(0, 1), IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]])),
+        1,
+    )
+
+
+def test_homology_table_rejects_a_hand_built_non_complex():
+    with pytest.raises(InvalidComplexError):
+        homology_table(_broken_complex(), 1)
+    with pytest.raises(InvalidComplexError):
+        graded_homology_table(GradedChainComplex({Fraction(1): _broken_complex()}), 1)

@@ -389,3 +389,56 @@ def test_kunneth_check_metric():
 def test_kunneth_check_rejects_mixed():
     with pytest.raises(ValidationError):
         kunneth_check(parallel_arrows_category(), discrete_space(2, 1), 1)
+
+
+# --- the shared (bi)simplicial assembly ----------------------------------------
+
+
+def test_diagonal_nerve_is_the_diagonal_of_the_double_nerve():
+    from maghom import diagonal, two_cat_of_cat_group
+    from maghom.iterated import _diagonal_nerve, _double_nerve, _hom_nerves_for
+
+    cases = [
+        two_group_from_normal_subgroup(S3, A3),
+        two_cat_of_cat_group(two_group_from_normal_subgroup(cyclic_group(2), [0, 1])),
+        suspension(parallel_arrows_category()),
+    ]
+    for X in cases:
+        H = _hom_nerves_for(X, 2)
+        assert _diagonal_nerve(H, 2) == diagonal(_double_nerve(H, 2, 2)), X
+
+
+def _compose_faces(outer, inner, x):
+    y = inner.get(x)
+    return None if y is None else outer.get(y)
+
+
+def test_normed_diag_faces_are_double_nerve_composites():
+    # inside the triangle p + q <= 4, bidegrees (n, n) and (n, n - 1) exist
+    # for n <= 2; the diagonal's i-th face is v-face i then h-face i there
+    cases = [
+        (word_norm_group(S3, [(1, 0, 2)]), (0, 1, 2)),
+        (word_norm_group(cyclic_group(4), [1]), (0, 1, 2, 3)),
+    ]
+    for N, gradings in cases:
+        for ell in gradings:
+            S = diag_nerve_normed_group(N, ell, 2)
+            B = double_nerve_normed_group(N, ell, 3)
+            for n in range(3):
+                assert S.basis[n] == B.basis[(n, n)], (ell, n)
+            for n in (1, 2):
+                for i in range(n + 1):
+                    hf, vf = B.h_face[(n, n - 1)][i], B.v_face[(n, n)][i]
+                    for m in S.basis[n]:
+                        assert S.face[n][i][m] == _compose_faces(hf, vf, m), (ell, n, i, m)
+
+
+def test_normed_slices_reject_negative_gradings():
+    N = z2_normed()
+    with pytest.raises(ValidationError, match="nonnegative"):
+        diag_nerve_normed_group(N, -1, 2)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        double_nerve_normed_group(N, -1, 2)
+    for route in ("diag", "tot"):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            normed_group_homology(N, [-1], 1, route=route)
