@@ -88,6 +88,21 @@ def _need(doc: dict, key: str, kind: str):
     return doc[key]
 
 
+def _labels(values, where: str) -> list:
+    """A JSON list of labels; labels key dictionaries, so each must be a
+    string or a number."""
+    if not isinstance(values, list):
+        raise SchemaError(f"{where} must be a list")
+    for v in values:
+        if isinstance(v, (list, dict)):
+            raise SchemaError(f"{where}: {json.dumps(v)} is not a string or number")
+    return values
+
+
+def _need_labels(doc: dict, key: str, kind: str) -> list:
+    return _labels(_need(doc, key, kind), f"{kind}: {key}")
+
+
 def _reject_unknown(doc: dict, allowed: set, kind: str):
     extra = set(doc) - allowed - {"kind"}
     if extra:
@@ -117,7 +132,7 @@ def _parse_group(doc: dict, kind: str) -> FinGroup:
         degree = _need(doc, "permutation_degree", kind)
         gens = [tuple(g) for g in doc["permutation_generators"]]
         for g in gens:
-            if sorted(g) != list(range(degree)):
+            if not all(type(i) is int for i in g) or sorted(g) != list(range(degree)):
                 raise SchemaError(f"{kind}: {g} is not a permutation of 0..{degree - 1}")
         elems = {tuple(range(degree))}
         frontier = list(elems)
@@ -135,10 +150,12 @@ def _parse_group(doc: dict, kind: str) -> FinGroup:
             for q in elems
         }
         return FinGroup(sorted(label.values()), mul, name=f"perm{degree}")
-    elements = _need(doc, "elements", kind)
+    elements = _need_labels(doc, "elements", kind)
     table = _need(doc, "table", kind)
     if len(table) != len(elements) or any(len(r) != len(elements) for r in table):
         raise SchemaError(f"{kind}: table must be square on the element list")
+    for row in table:
+        _labels(row, f"{kind}: table row")
     mul = {
         (elements[i], elements[j]): table[i][j]
         for i in range(len(elements))
@@ -149,7 +166,7 @@ def _parse_group(doc: dict, kind: str) -> FinGroup:
 
 def _parse_norm(doc: dict, G: FinGroup, kind: str) -> NormedGroup:
     if "word_norm_generators" in doc:
-        return word_norm_group(G, doc["word_norm_generators"])
+        return word_norm_group(G, _need_labels(doc, "word_norm_generators", kind))
     norm = _need(doc, "norm", kind)
     # JSON object keys are strings even when the elements are numbers
     lookup = {str(e): e for e in G.elements}
@@ -178,7 +195,7 @@ def parse_input(doc):
 
     if kind == "category":
         _reject_unknown(doc, {"objects", "morphisms", "identities", "compose"}, kind)
-        objects = _need(doc, "objects", kind)
+        objects = _need_labels(doc, "objects", kind)
         morphisms = _need(doc, "morphisms", kind)
         source = {}
         target = {}
@@ -186,16 +203,19 @@ def parse_input(doc):
         for entry in morphisms:
             if len(entry) != 3:
                 raise SchemaError("category: morphisms entries are [name, src, dst]")
-            name, src, dst = entry
+            name, src, dst = _labels(entry, "category: morphisms entry")
             names.append(name)
             source[name] = src
             target[name] = dst
         identities = _need(doc, "identities", kind)
+        if not isinstance(identities, dict):
+            raise SchemaError("category: identities must map objects to morphisms")
+        _labels(list(identities.values()), "category: identities")
         compose = {}
         for entry in _need(doc, "compose", kind):
             if len(entry) != 3:
                 raise SchemaError("category: compose entries are [g, f, g_after_f]")
-            g, f, h = entry
+            g, f, h = _labels(entry, "category: compose entry")
             compose[(g, f)] = h
         for f in names:
             compose.setdefault((f, identities.get(source[f])), f)
@@ -204,7 +224,7 @@ def parse_input(doc):
 
     if kind == "metric":
         _reject_unknown(doc, {"points", "d"}, kind)
-        points = _need(doc, "points", kind)
+        points = _need_labels(doc, "points", kind)
         rows = _need(doc, "d", kind)
         if len(rows) != len(points) or any(len(r) != len(points) for r in rows):
             raise SchemaError("metric: d must be a square matrix over the points")
@@ -217,10 +237,11 @@ def parse_input(doc):
 
     if kind == "digraph":
         _reject_unknown(doc, {"vertices", "edges"}, kind)
-        vertices = _need(doc, "vertices", kind)
+        vertices = _need_labels(doc, "vertices", kind)
         edges = []
         weights = {}
         for entry in _need(doc, "edges", kind):
+            _labels(entry, "digraph: edges entry")
             if len(entry) == 2:
                 u, v = entry
                 w = 1
@@ -250,7 +271,7 @@ def parse_input(doc):
             kind,
         )
         G = _parse_group(doc, kind)
-        N = _need(doc, "normal_subgroup", kind)
+        N = _need_labels(doc, "normal_subgroup", kind)
         return two_group_from_normal_subgroup(G, N)
 
     if kind == "preordered-group":
@@ -261,7 +282,7 @@ def parse_input(doc):
             kind,
         )
         G = _parse_group(doc, kind)
-        return preordered_group_from_cone(G, _need(doc, "cone", kind))
+        return preordered_group_from_cone(G, _need_labels(doc, "cone", kind))
 
     if kind == "ncat-suspension":
         _reject_unknown(doc, {"inner"}, kind)
@@ -730,8 +751,11 @@ def _info_lines(obj) -> list[str]:
 def _read_document(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path} is not UTF-8 text") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -798,6 +822,8 @@ def main(argv=None) -> int:
         gradings = None
         if args.grading:
             gradings = [_exact_number(g, "--grading") for g in args.grading]
+            if any(g is INF or g < 0 for g in gradings):
+                raise ValidationError("--grading must be a finite nonnegative rational")
         if args.all_gradings:
             gradings = "all-reachable"
         table = compute_homology(
@@ -817,6 +843,9 @@ def main(argv=None) -> int:
         return EXIT_OK
     except (MaghomError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID
+    except RecursionError:
+        print("error: the input nests too deeply to handle", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -229,11 +229,6 @@ def total_complex(B: BasedDoubleComplex) -> BasedChainComplex:
     return BasedChainComplex(tuple(basis), tuple(boundary), N - 1)
 
 
-def _exactness(C: BasedChainComplex) -> int:
-    """Degree through which groups and boundaries are trustworthy."""
-    return COMPLETE if C.faithful_degree >= COMPLETE else C.faithful_degree + 1
-
-
 def tensor_complex(C: BasedChainComplex, D: BasedChainComplex) -> BasedChainComplex:
     """Tensor product of chain complexes with the usual Koszul sign.
 
@@ -241,7 +236,7 @@ def tensor_complex(C: BasedChainComplex, D: BasedChainComplex) -> BasedChainComp
     ((j, c), (k, d)) recording the bidegree split.
     """
     max_degree = C.max_degree + D.max_degree
-    faithful = min(_exactness(C), _exactness(D)) - 1
+    faithful = min(C.faithful_degree, D.faithful_degree)
     c_index = [C.index_of(j) for j in range(C.max_degree + 1)]
     d_index = [D.index_of(k) for k in range(D.max_degree + 1)]
 

@@ -70,22 +70,8 @@ class IntMatrix:
             raise IndexError("entry access out of bounds")
         return self.cols[j].get(i, 0)
 
-    def to_rows(self) -> list[list[int]]:
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                rows[i][j] = v
-        return rows
-
     def is_zero(self) -> bool:
         return all(not col for col in self.cols)
-
-    def transpose(self) -> "IntMatrix":
-        cols: list[dict] = [{} for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                cols[i][j] = v
-        return IntMatrix(self.ncols, self.nrows, tuple(cols))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         """Matrix product self @ other."""
@@ -382,23 +368,6 @@ class FgAbelianGroup:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " ⊕ ".join(parts) if parts else "0"
-
-
-ZERO_GROUP = FgAbelianGroup()
-Z = FgAbelianGroup(1)
-
-
-def free_abelian(rank: int) -> FgAbelianGroup:
-    return FgAbelianGroup(rank)
-
-
-def cyclic(n: int) -> FgAbelianGroup:
-    """Z/n as an FgAbelianGroup; n = 0 means Z, n = 1 means the trivial group."""
-    if n == 0:
-        return Z
-    if n == 1:
-        return ZERO_GROUP
-    return FgAbelianGroup(0, (n,))
 
 
 def tensor_fg(A: FgAbelianGroup, B: FgAbelianGroup) -> FgAbelianGroup:

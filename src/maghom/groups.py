@@ -73,17 +73,6 @@ class FinGroup:
     def __repr__(self) -> str:
         return f"FinGroup({self.name}, order={len(self)})"
 
-    def conjugacy_classes(self) -> list[frozenset]:
-        seen = set()
-        classes = []
-        for a in self.elements:
-            if a in seen:
-                continue
-            cls = frozenset(self.conjugate(g, a) for g in self.elements)
-            classes.append(cls)
-            seen.update(cls)
-        return classes
-
     def subgroup_closure(self, seed: Iterable[Element]) -> frozenset:
         members = {self.identity, *seed}
         frontier = list(members)

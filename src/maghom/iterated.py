@@ -35,9 +35,10 @@ from .enriched_data import (
     StrictNCat,
     as_category,
     metric_of_normed_group,
+    two_cat_of_cat_group,
 )
 from .errors import ValidationError
-from .magnitude_core import _enumerate_tuples, nerve_category
+from .magnitude_core import _enumerate_tuples, _metric_degen, _metric_face, nerve_category
 from .simplicial import (
     BasedBisimplicialObject,
     BasedSimplicialObject,
@@ -61,20 +62,12 @@ UNIT = _UnitLeg()
 
 
 class _HomNerves:
-    """What the double nerve needs from a 2nd-order enrichment: for every
-    ordered pair of objects, the simplicial object of the hom, plus
-    composition and identities at the level of its generators."""
+    """What the double nerve needs from a 2nd-order enrichment: the objects,
+    a table homs[(x, y)] of hom simplicial objects (a missing pair is an
+    empty hom), and composition and identities on their generators."""
 
     objects: tuple
-
-    def hom_basis(self, x, y, q) -> tuple:
-        raise NotImplementedError
-
-    def hom_face(self, x, y, q, i, gen):
-        raise NotImplementedError
-
-    def hom_degen(self, x, y, q, i, gen):
-        raise NotImplementedError
+    homs: dict
 
     def compose(self, x, y, z, q, gen_xy, gen_yz):
         raise NotImplementedError
@@ -83,52 +76,15 @@ class _HomNerves:
         raise NotImplementedError
 
 
-class _CatGroupNerves(_HomNerves):
-    def __init__(self, C: CatGroup, max_q: int):
-        self.C = C
-        self.G = C.group
-        self.objects = ("*",)
-        self.nerve = nerve_category(C.cells, max_q)
-        self._id_arrow = C.cells.identity[self.G.identity]
-
-    def hom_basis(self, x, y, q):
-        return self.nerve.basis[q]
-
-    def hom_face(self, x, y, q, i, gen):
-        return self.nerve.face[q][i].get(gen)
-
-    def hom_degen(self, x, y, q, i, gen):
-        return self.nerve.degeneracy[q][i][gen]
-
-    def compose(self, x, y, z, q, a, b):
-        if q == 0:
-            return self.G.mul(a, b)
-        return tuple(self.C.hmul[(p1, p2)] for p1, p2 in zip(a, b))
-
-    def identity_gen(self, x, q):
-        if q == 0:
-            return self.G.identity
-        return (self._id_arrow,) * q
-
-
 class _TwoCatNerves(_HomNerves):
     def __init__(self, X: Explicit2Cat, max_q: int):
         self.X = X
         self.objects = tuple(X.objects)
-        self.nerves = {
+        self.homs = {
             (x, y): nerve_category(X.hom[(x, y)], max_q)
             for x in X.objects
             for y in X.objects
         }
-
-    def hom_basis(self, x, y, q):
-        return self.nerves[(x, y)].basis[q]
-
-    def hom_face(self, x, y, q, i, gen):
-        return self.nerves[(x, y)].face[q][i].get(gen)
-
-    def hom_degen(self, x, y, q, i, gen):
-        return self.nerves[(x, y)].degeneracy[q][i][gen]
 
     def compose(self, x, y, z, q, a, b):
         if q == 0:
@@ -148,25 +104,11 @@ class _SuspensionNerves(_HomNerves):
     endo-homs are the unit; composition against the unit is absorption."""
 
     def __init__(self, inner: BasedSimplicialObject):
-        self.inner = inner
+        unit = assemble_simplicial(
+            [(UNIT,)] * (inner.max_degree + 1), lambda n, i, x: UNIT, lambda n, i, x: UNIT
+        )
         self.objects = ("A", "B")
-
-    def hom_basis(self, x, y, q):
-        if x == y:
-            return (UNIT,)
-        if (x, y) == ("A", "B"):
-            return self.inner.basis[q]
-        return ()
-
-    def hom_face(self, x, y, q, i, gen):
-        if gen is UNIT:
-            return UNIT
-        return self.inner.face[q][i].get(gen)
-
-    def hom_degen(self, x, y, q, i, gen):
-        if gen is UNIT:
-            return UNIT
-        return self.inner.degeneracy[q][i][gen]
+        self.homs = {("A", "A"): unit, ("A", "B"): inner, ("B", "B"): unit}
 
     def compose(self, x, y, z, q, a, b):
         if a is UNIT:
@@ -191,7 +133,8 @@ def _tuple_generators(H: _HomNerves, p: int, q: int):
             return
         x = xs[-1]
         for y in H.objects:
-            for leg in H.hom_basis(x, y, q):
+            S = H.homs.get((x, y))
+            for leg in () if S is None else S.basis[q]:
                 rec(xs + (y,), legs + (leg,))
 
     for x in H.objects:
@@ -215,7 +158,7 @@ def _v_face_gen(H: _HomNerves, p: int, q: int, j: int, gen):
     xs, legs = gen
     new = []
     for idx, leg in enumerate(legs):
-        y = H.hom_face(xs[idx], xs[idx + 1], q, j, leg)
+        y = H.homs[xs[idx], xs[idx + 1]].face[q][j].get(leg)
         if y is None:
             return None
         new.append(y)
@@ -230,7 +173,7 @@ def _h_degen_gen(H: _HomNerves, p: int, q: int, i: int, gen):
 
 def _v_degen_gen(H: _HomNerves, p: int, q: int, j: int, gen):
     xs, legs = gen
-    return (xs, tuple(H.hom_degen(xs[idx], xs[idx + 1], q, j, leg)
+    return (xs, tuple(H.homs[xs[idx], xs[idx + 1]].degeneracy[q][j][leg]
                       for idx, leg in enumerate(legs)))
 
 
@@ -260,7 +203,7 @@ def _diagonal_nerve(H: _HomNerves, D: int) -> BasedSimplicialObject:
 
 def _hom_nerves_for(X, max_q: int) -> _HomNerves:
     if isinstance(X, CatGroup):
-        return _CatGroupNerves(X, max_q)
+        X = two_cat_of_cat_group(X)
     if isinstance(X, Explicit2Cat):
         return _TwoCatNerves(X, max_q)
     if isinstance(X, NCatSuspension) and X.level >= 2:
@@ -386,37 +329,32 @@ def _normed_h_face(N: NormedGroup, p: int, q: int, i: int, mat: tuple):
     return mat[: i - 1] + (merged,) + mat[i + 1:]
 
 
-def _normed_v_face(N: NormedGroup, p: int, q: int, j: int, mat: tuple):
-    """Drop a row; zero unless every column passes the betweenness test."""
-    if not mat:
-        return mat
-    if j == 0:
-        if any(col[0] != col[1] for col in mat):
-            return None
-        return tuple(col[1:] for col in mat)
-    if j == q:
-        if any(col[q] != col[q - 1] for col in mat):
-            return None
-        return tuple(col[:-1] for col in mat)
-    for col in mat:
-        if N.d(col[j - 1], col[j + 1]) != N.d(col[j - 1], col[j]) + N.d(col[j], col[j + 1]):
-            return None
-    return tuple(col[:j] + col[j + 1:] for col in mat)
-
-
 def _normed_h_degen(N: NormedGroup, p: int, q: int, i: int, mat: tuple):
     e_col = (N.group.identity,) * (q + 1)
     return mat[:i] + (e_col,) + mat[i:]
 
 
-def _normed_v_degen(N: NormedGroup, p: int, q: int, j: int, mat: tuple):
-    return tuple(col[: j + 1] + col[j:] for col in mat)
-
-
 def _normed_maps(N: NormedGroup) -> tuple:
-    """h-face, v-face, h-degeneracy and v-degeneracy of a grading slice."""
-    return tuple(partial(f, N) for f in (_normed_h_face, _normed_v_face,
-                                          _normed_h_degen, _normed_v_degen))
+    """h-face, v-face, h-degeneracy and v-degeneracy of a grading slice.
+
+    Each column is a tuple in the metric nerve of N, and the vertical maps
+    act on every column by that nerve's face and degeneracy.
+    """
+    X = metric_of_normed_group(N)
+
+    def v_face(p, q, j, mat):
+        cols = []
+        for col in mat:
+            col = _metric_face(X, q, j, col)
+            if col is None:
+                return None
+            cols.append(col)
+        return tuple(cols)
+
+    def v_degen(p, q, j, mat):
+        return tuple(_metric_degen(q, j, col) for col in mat)
+
+    return partial(_normed_h_face, N), v_face, partial(_normed_h_degen, N), v_degen
 
 
 def double_nerve_normed_group(

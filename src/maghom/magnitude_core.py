@@ -10,7 +10,8 @@ neighbours. Tuples through an infinite distance are never generated.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
+from functools import partial
+from typing import Iterable, Union
 
 from .complexes import (
     BasedChainComplex,
@@ -67,23 +68,6 @@ def nerve_category(X: FinCategory, max_degree: int) -> BasedSimplicialObject:
     return assemble_simplicial(basis, face, degen)
 
 
-class MetricChainGenerator(NamedTuple):
-    """A tuple of points with no equal neighbours, and its total length."""
-
-    points: tuple
-    grading: Fraction
-
-
-def tuple_grading(X: GenMetricSpace, tup: tuple) -> Fraction:
-    total = Fraction(0)
-    for a, b in zip(tup, tup[1:]):
-        d = X.d(a, b)
-        if d is INF:
-            raise ValidationError("tuple crosses an infinite distance")
-        total += d
-    return total
-
-
 def _enumerate_tuples(X: GenMetricSpace, max_degree: int, distinct: bool):
     """All finite-length tuples, bucketed by (degree, grading).
 
@@ -124,7 +108,10 @@ def _resolve_gradings(X, max_degree, gradings: GradingSpec) -> list[Fraction]:
         if gradings != "all-reachable":
             raise ValidationError(f"unknown grading request {gradings!r}")
         return reachable_gradings(X, max_degree)
-    return sorted({Fraction(g) for g in gradings})
+    wanted = sorted({Fraction(g) for g in gradings})
+    if wanted and wanted[0] < 0:
+        raise ValidationError("gradings are nonnegative")
+    return wanted
 
 
 def is_between(X: GenMetricSpace, z, x, y) -> bool:
@@ -179,6 +166,24 @@ def magnitude_complex_metric(
     return GradedChainComplex(pieces)
 
 
+def _metric_face(X: GenMetricSpace, n: int, i: int, tup: tuple):
+    """Face i of a degree-n tuple in the unnormalized metric nerve: an end
+    point drops when its step has length 0, an inner point when it lies
+    between its neighbours; None otherwise."""
+    if i == 0:
+        return tup[1:] if tup[0] == tup[1] else None
+    if i == n:
+        return tup[:-1] if tup[n - 1] == tup[n] else None
+    if is_between(X, tup[i], tup[i - 1], tup[i + 1]):
+        return tup[:i] + tup[i + 1:]
+    return None
+
+
+def _metric_degen(n: int, i: int, tup: tuple) -> tuple:
+    """Degeneracy i repeats point i."""
+    return tup[: i + 1] + tup[i:]
+
+
 def metric_nerve(
     X: GenMetricSpace, max_degree: int, gradings: GradingSpec = "all-reachable"
 ) -> dict[Fraction, BasedSimplicialObject]:
@@ -189,25 +194,12 @@ def metric_nerve(
     step has length 0; inner faces test betweenness; degeneracies repeat
     a point.
     """
-
-    def face(n, i, tup):
-        if i == 0:
-            return tup[1:] if tup[0] == tup[1] else None
-        if i == n:
-            return tup[:-1] if tup[n - 1] == tup[n] else None
-        if is_between(X, tup[i], tup[i - 1], tup[i + 1]):
-            return tup[:i] + tup[i + 1:]
-        return None
-
-    def degen(n, i, tup):
-        return tup[: i + 1] + tup[i:]
-
     wanted = _resolve_gradings(X, max_degree, gradings)
     buckets = _enumerate_tuples(X, max_degree, distinct=False)
     out = {}
     for ell in wanted:
         basis = [tuple(buckets.get((n, ell), ())) for n in range(max_degree + 1)]
-        out[ell] = assemble_simplicial(basis, face, degen)
+        out[ell] = assemble_simplicial(basis, partial(_metric_face, X), _metric_degen)
     return out
 
 

@@ -127,17 +127,6 @@ def validate_simplicial(S: BasedSimplicialObject) -> None:
                         )
 
 
-def make_simplicial(basis, face, degeneracy, check: bool = True) -> BasedSimplicialObject:
-    S = BasedSimplicialObject(
-        tuple(tuple(b) for b in basis),
-        tuple(tuple(dict(m) for m in level) for level in face),
-        tuple(tuple(dict(m) for m in level) for level in degeneracy),
-    )
-    if check:
-        validate_simplicial(S)
-    return S
-
-
 def assemble_simplicial(basis, face, degen) -> BasedSimplicialObject:
     """Tabulate generator-level structure maps over a graded basis.
 
@@ -388,18 +377,6 @@ def validate_bisimplicial(B: BasedBisimplicialObject) -> None:
                             )
 
 
-def make_bisimplicial(
-    P, Q, basis, h_face, v_face, h_degen, v_degen, total_bound=None, check=True
-) -> BasedBisimplicialObject:
-    B = BasedBisimplicialObject(
-        P, Q, dict(basis), dict(h_face), dict(v_face), dict(h_degen), dict(v_degen),
-        total_bound,
-    )
-    if check:
-        validate_bisimplicial(B)
-    return B
-
-
 def assemble_bisimplicial(
     P, Q, total_bound, basis, h_face, v_face, h_degen, v_degen
 ) -> BasedBisimplicialObject:
@@ -468,24 +445,28 @@ def diagonal(B: BasedBisimplicialObject) -> BasedSimplicialObject:
     )
 
 
-def double_chains(B: BasedBisimplicialObject) -> BasedDoubleComplex:
-    """Alternating-sum boundaries in both directions, no normalization."""
+def _double_complex(B: BasedBisimplicialObject, basis: dict, drop: bool) -> BasedDoubleComplex:
+    """Alternating-sum boundaries of B on a sub-basis. With drop, face terms
+    that leave the sub-basis are sent to zero rather than rewritten."""
+
+    def matrix(labels, target, maps):
+        return _alternating_matrix(labels, target, maps, keep=set(target) if drop else None)
+
     horizontal = {}
     vertical = {}
-    for (p, q), labels in B.basis.items():
+    for (p, q), labels in basis.items():
         if p >= 1:
-            horizontal[(p, q)] = _alternating_matrix(
-                labels, B.basis.get((p - 1, q), ()), B.h_faces(p, q)
-            )
+            horizontal[(p, q)] = matrix(labels, basis.get((p - 1, q), ()), B.h_faces(p, q))
         if q >= 1:
-            vertical[(p, q)] = _alternating_matrix(
-                labels, B.basis.get((p, q - 1), ()), B.v_faces(p, q)
-            )
-    C = BasedDoubleComplex(
-        B.P, B.Q, dict(B.basis), horizontal, vertical, B.total_bound
-    )
+            vertical[(p, q)] = matrix(labels, basis.get((p, q - 1), ()), B.v_faces(p, q))
+    C = BasedDoubleComplex(B.P, B.Q, basis, horizontal, vertical, B.total_bound)
     validate_double_complex(C)
     return C
+
+
+def double_chains(B: BasedBisimplicialObject) -> BasedDoubleComplex:
+    """Alternating-sum boundaries in both directions, no normalization."""
+    return _double_complex(B, dict(B.basis), drop=False)
 
 
 def h_degenerate_labels(B: BasedBisimplicialObject, p: int, q: int) -> set:
@@ -503,26 +484,11 @@ def row_normalize(B: BasedBisimplicialObject) -> BasedDoubleComplex:
 
     Total homology is unchanged; the rows often collapse dramatically.
     """
-    nondeg = {
-        (p, q): tuple(l for l in labels if l not in h_degenerate_labels(B, p, q))
-        for (p, q), labels in B.basis.items()
-    }
-    horizontal = {}
-    vertical = {}
-    for (p, q), labels in nondeg.items():
-        if p >= 1:
-            keep = set(nondeg.get((p - 1, q), ()))
-            horizontal[(p, q)] = _alternating_matrix(
-                labels, nondeg.get((p - 1, q), ()), B.h_faces(p, q), keep=keep
-            )
-        if q >= 1:
-            keep = set(nondeg.get((p, q - 1), ()))
-            vertical[(p, q)] = _alternating_matrix(
-                labels, nondeg.get((p, q - 1), ()), B.v_faces(p, q), keep=keep
-            )
-    C = BasedDoubleComplex(B.P, B.Q, nondeg, horizontal, vertical, B.total_bound)
-    validate_double_complex(C)
-    return C
+    nondeg = {}
+    for (p, q), labels in B.basis.items():
+        degenerate = h_degenerate_labels(B, p, q)
+        nondeg[(p, q)] = tuple(lab for lab in labels if lab not in degenerate)
+    return _double_complex(B, nondeg, drop=True)
 
 
 def external_product(

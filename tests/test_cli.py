@@ -250,3 +250,40 @@ def test_negative_normed_grading_is_rejected_on_both_routes(tmp_path):
 def test_unreadable_document_path_is_rejected(tmp_path):
     for path in (tmp_path / "missing.json", tmp_path):
         _assert_one_line_error(*run_cli(["homology", str(path)]))
+
+
+def test_non_utf8_document_is_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(["homology", str(path)])
+    _assert_one_line_error(code, out, err)
+    assert "UTF-8" in err
+
+
+def test_non_scalar_label_is_rejected(tmp_path):
+    doc = {"kind": "digraph", "vertices": [[0]], "edges": []}
+    with pytest.raises(SchemaError, match="vertices"):
+        parse_input(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    _assert_one_line_error(*run_cli(["homology", str(path)]))
+
+
+def test_deeply_nested_suspension_is_rejected(tmp_path):
+    inner = json.dumps(builder_documents()["suspension-two-discrete"]["inner"])
+    depth = 1500
+    path = tmp_path / "deep.json"
+    path.write_text('{"kind": "ncat-suspension", "inner": ' * depth + inner + "}" * depth)
+    _assert_one_line_error(*run_cli(["homology", str(path)]))
+
+
+def test_negative_metric_grading_is_rejected(tmp_path):
+    path = doc_file(tmp_path, "two-point-metric")
+    _assert_one_line_error(*run_cli(["homology", path, "--grading", "-1"]))
+
+
+def test_negative_grading_is_rejected_on_tensor_tot_route(tmp_path):
+    path = doc_file(tmp_path, "tensor-two-point")
+    _assert_one_line_error(
+        *run_cli(["homology", path, "--route", "tot", "--grading", "-1"])
+    )

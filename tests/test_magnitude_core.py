@@ -132,3 +132,8 @@ def test_infinite_distances_are_never_crossed():
             for tup in level:
                 for u, v in zip(tup, tup[1:]):
                     assert X.d(u, v) is not INF
+
+
+def test_negative_grading_is_rejected():
+    with pytest.raises(ValidationError, match="nonnegative"):
+        metric_homology(LINE3, 1, [-1])
