@@ -62,6 +62,7 @@ from .iterated import (
 )
 from .magnitude_core import (
     category_homology,
+    grading_values,
     magnitude_complex_metric,
     metric_homology,
     nerve_category,
@@ -447,7 +448,7 @@ def compute_homology(obj, max_degree: int, route: str = "diag",
                                          gradings if gradings else "all-reachable")
             table = graded_homology_table(G, max_degree)
         if gradings and not isinstance(gradings, str):
-            wanted = {Fraction(g) for g in gradings}
+            wanted = set(grading_values(gradings))
             return HomologyTable(
                 {key: grp for key, grp in table.items() if key[1] in wanted}
             )

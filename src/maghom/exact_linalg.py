@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from .errors import InvalidComplexError
 
@@ -150,14 +150,23 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _reduce_columns(columns: Iterable[Mapping[int, int]]) -> dict[int, dict]:
+def _reduce_columns(columns: Iterable[Mapping[int, int]],
+                    stop_rank: Optional[int] = None) -> dict[int, dict]:
     """Triangularize the span of the given columns by unimodular column ops.
 
     Returns a map pivot_row -> vector, where each vector's topmost nonzero
     row is its pivot. The vectors generate exactly the same subgroup of
     Z^rows as the input columns.
+
+    With stop_rank set, the columns are read only until the basis holds
+    stop_rank vectors whose pivots are all 1. An echelon basis with unit
+    pivots spans a saturated lattice, so a caller that knows the span lies
+    in a saturated lattice of rank stop_rank (the kernel of the previous
+    boundary, once d*d = 0 is checked) has its whole span by then: the
+    columns left unread cannot change it.
     """
     basis: dict[int, dict] = {}
+    nonunit = 0  # pivots other than 1
     for col in columns:
         v = {r: w for r, w in col.items() if w}
         while v:
@@ -167,16 +176,23 @@ def _reduce_columns(columns: Iterable[Mapping[int, int]]) -> dict[int, dict]:
                 if v[r] < 0:
                     v = {k: -w for k, w in v.items()}
                 basis[r] = v
+                if v[r] != 1:
+                    nonunit += 1
                 break
             a, c = b[r], v[r]
             if c % a == 0:
                 _sub_scaled(v, b, c // a)
             else:
+                # a is not 1 here, since 1 divides every c
                 g, x, y = _ext_gcd(a, c)
                 basis[r] = _combine(x, b, y, v)
+                if g == 1:
+                    nonunit -= 1
                 v = _combine(a // g, v, -(c // g), b)
                 v.pop(r, None)
         # a fully reduced column contributes nothing
+        if len(basis) == stop_rank and not nonunit:
+            break
     return basis
 
 
@@ -189,12 +205,15 @@ def _invariant_chain(values: Iterable[int]) -> list[int]:
     """Normalize a multiset of cyclic orders into an invariant-factor chain.
 
     diag(a, b) is equivalent to diag(gcd, lcm), so pairwise fixes converge
-    to the unique chain with d1 | d2 | ... Entries equal to 1 are kept
-    until the end so the chain length matches the diagonal rank.
+    to the unique chain with d1 | d2 | ... Entries equal to 1 divide
+    everything, so they are set aside before the quadratic pass and put
+    back in front; the chain length matches the diagonal rank.
     """
     vals = sorted(abs(v) for v in values)
     if any(v == 0 for v in vals):
         raise ValueError("zero is not a cyclic order")
+    ones = [v for v in vals if v == 1]
+    vals = [v for v in vals if v != 1]
     changed = True
     while changed:
         changed = False
@@ -206,7 +225,7 @@ def _invariant_chain(values: Iterable[int]) -> list[int]:
                     vals[i], vals[j] = g, a * b // g
                     changed = True
         vals.sort()
-    return vals
+    return ones + vals
 
 
 class _SparseSmith:
@@ -310,13 +329,15 @@ class _SparseSmith:
         return diag
 
 
-def smith_normal_form(M: IntMatrix) -> tuple[list[int], int]:
+def smith_normal_form(M: IntMatrix, stop_rank: Optional[int] = None) -> tuple[list[int], int]:
     """Invariant factors of M (nonzero Smith diagonal, in divisibility order).
 
     Returns (factors, rank) where rank == len(factors). The unimodular
-    transforms are not computed.
+    transforms are not computed. stop_rank is passed to _reduce_columns;
+    it is sound only when the column span of M lies in a saturated
+    lattice of that rank.
     """
-    basis = _reduce_columns(M.cols)
+    basis = _reduce_columns(M.cols, stop_rank)
     if not basis:
         return [], 0
     diag = _SparseSmith(basis.values()).diagonal()
@@ -392,6 +413,11 @@ def homology_between(d_k: IntMatrix, d_k_plus_1: IntMatrix, check: bool = True) 
     d_k has the chain group in its columns; d_k_plus_1 maps into it. The
     kernel of d_k is a pure submodule of Z^n containing the image, so the
     torsion of the quotient is read off the Smith form of d_k_plus_1 alone.
+
+    The columns of d_k_plus_1 are read only until they span a saturated
+    lattice of rank dim ker d_k: that lattice is all of ker d_k, so H_k is
+    0 and the rest cannot change it. This needs d_k * d_k_plus_1 = 0, which
+    check=True verifies and a caller passing check=False has verified.
     """
     n = d_k.ncols
     if d_k_plus_1.nrows != n:
@@ -402,7 +428,7 @@ def homology_between(d_k: IntMatrix, d_k_plus_1: IntMatrix, check: bool = True) 
     if check and not d_k.mul(d_k_plus_1).is_zero():
         raise InvalidComplexError("composite of consecutive boundaries is nonzero")
     rank_out = column_rank(d_k)
-    factors, rank_in = smith_normal_form(d_k_plus_1)
+    factors, rank_in = smith_normal_form(d_k_plus_1, n - rank_out)
     free = n - rank_out - rank_in
     if free < 0:
         raise InvalidComplexError("negative free rank; input is not a complex")

@@ -38,7 +38,14 @@ from .enriched_data import (
     two_cat_of_cat_group,
 )
 from .errors import ValidationError
-from .magnitude_core import _enumerate_tuples, _metric_degen, _metric_face, nerve_category
+from .magnitude_core import (
+    _betweenness,
+    _enumerate_tuples,
+    _metric_degen,
+    _metric_face,
+    grading_values,
+    nerve_category,
+)
 from .simplicial import (
     BasedBisimplicialObject,
     BasedSimplicialObject,
@@ -278,9 +285,7 @@ def iterated_homology(
 def _matrices_of_length(N: NormedGroup, p: int, q: int, ell: Fraction) -> tuple:
     """(q+1) x p matrices (as column tuples) of total length ell, ordered
     lexicographically by row-major element index."""
-    ell = Fraction(ell)
-    if ell < 0:
-        raise ValidationError("gradings are nonnegative")
+    (ell,) = grading_values([ell])
     if p == 0:
         return ((),) if ell == 0 else ()
     tuples = _enumerate_tuples(metric_of_normed_group(N), q, distinct=False)
@@ -313,18 +318,24 @@ def _col_length(N: NormedGroup, col: tuple) -> Fraction:
     return sum((N.d(a, b) for a, b in zip(col, col[1:])), Fraction(0))
 
 
-def _normed_h_face(N: NormedGroup, p: int, q: int, i: int, mat: tuple):
-    """Drop or merge columns; zero unless the step lengths survive exactly."""
+def _normed_h_face(between: frozenset, mul: dict, p: int, q: int, i: int, mat: tuple):
+    """Drop or merge columns; zero unless the step lengths survive exactly.
+
+    The norm is conjugation invariant, so the metric is bi-invariant:
+    d(a_r b_r, a_r b_{r+1}) = d(b_r, b_{r+1}) and d(a_r b_{r+1},
+    a_{r+1} b_{r+1}) = d(a_r, a_{r+1}). The merged step at row r keeps
+    the sum of the two columns' steps exactly when a_r b_{r+1} lies
+    between a_r b_r and a_{r+1} b_{r+1}.
+    """
     if i == 0 or i == p:
         col = mat[0] if i == 0 else mat[-1]
         if any(a != b for a, b in zip(col, col[1:])):
             return None
         return mat[1:] if i == 0 else mat[:-1]
-    G = N.group
     a, b = mat[i - 1], mat[i]
-    merged = tuple(G.mul(x, y) for x, y in zip(a, b))
+    merged = tuple(mul[x, y] for x, y in zip(a, b))
     for r in range(len(merged) - 1):
-        if N.d(merged[r], merged[r + 1]) != N.d(a[r], a[r + 1]) + N.d(b[r], b[r + 1]):
+        if (mul[a[r], b[r + 1]], merged[r], merged[r + 1]) not in between:
             return None
     return mat[: i - 1] + (merged,) + mat[i + 1:]
 
@@ -338,14 +349,17 @@ def _normed_maps(N: NormedGroup) -> tuple:
     """h-face, v-face, h-degeneracy and v-degeneracy of a grading slice.
 
     Each column is a tuple in the metric nerve of N, and the vertical maps
-    act on every column by that nerve's face and degeneracy.
+    act on every column by that nerve's face and degeneracy. The metric's
+    betweenness table and the product table are built once per slice.
     """
-    X = metric_of_normed_group(N)
+    G = N.group
+    between = _betweenness(metric_of_normed_group(N))
+    mul = {(x, y): G.mul(x, y) for x in G.elements for y in G.elements}
 
     def v_face(p, q, j, mat):
         cols = []
         for col in mat:
-            col = _metric_face(X, q, j, col)
+            col = _metric_face(between, q, j, col)
             if col is None:
                 return None
             cols.append(col)
@@ -354,7 +368,8 @@ def _normed_maps(N: NormedGroup) -> tuple:
     def v_degen(p, q, j, mat):
         return tuple(_metric_degen(q, j, col) for col in mat)
 
-    return partial(_normed_h_face, N), v_face, partial(_normed_h_degen, N), v_degen
+    return (partial(_normed_h_face, between, mul), v_face,
+            partial(_normed_h_degen, N), v_degen)
 
 
 def double_nerve_normed_group(
@@ -426,7 +441,7 @@ def normed_group_homology(
         else:
             raise ValidationError(f"unknown grading request {gradings!r}")
     else:
-        ells = sorted({Fraction(g) for g in gradings})
+        ells = grading_values(gradings)
     entries = {}
     for ell in ells:
         if route == "diag":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from typing import Iterable, Union
 
 from .complexes import (
@@ -68,32 +69,59 @@ def nerve_category(X: FinCategory, max_degree: int) -> BasedSimplicialObject:
     return assemble_simplicial(basis, face, degen)
 
 
+def _scaled_distances(X: GenMetricSpace) -> tuple[dict, int]:
+    """Every distance as an int over one common denominator L, with INF as
+    None; returns (table, L)."""
+    d = {(x, y): X.d(x, y) for x in X.points for y in X.points}
+    L = lcm(*(v.denominator for v in d.values() if v is not INF))
+    return {k: None if v is INF else int(v * L) for k, v in d.items()}, L
+
+
+def _betweenness(X: GenMetricSpace) -> frozenset:
+    """The triples (z, x, y) on which is_between holds: d(x, y) =
+    d(x, z) + d(z, y), with infinity absorbing."""
+    D, _ = _scaled_distances(X)
+    pts = X.points
+    out = set()
+    for x in pts:
+        for y in pts:
+            dxy = D[x, y]
+            for z in pts:
+                a, b = D[x, z], D[z, y]
+                if (None if a is None or b is None else a + b) == dxy:
+                    out.add((z, x, y))
+    return frozenset(out)
+
+
 def _enumerate_tuples(X: GenMetricSpace, max_degree: int, distinct: bool):
     """All finite-length tuples, bucketed by (degree, grading).
 
     distinct=True skips tuples with equal adjacent entries (the
-    nondegenerate generators).
+    nondegenerate generators). Lengths are summed as ints over one common
+    denominator; each bucket's Fraction grading is made once.
     """
-    buckets: dict[tuple[int, Fraction], list] = {}
-    order = {p: i for i, p in enumerate(X.points)}
+    D, L = _scaled_distances(X)
+    steps = {
+        x: [(p, D[x, p]) for p in X.points
+            if D[x, p] is not None and not (distinct and p == x)]
+        for x in X.points
+    }
+    scaled: dict[tuple[int, int], list] = {}
 
     def walk(tup, total, n):
-        buckets.setdefault((n, total), []).append(tup)
+        scaled.setdefault((n, total), []).append(tup)
         if n == max_degree:
             return
-        last = tup[-1]
-        for p in X.points:
-            if distinct and p == last:
-                continue
-            d = X.d(last, p)
-            if d is INF:
-                continue
+        for p, d in steps[tup[-1]]:
             walk(tup + (p,), total + d, n + 1)
 
     for p in X.points:
-        walk((p,), Fraction(0), 0)
-    for key in buckets:
-        buckets[key].sort(key=lambda t: tuple(order[p] for p in t))
+        walk((p,), 0, 0)
+    order = {p: i for i, p in enumerate(X.points)}
+    buckets: dict[tuple[int, Fraction], list] = {}
+    for (n, total), tups in scaled.items():
+        tups.sort(key=lambda t: tuple(order[p] for p in t))
+        buckets[(n, Fraction(total, L))] = tups
     return buckets
 
 
@@ -103,15 +131,31 @@ def reachable_gradings(X: GenMetricSpace, max_degree: int) -> list[Fraction]:
     return sorted({ell for (_, ell) in buckets})
 
 
+def grading_values(gradings: Iterable) -> list[Fraction]:
+    """An explicit list of length gradings as sorted distinct Fractions.
+
+    Every explicit grading list goes through here, so anything that is not
+    a finite nonnegative rational (INF, NaN, a non-numeric string) is a
+    ValidationError rather than an arithmetic error further in.
+    """
+    wanted = set()
+    for g in gradings:
+        try:
+            wanted.add(Fraction(g))
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"grading {g!r} is not a finite rational") from None
+    out = sorted(wanted)
+    if out and out[0] < 0:
+        raise ValidationError("gradings are nonnegative")
+    return out
+
+
 def _resolve_gradings(X, max_degree, gradings: GradingSpec) -> list[Fraction]:
     if isinstance(gradings, str):
         if gradings != "all-reachable":
             raise ValidationError(f"unknown grading request {gradings!r}")
         return reachable_gradings(X, max_degree)
-    wanted = sorted({Fraction(g) for g in gradings})
-    if wanted and wanted[0] < 0:
-        raise ValidationError("gradings are nonnegative")
-    return wanted
+    return grading_values(gradings)
 
 
 def is_between(X: GenMetricSpace, z, x, y) -> bool:
@@ -141,6 +185,7 @@ def magnitude_complex_metric(
         raise ValidationError("max_degree must be nonnegative")
     wanted = _resolve_gradings(X, max_degree, gradings)
     buckets = _enumerate_tuples(X, max_degree, distinct=True)
+    between = _betweenness(X)
     pieces = {}
     for ell in wanted:
         basis = [tuple(buckets.get((n, ell), ())) for n in range(max_degree + 1)]
@@ -151,7 +196,7 @@ def magnitude_complex_metric(
             for tup in basis[n]:
                 col: dict[int, int] = {}
                 for i in range(1, n):
-                    if is_between(X, tup[i], tup[i - 1], tup[i + 1]):
+                    if (tup[i], tup[i - 1], tup[i + 1]) in between:
                         dropped = tup[:i] + tup[i + 1:]
                         assert dropped[i - 1] != dropped[i], "face produced equal neighbours"
                         t = index[n - 1][dropped]
@@ -166,15 +211,15 @@ def magnitude_complex_metric(
     return GradedChainComplex(pieces)
 
 
-def _metric_face(X: GenMetricSpace, n: int, i: int, tup: tuple):
+def _metric_face(between: frozenset, n: int, i: int, tup: tuple):
     """Face i of a degree-n tuple in the unnormalized metric nerve: an end
     point drops when its step has length 0, an inner point when it lies
-    between its neighbours; None otherwise."""
+    between its neighbours (a triple of _betweenness); None otherwise."""
     if i == 0:
         return tup[1:] if tup[0] == tup[1] else None
     if i == n:
         return tup[:-1] if tup[n - 1] == tup[n] else None
-    if is_between(X, tup[i], tup[i - 1], tup[i + 1]):
+    if (tup[i], tup[i - 1], tup[i + 1]) in between:
         return tup[:i] + tup[i + 1:]
     return None
 
@@ -196,10 +241,11 @@ def metric_nerve(
     """
     wanted = _resolve_gradings(X, max_degree, gradings)
     buckets = _enumerate_tuples(X, max_degree, distinct=False)
+    face = partial(_metric_face, _betweenness(X))
     out = {}
     for ell in wanted:
         basis = [tuple(buckets.get((n, ell), ())) for n in range(max_degree + 1)]
-        out[ell] = assemble_simplicial(basis, partial(_metric_face, X), _metric_degen)
+        out[ell] = assemble_simplicial(basis, face, _metric_degen)
     return out
 
 

@@ -16,6 +16,7 @@ from maghom import (
     tensor_fg,
     tor_fg,
 )
+from maghom.exact_linalg import _invariant_chain, _reduce_columns, _SparseSmith
 
 # --- independent oracles ---------------------------------------------------
 
@@ -282,3 +283,94 @@ def test_rendering():
 def test_column_rank():
     assert column_rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
     assert column_rank(IntMatrix.zero(3, 2)) == 0
+
+
+# --- early exit at saturation ------------------------------------------------
+
+
+def _full_path(A: IntMatrix, B: IntMatrix) -> FgAbelianGroup:
+    """homology_between with every column of B reduced: the path without
+    the early exit."""
+    rank_out = len(_reduce_columns(A.cols))
+    basis = _reduce_columns(B.cols)
+    factors = _invariant_chain(_SparseSmith(basis.values()).diagonal()) if basis else []
+    free = A.ncols - rank_out - len(factors)
+    return FgAbelianGroup.from_parts(free, (f for f in factors if f > 1))
+
+
+def _assert_early_exit_agrees(A: IntMatrix, B: IntMatrix) -> bool:
+    """The early-exit path equals the full path on a composable pair;
+    returns whether the exit left columns of B unread."""
+    assert homology_between(A, B, check=False) == _full_path(A, B)
+    cols = iter(B.cols)
+    _reduce_columns(cols, A.ncols - column_rank(A))
+    return next(cols, None) is not None
+
+
+def test_early_exit_matches_full_path_on_random_pairs(rnd):
+    for _ in range(60):
+        A, B = _random_composable_pair(rnd)
+        _assert_early_exit_agrees(IntMatrix.from_rows(A), IntMatrix.from_rows(B))
+
+
+def test_early_exit_matches_full_path_on_acceptance_complexes():
+    from maghom import (
+        cycle_graph,
+        diag_nerve_normed_group,
+        iterated_complex,
+        magnitude_complex_metric,
+        mb_n,
+        nerve_category,
+        normalized_chains,
+        parallel_arrows_category,
+        sphere_ncat,
+        symmetric_group,
+        two_group_from_normal_subgroup,
+        unnormalized_chains,
+        word_norm_group,
+    )
+
+    S3 = symmetric_group(3)
+    A3 = frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)})
+    NS3 = word_norm_group(S3, [(1, 0, 2)])
+    complexes = [
+        normalized_chains(nerve_category(parallel_arrows_category(), 3)),
+        unnormalized_chains(mb_n(sphere_ncat(2), 3)),
+        *magnitude_complex_metric(cycle_graph(4), 3).pieces.values(),
+        iterated_complex(two_group_from_normal_subgroup(S3, A3), 3, route="tot"),
+        *(unnormalized_chains(diag_nerve_normed_group(NS3, ell, 3)) for ell in (0, 1, 2)),
+    ]
+    fired = 0
+    for C in complexes:
+        for k in range(C.faithful_degree + 1):
+            fired += _assert_early_exit_agrees(C.boundary_or_zero(k), C.boundary_or_zero(k + 1))
+    assert fired  # the S3 word norm's grading-2 top boundary saturates early
+
+
+def test_early_exit_leaves_the_rest_unread():
+    # ker d_k = Z^2; the first two columns already span it with unit pivots
+    cols = iter([{0: 1}, {0: 1, 1: 1}, {1: 5}, {0: 7}])
+    basis = _reduce_columns(cols, 2)
+    assert sorted(basis) == [0, 1]
+    assert next(cols) == {1: 5}
+    # a pivot of 2 is made a unit by the gcd step with the next column
+    cols = iter([{0: 2}, {0: 3}, {0: 5}])
+    assert _reduce_columns(cols, 1) == {0: {0: 1}}
+    assert next(cols) == {0: 5}
+
+
+def test_early_exit_waits_out_a_nonunit_pivot():
+    cols = iter([{0: 2}, {0: 4}, {0: 6}])
+    assert _reduce_columns(cols, 1) == {0: {0: 2}}
+    assert next(cols, None) is None
+    B = IntMatrix.from_rows([[2, 4, 6]])
+    assert homology_between(IntMatrix.zero(0, 1), B) == FgAbelianGroup(0, (2,))
+
+
+def test_invariant_chain_keeps_its_ones_in_front():
+    assert _invariant_chain([6, 1, 4, 1, 1]) == [1, 1, 1, 2, 12]
+    assert _invariant_chain([2, 3]) == [1, 6]
+    assert _invariant_chain([1, 1]) == [1, 1]
+    assert _invariant_chain([]) == []
+    with pytest.raises(ValueError):
+        _invariant_chain([1, 0])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -442,3 +443,59 @@ def test_normed_slices_reject_negative_gradings():
     for route in ("diag", "tot"):
         with pytest.raises(ValidationError, match="nonnegative"):
             normed_group_homology(N, [-1], 1, route=route)
+
+
+def _normed_groups_to_order_8():
+    """Every group of order <= 8 with its word norm in each normally
+    generating conjugacy class, the norm that is 1 off the identity, and,
+    where there are at most four classes off the identity, every norm with
+    values in {1, 2} there."""
+    from maghom import all_groups_up_to_order_8
+
+    for G in all_groups_up_to_order_8():
+        classes = []
+        for h in G.elements:
+            if h != G.identity and not any(h in c for c in classes):
+                classes.append(frozenset(G.conjugate(g, h) for g in G.elements))
+        values = product((1, 2), repeat=len(classes)) if len(classes) <= 4 else [(1,) * len(classes)]
+        for vals in values:
+            norm = {G.identity: 0}
+            for c, v in zip(classes, vals):
+                norm.update(dict.fromkeys(c, v))
+            yield make_normed_group(G, norm)
+        for c in classes:
+            try:
+                yield word_norm_group(G, c)
+            except ValidationError:
+                pass
+
+
+def test_normed_h_face_betweenness_is_the_length_formula():
+    # merging columns a and b at rows 0, 1 keeps the length exactly when
+    # |m_0 m_1^-1| = |a_0 a_1^-1| + |b_0 b_1^-1| for the merged column m
+    from maghom.iterated import _normed_maps
+
+    count = 0
+    for N in _normed_groups_to_order_8():
+        h_face = _normed_maps(N)[0]
+        G = N.group
+        d = {(g, h): N.d(g, h) for g in G.elements for h in G.elements}
+        for a in product(G.elements, repeat=2):
+            for b in product(G.elements, repeat=2):
+                m = (G.mul(a[0], b[0]), G.mul(a[1], b[1]))
+                keeps = d[m] == d[a] + d[b]
+                assert h_face(2, 1, 1, (a, b)) == ((m,) if keeps else None), (N.norm, a, b)
+                count += 1
+    assert count > 10**5
+
+
+@pytest.mark.parametrize("grading", [float("inf"), float("nan"), "x", None])
+def test_non_finite_normed_grading_is_rejected(grading):
+    N = z2_normed()
+    for route in ("diag", "tot"):
+        with pytest.raises(ValidationError, match="not a finite rational"):
+            normed_group_homology(N, [grading], 1, route=route)
+    with pytest.raises(ValidationError, match="not a finite rational"):
+        diag_nerve_normed_group(N, grading, 2)
+    with pytest.raises(ValidationError, match="not a finite rational"):
+        double_nerve_normed_group(N, grading, 2)

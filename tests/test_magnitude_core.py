@@ -24,6 +24,9 @@ from maghom import (
     unnormalized_chains,
     validate_simplicial,
 )
+from maghom.magnitude_core import _betweenness, _enumerate_tuples, is_between
+
+from conftest import random_metric_space
 
 LINE3 = make_metric_space(
     ["a", "b", "c"],
@@ -137,3 +140,56 @@ def test_infinite_distances_are_never_crossed():
 def test_negative_grading_is_rejected():
     with pytest.raises(ValidationError, match="nonnegative"):
         metric_homology(LINE3, 1, [-1])
+
+
+def test_betweenness_table_matches_is_between(rnd):
+    saw_inf = False
+    for complete in (True, False):
+        for _ in range(15):
+            X = random_metric_space(rnd, rnd.randint(1, 5), complete=complete)
+            saw_inf |= any(v is INF for v in X.dist.values())
+            expected = {
+                (z, x, y) for x in X.points for y in X.points for z in X.points
+                if is_between(X, z, x, y)
+            }
+            assert _betweenness(X) == expected
+    assert saw_inf
+
+
+def _fraction_buckets(X, max_degree, distinct):
+    """_enumerate_tuples with Fraction sums, as before integer lengths."""
+    buckets = {}
+
+    def walk(tup, total, n):
+        buckets.setdefault((n, total), []).append(tup)
+        if n == max_degree:
+            return
+        for p in X.points:
+            d = X.d(tup[-1], p)
+            if (distinct and p == tup[-1]) or d is INF:
+                continue
+            walk(tup + (p,), total + d, n + 1)
+
+    for p in X.points:
+        walk((p,), Fraction(0), 0)
+    order = {p: i for i, p in enumerate(X.points)}
+    for level in buckets.values():
+        level.sort(key=lambda t: tuple(order[p] for p in t))
+    return buckets
+
+
+def test_integer_lengths_match_fraction_sums(rnd):
+    cases = [LINE3, cycle_digraph(4)]
+    cases += [random_metric_space(rnd, 4, complete=c) for c in (True, False, False)]
+    for X in cases:
+        for distinct in (True, False):
+            got = _enumerate_tuples(X, 3, distinct)
+            want = _fraction_buckets(X, 3, distinct)
+            assert list(got) == list(want)
+            assert got == want
+
+
+@pytest.mark.parametrize("grading", [INF, float("nan"), "x", None])
+def test_non_finite_metric_grading_is_rejected(grading):
+    with pytest.raises(ValidationError, match="not a finite rational"):
+        metric_homology(LINE3, 1, [grading])
