@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Optional
 
-from .errors import InvalidComplexError, TruncationError
+from .errors import InvalidComplexError, TruncationError, ValidationError
 from .exact_linalg import FgAbelianGroup, IntMatrix, homology_between
 
 Label = Hashable
@@ -278,6 +278,25 @@ def tensor_complex(C: BasedChainComplex, D: BasedChainComplex) -> BasedChainComp
     return BasedChainComplex(tuple(basis), tuple(boundary), faithful)
 
 
+def grading_values(gradings: Iterable) -> list[Fraction]:
+    """An explicit list of length gradings as sorted distinct Fractions.
+
+    Every explicit grading list goes through here, so anything that is not
+    a finite nonnegative rational (INF, NaN, a non-numeric string) is a
+    ValidationError rather than an arithmetic error further in.
+    """
+    wanted = set()
+    for g in gradings:
+        try:
+            wanted.add(Fraction(g))
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"grading {g!r} is not a finite rational") from None
+    out = sorted(wanted)
+    if out and out[0] < 0:
+        raise ValidationError("gradings are nonnegative")
+    return out
+
+
 @dataclass(frozen=True)
 class GradedChainComplex:
     """A chain complex for each exact nonnegative rational grading.
@@ -291,7 +310,8 @@ class GradedChainComplex:
         return sorted(self.pieces)
 
     def piece(self, ell) -> Optional[BasedChainComplex]:
-        return self.pieces.get(Fraction(ell))
+        (ell,) = grading_values([ell])
+        return self.pieces.get(ell)
 
 
 def graded_tensor(C: GradedChainComplex, D: GradedChainComplex) -> GradedChainComplex:
@@ -320,7 +340,7 @@ class HomologyTable:
 
     def group(self, degree: int, grading=None) -> FgAbelianGroup:
         if grading is not None:
-            grading = Fraction(grading)
+            (grading,) = grading_values([grading])
         return self._entries.get((degree, grading), FgAbelianGroup())
 
     def degrees(self) -> list[int]:

@@ -11,7 +11,10 @@ and every algorithm here consumes columns. Rank and torsion are extracted
 in two phases: first the column span is triangularized by unimodular
 column operations (cheap, and the only phase that sees the full, possibly
 very wide, matrix), then a full Smith reduction runs on the compressed
-basis, which has at most one vector per pivot row.
+basis, which has at most one vector per pivot row. That reduction first
+peels off every unit entry alone in its row; an echelon basis whose
+pivots are all units is peeled away completely, without a single row or
+column operation.
 """
 
 from __future__ import annotations
@@ -154,23 +157,27 @@ def _reduce_columns(columns: Iterable[Mapping[int, int]],
                     stop_rank: Optional[int] = None) -> dict[int, dict]:
     """Triangularize the span of the given columns by unimodular column ops.
 
-    Returns a map pivot_row -> vector, where each vector's topmost nonzero
-    row is its pivot. The vectors generate exactly the same subgroup of
-    Z^rows as the input columns.
+    Returns a map pivot_row -> vector, where each vector's bottommost
+    nonzero row is its pivot. The vectors generate exactly the same
+    subgroup of Z^rows as the input columns. Columns are read in their
+    given order. On the boundaries built in this package the bottommost
+    pivot does several times less work than the topmost one (ROADMAP
+    item 1 has the measurements).
 
     With stop_rank set, the columns are read only until the basis holds
     stop_rank vectors whose pivots are all 1. An echelon basis with unit
-    pivots spans a saturated lattice, so a caller that knows the span lies
-    in a saturated lattice of rank stop_rank (the kernel of the previous
-    boundary, once d*d = 0 is checked) has its whole span by then: the
-    columns left unread cannot change it.
+    pivots spans a saturated lattice, whichever row of each vector is its
+    pivot, so a caller that knows the span lies in a saturated lattice of
+    rank stop_rank (the kernel of the previous boundary, once d*d = 0 is
+    checked) has its whole span by then: the columns left unread cannot
+    change it.
     """
     basis: dict[int, dict] = {}
     nonunit = 0  # pivots other than 1
     for col in columns:
         v = {r: w for r, w in col.items() if w}
         while v:
-            r = min(v)
+            r = max(v)
             b = basis.get(r)
             if b is None:
                 if v[r] < 0:
@@ -303,8 +310,41 @@ class _SparseSmith:
                     best = (key, r, j)
         return best[1], best[2]
 
+    def _peel_units(self) -> int:
+        """Delete every column whose +-1 entry is alone in its row; return
+        how many were deleted.
+
+        Row ops with such a row clear the rest of its column and touch no
+        other column, so the entry is a 1 on the diagonal and the column
+        can go. Deleting it can leave another row with one entry, so a
+        stack carries the peel on: an echelon basis whose pivots are all
+        units peels away completely, in time linear in its entries.
+        """
+        peeled = 0
+        stack = [r for r, occ in self.row_occ.items() if len(occ) == 1]
+        while stack:
+            r = stack.pop()
+            occ = self.row_occ.get(r)
+            if occ is None or len(occ) != 1:
+                continue
+            (j,) = occ
+            col = self.cols[j]
+            if col[r] not in (1, -1):
+                continue
+            del self.cols[j]
+            for r2 in col:
+                self.units.discard((r2, j))
+                occ2 = self.row_occ[r2]
+                occ2.discard(j)
+                if not occ2:
+                    del self.row_occ[r2]
+                elif len(occ2) == 1:
+                    stack.append(r2)
+            peeled += 1
+        return peeled
+
     def diagonal(self) -> list[int]:
-        diag: list[int] = []
+        diag = [1] * self._peel_units()
         while self.cols:
             r, j = self._pick_pivot()
             while True:

@@ -19,6 +19,7 @@ from .complexes import (
     GradedChainComplex,
     HomologyTable,
     graded_homology_table,
+    grading_values,
     homology_table,
 )
 from .enriched_data import INF, FinCategory, GenMetricSpace, d_add
@@ -129,25 +130,6 @@ def reachable_gradings(X: GenMetricSpace, max_degree: int) -> list[Fraction]:
     """Every grading realized by a nondegenerate tuple of length <= max_degree."""
     buckets = _enumerate_tuples(X, max_degree, distinct=True)
     return sorted({ell for (_, ell) in buckets})
-
-
-def grading_values(gradings: Iterable) -> list[Fraction]:
-    """An explicit list of length gradings as sorted distinct Fractions.
-
-    Every explicit grading list goes through here, so anything that is not
-    a finite nonnegative rational (INF, NaN, a non-numeric string) is a
-    ValidationError rather than an arithmetic error further in.
-    """
-    wanted = set()
-    for g in gradings:
-        try:
-            wanted.add(Fraction(g))
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"grading {g!r} is not a finite rational") from None
-    out = sorted(wanted)
-    if out and out[0] < 0:
-        raise ValidationError("gradings are nonnegative")
-    return out
 
 
 def _resolve_gradings(X, max_degree, gradings: GradingSpec) -> list[Fraction]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .complexes import HomologyTable
+from .complexes import HomologyTable, grading_values
 from .enriched_data import (
     CatGroup,
     GenMetricSpace,
@@ -28,7 +28,7 @@ def oracle_mh1_metric(X: GenMetricSpace, ell) -> FgAbelianGroup:
     of distinct points at that distance."""
     from .enriched_data import d_add
 
-    ell = Fraction(ell)
+    (ell,) = grading_values([ell])
     count = 0
     for x in X.points:
         for y in X.points:
@@ -71,7 +71,7 @@ def oracle_mh01_catgroup(C: CatGroup) -> tuple[FgAbelianGroup, FgAbelianGroup]:
 
 def oracle_mh2_normed(N: NormedGroup, ell) -> FgAbelianGroup:
     """Free on the conjugacy classes of indecomposable elements of norm ell."""
-    ell = Fraction(ell)
+    (ell,) = grading_values([ell])
     if ell <= 0:
         raise ValidationError("only positive gradings are covered by this count")
     G = N.group

@@ -195,10 +195,10 @@ def normalized_chains(S: BasedSimplicialObject) -> BasedChainComplex:
     degenerate generator are sent to zero rather than rewritten.
     """
     D = S.max_degree
-    nondeg = [
-        tuple(lab for lab in S.basis[n] if lab not in degenerate_labels(S, n))
-        for n in range(D + 1)
-    ]
+    nondeg = []
+    for n in range(D + 1):
+        degenerate = degenerate_labels(S, n)
+        nondeg.append(tuple(lab for lab in S.basis[n] if lab not in degenerate))
     boundary = [IntMatrix.zero(0, len(nondeg[0]))]
     for n in range(1, D + 1):
         keep = set(nondeg[n - 1])

@@ -7,8 +7,10 @@ from maghom import (
     FgAbelianGroup,
     GradedChainComplex,
     IntMatrix,
+    INF,
     InvalidComplexError,
     TruncationError,
+    ValidationError,
     category_from_group,
     cyclic_group,
     discrete_space,
@@ -185,6 +187,20 @@ def test_graded_homology_table():
     assert t.group(1, 1) == FgAbelianGroup(2)
     assert t.group(2, 2) == FgAbelianGroup(2)
     assert t.group(1, 2).is_trivial
+
+
+def test_grading_lookups_reject_what_is_not_a_finite_rational():
+    X = discrete_space(2, 1)
+    C = magnitude_complex_metric(X, 2)
+    t = graded_homology_table(C, 1)
+    assert t.group(1, "1") == t.group(1, Fraction(1)) == FgAbelianGroup(2)
+    assert C.piece("1") is C.piece(1)
+    with pytest.raises(ValidationError, match="not a finite rational"):
+        t.group(0, INF)
+    with pytest.raises(ValidationError, match="not a finite rational"):
+        t.group(0, "x")
+    with pytest.raises(ValidationError, match="not a finite rational"):
+        C.piece(INF)
 
 
 # --- one d*d check per complex, where homology is read -------------------------

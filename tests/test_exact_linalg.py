@@ -16,7 +16,15 @@ from maghom import (
     tensor_fg,
     tor_fg,
 )
-from maghom.exact_linalg import _invariant_chain, _reduce_columns, _SparseSmith
+from maghom import exact_linalg
+from maghom.exact_linalg import (
+    _combine,
+    _ext_gcd,
+    _invariant_chain,
+    _reduce_columns,
+    _SparseSmith,
+    _sub_scaled,
+)
 
 # --- independent oracles ---------------------------------------------------
 
@@ -374,3 +382,148 @@ def test_invariant_chain_keeps_its_ones_in_front():
     assert _invariant_chain([]) == []
     with pytest.raises(ValueError):
         _invariant_chain([1, 0])
+
+
+# --- bottommost pivots against the topmost rule they replace -----------------
+
+
+def _reduce_columns_topmost(columns, stop_rank=None):
+    """_reduce_columns as it was with the topmost nonzero row as pivot."""
+    basis = {}
+    nonunit = 0
+    for col in columns:
+        v = {r: w for r, w in col.items() if w}
+        while v:
+            r = min(v)
+            b = basis.get(r)
+            if b is None:
+                if v[r] < 0:
+                    v = {k: -w for k, w in v.items()}
+                basis[r] = v
+                if v[r] != 1:
+                    nonunit += 1
+                break
+            a, c = b[r], v[r]
+            if c % a == 0:
+                _sub_scaled(v, b, c // a)
+            else:
+                g, x, y = _ext_gcd(a, c)
+                basis[r] = _combine(x, b, y, v)
+                if g == 1:
+                    nonunit -= 1
+                v = _combine(a // g, v, -(c // g), b)
+                v.pop(r, None)
+        if len(basis) == stop_rank and not nonunit:
+            break
+    return basis
+
+
+def _assert_pivot_rules_agree(A: IntMatrix, B: IntMatrix, monkeypatch) -> None:
+    """Same group and same basis size at the exit under either pivot rule."""
+    stop = A.ncols - column_rank(A)
+    bottom = _reduce_columns(B.cols, stop)
+    assert all(max(v) == r for r, v in bottom.items())
+    assert len(bottom) == len(_reduce_columns_topmost(B.cols, stop))
+    H = homology_between(A, B, check=False)
+    with monkeypatch.context() as m:
+        m.setattr(exact_linalg, "_reduce_columns", _reduce_columns_topmost)
+        assert homology_between(A, B, check=False) == H
+
+
+def test_bottommost_pivot_matches_topmost_on_random_pairs(rnd, monkeypatch):
+    for _ in range(60):
+        A, B = _random_composable_pair(rnd)
+        _assert_pivot_rules_agree(IntMatrix.from_rows(A), IntMatrix.from_rows(B), monkeypatch)
+
+
+def _acceptance_complexes():
+    from maghom import (
+        cycle_graph,
+        diag_nerve_normed_group,
+        iterated_complex,
+        magnitude_complex_metric,
+        mb_n,
+        nerve_category,
+        normalized_chains,
+        parallel_arrows_category,
+        sphere_ncat,
+        symmetric_group,
+        two_group_from_normal_subgroup,
+        unnormalized_chains,
+        word_norm_group,
+    )
+
+    S3 = symmetric_group(3)
+    A3 = frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)})
+    NS3 = word_norm_group(S3, [(1, 0, 2)])
+    return [
+        normalized_chains(nerve_category(parallel_arrows_category(), 3)),
+        unnormalized_chains(mb_n(sphere_ncat(2), 3)),
+        *magnitude_complex_metric(cycle_graph(4), 3).pieces.values(),
+        iterated_complex(two_group_from_normal_subgroup(S3, A3), 3, route="tot"),
+        *(unnormalized_chains(diag_nerve_normed_group(NS3, ell, 3)) for ell in (0, 1, 2)),
+    ]
+
+
+def test_bottommost_pivot_matches_topmost_on_acceptance_complexes(monkeypatch):
+    for C in _acceptance_complexes():
+        for k in range(C.faithful_degree + 1):
+            _assert_pivot_rules_agree(
+                C.boundary_or_zero(k), C.boundary_or_zero(k + 1), monkeypatch
+            )
+
+
+# --- the unit peel in _SparseSmith --------------------------------------------
+
+
+class _NoPeel(_SparseSmith):
+    """The Smith loop without the unit peel."""
+
+    def _peel_units(self) -> int:
+        return 0
+
+
+def _assert_peel_agrees(columns) -> None:
+    columns = list(columns)
+    assert _invariant_chain(_SparseSmith(columns).diagonal()) == _invariant_chain(
+        _NoPeel(columns).diagonal()
+    )
+
+
+def test_unit_peel_matches_the_loop_on_random_matrices(rnd):
+    for _ in range(300):
+        nrows, ncols = rnd.randint(1, 7), rnd.randint(1, 7)
+        entries = (0, 0, 0, 1, -1, 1, 2, -3)
+        _assert_peel_agrees(
+            {r: rnd.choice(entries) for r in range(nrows)} for _ in range(ncols)
+        )
+
+
+def _echelon_basis(rnd, n: int, pivots) -> list:
+    """n vectors in Z^(2n), vector i with pivot row 2i + 1 (its bottommost),
+    pivot drawn from pivots and a few random entries above it."""
+    basis = []
+    for i in range(n):
+        v = {2 * i + 1: rnd.choice(pivots)}
+        for _ in range(rnd.randint(0, 3)):
+            v[rnd.randrange(2 * i + 1)] = rnd.choice((1, -1, 2, -5))
+        basis.append(v)
+    rnd.shuffle(basis)
+    return basis
+
+
+def test_unit_peel_matches_the_loop_on_mixed_echelon_bases(rnd):
+    for _ in range(100):
+        _assert_peel_agrees(_echelon_basis(rnd, rnd.randint(1, 12), (1, -1, 1, 2, 3, -4)))
+
+
+def test_all_unit_echelon_basis_peels_without_picking_a_pivot(rnd, monkeypatch):
+    def refuse(self):
+        raise AssertionError("_pick_pivot called on an all-unit echelon basis")
+
+    monkeypatch.setattr(_SparseSmith, "_pick_pivot", refuse)
+    basis = _echelon_basis(rnd, 2000, (1, -1))
+    assert _SparseSmith(basis).diagonal() == [1] * 2000
+    # the echelon basis of a real top boundary, pivots on the bottommost row
+    B = IntMatrix.from_rows([[1, 1, 0], [-1, 0, 1], [0, -1, -1]])
+    assert _SparseSmith(_reduce_columns(B.cols).values()).diagonal() == [1, 1]

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from maghom import (
+    INF,
     FgAbelianGroup,
     HomologyTable,
     ValidationError,
@@ -40,6 +41,13 @@ def test_mh1_metric_examples():
     assert oracle_mh1_metric(discrete_space(2, 1), 1) == FgAbelianGroup(2)
     assert oracle_mh1_metric(LINE3, 2).is_trivial
     assert oracle_mh1_metric(cycle_digraph(4), 1) == FgAbelianGroup(4)
+
+
+def test_oracles_reject_a_grading_that_is_not_finite():
+    with pytest.raises(ValidationError, match="not a finite rational"):
+        oracle_mh1_metric(LINE3, INF)
+    with pytest.raises(ValidationError, match="not a finite rational"):
+        oracle_mh2_normed(word_norm_group(S3, [(1, 0, 2)]), INF)
 
 
 def test_mh01_catgroup_examples():

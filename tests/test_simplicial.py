@@ -5,6 +5,7 @@ import pytest
 
 from maghom import (
     FgAbelianGroup,
+    IntMatrix,
     ValidationError,
     category_from_group,
     cyclic_group,
@@ -27,6 +28,7 @@ from maghom import (
     validate_bisimplicial,
     validate_simplicial,
 )
+from maghom import simplicial
 from maghom.simplicial import BasedSimplicialObject, degenerate_labels
 
 from conftest import random_metric_space, random_preorder_category
@@ -102,6 +104,45 @@ def test_normalized_vs_unnormalized_quasi_iso(rnd):
         tn = homology_table(normalized_chains(S), S.max_degree - 1)
         tu = homology_table(unnormalized_chains(S), S.max_degree - 1)
         assert tn == tu
+
+
+def _alternating_on(S, nondeg):
+    """The alternating face sums of S restricted to the given generators,
+    with faces outside them dropped."""
+    out = [IntMatrix.zero(0, len(nondeg[0]))]
+    for n in range(1, S.max_degree + 1):
+        index = {lab: i for i, lab in enumerate(nondeg[n - 1])}
+        cols = []
+        for lab in nondeg[n]:
+            col = {}
+            for i, fmap in enumerate(S.face[n]):
+                tgt = fmap[lab]
+                if tgt in index:
+                    col[index[tgt]] = col.get(index[tgt], 0) + (-1) ** i
+            cols.append(col)
+        out.append(IntMatrix.from_columns(len(nondeg[n - 1]), cols))
+    return tuple(out)
+
+
+def test_normalized_chains_reads_the_degenerate_labels_once_per_degree(monkeypatch):
+    S = nerve_category(category_from_group(cyclic_group(3)), 4)
+    # the filter as it was, with the degenerate set rebuilt for every label
+    nondeg = [
+        tuple(lab for lab in S.basis[n] if lab not in degenerate_labels(S, n))
+        for n in range(S.max_degree + 1)
+    ]
+    calls = []
+
+    def counting(S, n):
+        calls.append(n)
+        return degenerate_labels(S, n)
+
+    monkeypatch.setattr(simplicial, "degenerate_labels", counting)
+    C = normalized_chains(S)
+    assert calls == list(range(S.max_degree + 1))
+    assert C.basis == tuple(nondeg)
+    assert [len(b) for b in C.basis] == [1, 2, 4, 8, 16]
+    assert C.boundary == _alternating_on(S, nondeg)
 
 
 def test_degenerate_labels_are_images():
