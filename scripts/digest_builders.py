@@ -6,15 +6,19 @@ document, on the diag route, the tot route and the tot route with
 ``--normalize-rows``, and prints one sha256 per chain complex whose
 homology is read. A digest covers the complex's bases and every boundary
 column, entries in insertion order, so it changes when a generator, its
-position or the order a column was filled in changes. Each run also gets
-one line for its exit status and the sha256 of its stdout.
+position or the order a column was filled in changes. Beside it, a shape
+line gives the dimension of each degree and the nonzeros of each
+boundary, which relabeling or reordering the generators cannot change.
+Each run also gets one line for its exit status and the sha256 of its
+stdout.
 
     PYTHONPATH=src python3 scripts/digest_builders.py > digests.txt
 
 Run it on two checkouts and diff the outputs: an empty diff means both
 build the same complexes, generator for generator, and print the same
-answers. The diag route of catgroup-s3-a3 and preordered-s3-a3 is skipped;
-it runs for more than 300 s.
+answers. A change that only relabels generators leaves the stdout and
+shape lines as they were. The diag route of catgroup-s3-a3 and
+preordered-s3-a3 is skipped; it runs for more than 300 s.
 """
 
 import contextlib
@@ -46,12 +50,18 @@ def complex_digest(C) -> str:
     return h.hexdigest()
 
 
+def complex_shape(C) -> str:
+    dims = ",".join(str(len(level)) for level in C.basis)
+    nnz = ",".join(str(sum(len(col) for col in M.cols)) for M in C.boundary)
+    return f"dims {dims} nnz {nnz}"
+
+
 def main() -> int:
-    digests: list[str] = []
+    digests: list[tuple[str, str]] = []
     original = complexes._homology_groups
 
     def recording(C, max_degree):
-        digests.append(complex_digest(C))
+        digests.append((complex_digest(C), complex_shape(C)))
         return original(C, max_degree)
 
     complexes._homology_groups = recording
@@ -68,8 +78,9 @@ def main() -> int:
                     status = cli.main(["homology", "-", *flags])
                 stdout = hashlib.sha256(out.getvalue().encode()).hexdigest()
                 print(f"{name} {route} exit {status} stdout {stdout}")
-                for i, digest in enumerate(digests):
+                for i, (digest, shape) in enumerate(digests):
                     print(f"{name} {route} complex {i} {digest}")
+                    print(f"{name} {route} shape {i} {shape}")
                 sys.stdout.flush()
     finally:
         complexes._homology_groups = original

@@ -446,45 +446,13 @@ class CatGroup:
 
 
 def validate_cat_group(C: CatGroup) -> None:
+    """Check a Cat-group as the one-object 2-category it is. The object set
+    is checked first, since that 2-category multiplies the objects as
+    group elements."""
     validate_category(C.cells)
     if set(C.cells.objects) != set(C.group.elements):
         raise ValidationError("object set and group element set differ")
-    X, G = C.cells, C.group
-    for p in X.morphisms:
-        for q in X.morphisms:
-            r = C.hmul.get((p, q))
-            if r not in set(X.morphisms):
-                raise ValidationError(f"horizontal product of ({p!r}, {q!r}) missing")
-            if X.source[r] != G.mul(X.source[p], X.source[q]) or X.target[r] != G.mul(
-                X.target[p], X.target[q]
-            ):
-                raise ValidationError(
-                    f"horizontal product of ({p!r}, {q!r}) has bad endpoints"
-                )
-    for g in G.elements:
-        for h in G.elements:
-            if C.hmul[(X.identity[g], X.identity[h])] != X.identity[G.mul(g, h)]:
-                raise ValidationError(f"multiplication does not preserve identities at ({g!r}, {h!r})")
-    for p2 in X.morphisms:
-        for p1 in X.morphisms:
-            if not X.composable(p2, p1):
-                continue
-            for q2 in X.morphisms:
-                for q1 in X.morphisms:
-                    if not X.composable(q2, q1):
-                        continue
-                    lhs = C.hmul[(X.compose[(p2, p1)], X.compose[(q2, q1)])]
-                    rhs = X.compose[(C.hmul[(p2, q2)], C.hmul[(p1, q1)])]
-                    if lhs != rhs:
-                        raise ValidationError("interchange law fails")
-    e_id = X.identity[G.identity]
-    for p in X.morphisms:
-        if C.hmul[(e_id, p)] != p or C.hmul[(p, e_id)] != p:
-            raise ValidationError(f"horizontal unit law fails at {p!r}")
-        for q in X.morphisms:
-            for r in X.morphisms:
-                if C.hmul[(C.hmul[(p, q)], r)] != C.hmul[(p, C.hmul[(q, r)])]:
-                    raise ValidationError("horizontal associativity fails")
+    _validate_two_cat(two_cat_of_cat_group(C))
 
 
 def two_group_from_normal_subgroup(G: FinGroup, N: Iterable) -> CatGroup:
@@ -747,14 +715,15 @@ def _validate_two_cat(X: Explicit2Cat) -> None:
                 cmor = X.compose_mor.get((x, y, z))
                 if cobj is None or cmor is None:
                     raise ValidationError(f"composition at ({x!r}, {y!r}, {z!r}) missing")
+                cells, arrows = set(C.objects), set(C.morphisms)
                 for a in A.objects:
                     for b in B.objects:
-                        if cobj.get((a, b)) not in set(C.objects):
+                        if cobj.get((a, b)) not in cells:
                             raise ValidationError("composition leaves the hom-category")
                 for p in A.morphisms:
                     for q in B.morphisms:
                         r = cmor.get((p, q))
-                        if r not in set(C.morphisms):
+                        if r not in arrows:
                             raise ValidationError("2-cell composition missing")
                         if C.source[r] != cobj[(A.source[p], B.source[q])] or C.target[
                             r
@@ -765,18 +734,11 @@ def _validate_two_cat(X: Explicit2Cat) -> None:
                     for b in B.objects:
                         if cmor[(A.identity[a], B.identity[b])] != C.identity[cobj[(a, b)]]:
                             raise ValidationError("composition does not preserve identity 2-cells")
-                for p2 in A.morphisms:
-                    for p1 in A.morphisms:
-                        if not A.composable(p2, p1):
-                            continue
-                        for q2 in B.morphisms:
-                            for q1 in B.morphisms:
-                                if not B.composable(q2, q1):
-                                    continue
-                                lhs = cmor[(A.compose[(p2, p1)], B.compose[(q2, q1)])]
-                                rhs = C.compose[(cmor[(p2, q2)], cmor[(p1, q1)])]
-                                if lhs != rhs:
-                                    raise ValidationError("interchange law fails")
+                # validate_category keys compose by exactly the composable pairs
+                for (p2, p1), p in A.compose.items():
+                    for (q2, q1), q in B.compose.items():
+                        if cmor[(p, q)] != C.compose[(cmor[(p2, q2)], cmor[(p1, q1)])]:
+                            raise ValidationError("interchange law fails")
     # strict units and associativity on 1-cells and 2-cells
     for x in X.objects:
         for y in X.objects:
@@ -798,28 +760,18 @@ def _validate_two_cat(X: Explicit2Cat) -> None:
             for y in X.objects:
                 for z in X.objects:
                     A, B, C = X.hom[(w, x)], X.hom[(x, y)], X.hom[(y, z)]
-                    for a in A.objects:
-                        for b in B.objects:
-                            for c in C.objects:
-                                lhs = X.compose_obj[(w, y, z)][
-                                    (X.compose_obj[(w, x, y)][(a, b)], c)
-                                ]
-                                rhs = X.compose_obj[(w, x, z)][
-                                    (a, X.compose_obj[(x, y, z)][(b, c)])
-                                ]
-                                if lhs != rhs:
-                                    raise ValidationError("1-cell associativity fails")
-                    for p in A.morphisms:
-                        for q in B.morphisms:
-                            for r in C.morphisms:
-                                lhs = X.compose_mor[(w, y, z)][
-                                    (X.compose_mor[(w, x, y)][(p, q)], r)
-                                ]
-                                rhs = X.compose_mor[(w, x, z)][
-                                    (p, X.compose_mor[(x, y, z)][(q, r)])
-                                ]
-                                if lhs != rhs:
-                                    raise ValidationError("2-cell associativity fails")
+                    for cells, word, table in (
+                        ((A.objects, B.objects, C.objects), "1-cell", X.compose_obj),
+                        ((A.morphisms, B.morphisms, C.morphisms), "2-cell", X.compose_mor),
+                    ):
+                        wxy, xyz = table[(w, x, y)], table[(x, y, z)]
+                        wyz, wxz = table[(w, y, z)], table[(w, x, z)]
+                        for a in cells[0]:
+                            for b in cells[1]:
+                                ab = wxy[(a, b)]
+                                for c in cells[2]:
+                                    if wyz[(ab, c)] != wxz[(a, xyz[(b, c)])]:
+                                        raise ValidationError(f"{word} associativity fails")
 
 
 def as_ncat(X: Union[StrictNCat, FinCategory]) -> StrictNCat:

@@ -8,17 +8,19 @@ routes agree, and the test suite leans on that agreement hard.
 
 Horizontal structure composes along the outer tuple (1-cells), vertical
 structure runs inside each hom (2-cells). Groups with a conjugation-
-invariant norm get a grading-by-grading version: matrices of group
-elements whose faces vanish unless they preserve total length. Every
-builder here supplies only its generators and generator-level faces and
-degeneracies; simplicial.assemble_simplicial and assemble_bisimplicial
-tabulate them, and simplicial.diagonal_maps composes the diagonal.
+invariant norm get a grading-by-grading version: one object whose hom is
+the metric nerve of the group, every leg of integer length, and a face
+zero unless it preserves total length. Every builder here supplies only
+its generators and generator-level faces and degeneracies;
+simplicial.assemble_simplicial and assemble_bisimplicial tabulate them,
+and simplicial.diagonal_maps composes the diagonal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from typing import Optional, Union
 
 from .complexes import (
@@ -40,9 +42,9 @@ from .enriched_data import (
 from .errors import ValidationError
 from .magnitude_core import (
     _betweenness,
-    _enumerate_tuples,
     _metric_degen,
     _metric_face,
+    _scaled_distances,
     grading_values,
     nerve_category,
 )
@@ -71,10 +73,17 @@ UNIT = _UnitLeg()
 class _HomNerves:
     """What the double nerve needs from a 2nd-order enrichment: the objects,
     a table homs[(x, y)] of hom simplicial objects (a missing pair is an
-    empty hom), and composition and identities on their generators."""
+    empty hom), and composition and identities on their generators.
+
+    lengths maps a leg to its integer length; a leg it omits has length 0.
+    Each hom basis lists its legs by nondecreasing length. A path's
+    grading is the sum of its legs' lengths, and a face that changes it
+    is zero.
+    """
 
     objects: tuple
     homs: dict
+    lengths: dict = {}
 
     def compose(self, x, y, z, q, gen_xy, gen_yz):
         raise NotImplementedError
@@ -128,33 +137,40 @@ class _SuspensionNerves(_HomNerves):
         return UNIT
 
 
-def _tuple_generators(H: _HomNerves, p: int, q: int):
-    """Generators at bidegree (p, q): object paths with a leg in each hom."""
+def _tuple_generators(H: _HomNerves, p: int, q: int, ell=0):
+    """Generators at bidegree (p, q) in grading ell: object paths with a
+    leg in each hom whose lengths sum to ell."""
     if p == 0:
-        return tuple(((x,), ()) for x in H.objects)
+        return tuple(((x,), ()) for x in H.objects) if ell == 0 else ()
+    lengths = H.lengths
     out = []
 
-    def rec(xs, legs):
+    def rec(xs, legs, budget):
         if len(legs) == p:
-            out.append((xs, legs))
+            if budget == 0:
+                out.append((xs, legs))
             return
         x = xs[-1]
         for y in H.objects:
             S = H.homs.get((x, y))
             for leg in () if S is None else S.basis[q]:
-                rec(xs + (y,), legs + (leg,))
+                n = lengths.get(leg, 0) if lengths else 0
+                if n > budget:
+                    break
+                rec(xs + (y,), legs + (leg,), budget - n)
 
     for x in H.objects:
-        rec((x,), ())
+        rec((x,), (), ell)
     return tuple(out)
 
 
 def _h_face_gen(H: _HomNerves, p: int, q: int, i: int, gen):
     xs, legs = gen
+    lengths = H.lengths
     if i == 0:
-        return (xs[1:], legs[1:])
+        return None if lengths and lengths.get(legs[0], 0) else (xs[1:], legs[1:])
     if i == p:
-        return (xs[:-1], legs[:-1])
+        return None if lengths and lengths.get(legs[-1], 0) else (xs[:-1], legs[:-1])
     merged = H.compose(xs[i - 1], xs[i], xs[i + 1], q, legs[i - 1], legs[i])
     if merged is None:
         return None
@@ -282,94 +298,58 @@ def iterated_homology(
 # normed groups, grading by grading
 
 
-def _matrices_of_length(N: NormedGroup, p: int, q: int, ell: Fraction) -> tuple:
-    """(q+1) x p matrices (as column tuples) of total length ell, ordered
-    lexicographically by row-major element index."""
-    (ell,) = grading_values([ell])
-    if p == 0:
-        return ((),) if ell == 0 else ()
-    tuples = _enumerate_tuples(metric_of_normed_group(N), q, distinct=False)
-    buckets = {length: cols for (n, length), cols in tuples.items() if n == q}
-    lengths = sorted(buckets)
-    out: list[tuple] = []
+class _NormedNerves(_HomNerves):
+    """One object, "*", whose hom is the unnormalized metric nerve of the
+    group: every column up to degree max_q, ordered by length, then by
+    element order. Lengths are integers over the common denominator scale
+    of the metric's distances."""
 
-    def rec(cols, remaining):
-        if len(cols) == p:
-            if remaining == 0:
-                out.append(tuple(cols))
-            return
-        for length in lengths:
-            if length > remaining:
-                break
-            for col in buckets[length]:
-                rec(cols + [col], remaining - length)
+    def __init__(self, N: NormedGroup, max_q: int):
+        G = N.group
+        X = metric_of_normed_group(N)
+        dist, self.scale = _scaled_distances(X)
+        self.between = _betweenness(X)
+        self.mul = {(x, y): G.mul(x, y) for x in G.elements for y in G.elements}
+        self.unit = G.identity
+        self.lengths = {}
+        columns = []
+        for q in range(max_q + 1):
+            cols = list(product(G.elements, repeat=q + 1))
+            for col in cols:
+                self.lengths[col] = sum(dist[a, b] for a, b in zip(col, col[1:]))
+            cols.sort(key=self.lengths.__getitem__)
+            columns.append(cols)
+        self.objects = ("*",)
+        self.homs = {("*", "*"): assemble_simplicial(
+            columns, partial(_metric_face, self.between), _metric_degen
+        )}
 
-    rec([], ell)
-    order = {g: i for i, g in enumerate(N.group.elements)}
+    def compose(self, x, y, z, q, a, b):
+        """The entrywise product, or None when it changes the length.
 
-    def row_major(mat):
-        return tuple(order[mat[c][r]] for r in range(q + 1) for c in range(p))
-
-    out.sort(key=row_major)
-    return tuple(out)
-
-
-def _col_length(N: NormedGroup, col: tuple) -> Fraction:
-    return sum((N.d(a, b) for a, b in zip(col, col[1:])), Fraction(0))
-
-
-def _normed_h_face(between: frozenset, mul: dict, p: int, q: int, i: int, mat: tuple):
-    """Drop or merge columns; zero unless the step lengths survive exactly.
-
-    The norm is conjugation invariant, so the metric is bi-invariant:
-    d(a_r b_r, a_r b_{r+1}) = d(b_r, b_{r+1}) and d(a_r b_{r+1},
-    a_{r+1} b_{r+1}) = d(a_r, a_{r+1}). The merged step at row r keeps
-    the sum of the two columns' steps exactly when a_r b_{r+1} lies
-    between a_r b_r and a_{r+1} b_{r+1}.
-    """
-    if i == 0 or i == p:
-        col = mat[0] if i == 0 else mat[-1]
-        if any(a != b for a, b in zip(col, col[1:])):
-            return None
-        return mat[1:] if i == 0 else mat[:-1]
-    a, b = mat[i - 1], mat[i]
-    merged = tuple(mul[x, y] for x, y in zip(a, b))
-    for r in range(len(merged) - 1):
-        if (mul[a[r], b[r + 1]], merged[r], merged[r + 1]) not in between:
-            return None
-    return mat[: i - 1] + (merged,) + mat[i + 1:]
-
-
-def _normed_h_degen(N: NormedGroup, p: int, q: int, i: int, mat: tuple):
-    e_col = (N.group.identity,) * (q + 1)
-    return mat[:i] + (e_col,) + mat[i:]
-
-
-def _normed_maps(N: NormedGroup) -> tuple:
-    """h-face, v-face, h-degeneracy and v-degeneracy of a grading slice.
-
-    Each column is a tuple in the metric nerve of N, and the vertical maps
-    act on every column by that nerve's face and degeneracy. The metric's
-    betweenness table and the product table are built once per slice.
-    """
-    G = N.group
-    between = _betweenness(metric_of_normed_group(N))
-    mul = {(x, y): G.mul(x, y) for x in G.elements for y in G.elements}
-
-    def v_face(p, q, j, mat):
-        cols = []
-        for col in mat:
-            col = _metric_face(between, q, j, col)
-            if col is None:
+        The norm is conjugation invariant, so the metric is bi-invariant:
+        d(a_r b_r, a_r b_{r+1}) = d(b_r, b_{r+1}) and d(a_r b_{r+1},
+        a_{r+1} b_{r+1}) = d(a_r, a_{r+1}). The merged step at row r keeps
+        the sum of the two columns' steps exactly when a_r b_{r+1} lies
+        between a_r b_r and a_{r+1} b_{r+1}.
+        """
+        mul = self.mul
+        merged = tuple(mul[u, v] for u, v in zip(a, b))
+        for r in range(q):
+            if (mul[a[r], b[r + 1]], merged[r], merged[r + 1]) not in self.between:
                 return None
-            cols.append(col)
-        return tuple(cols)
+        return merged
 
-    def v_degen(p, q, j, mat):
-        return tuple(_metric_degen(q, j, col) for col in mat)
+    def identity_gen(self, x, q):
+        return (self.unit,) * (q + 1)
 
-    return (partial(_normed_h_face, between, mul), v_face,
-            partial(_normed_h_degen, N), v_degen)
+
+def _normed_slice(N: NormedGroup, grading, max_q: int) -> tuple:
+    """The hom nerves of N, and the grading in their integer length units."""
+    (ell,) = grading_values([grading])
+    H = _NormedNerves(N, max_q)
+    ell *= H.scale
+    return H, int(ell) if ell.denominator == 1 else ell
 
 
 def double_nerve_normed_group(
@@ -377,32 +357,37 @@ def double_nerve_normed_group(
 ) -> BasedBisimplicialObject:
     """The grading slice of the double nerve of a normed group.
 
-    Bidegree (p, q) is spanned by (q+1) x p matrices of group elements
-    whose columns' lengths sum to the grading; the empty matrix spans
-    (0, q) in grading 0 only. Bases cover p + q <= max_total_degree + 1.
+    Bidegree (p, q) is spanned by the paths (("*",) * (p + 1), columns):
+    p columns, each q+1 group elements, whose lengths sum to the grading.
+    The path with no columns spans (0, q) in grading 0 only. Bases cover
+    p + q <= max_total_degree + 1, so a column has degree at most
+    max_total_degree.
     """
     T = max_total_degree + 1
+    H, ell = _normed_slice(N, grading, T - 1)
     return assemble_bisimplicial(
-        T, T, T, lambda p, q: _matrices_of_length(N, p, q, grading), *_normed_maps(N)
+        T, T, T, lambda p, q: _tuple_generators(H, p, q, ell), *_generator_maps(H)
     )
 
 
 def diag_nerve_normed_group(
     N: NormedGroup, grading, max_degree: int
 ) -> BasedSimplicialObject:
-    """Diagonal slice: degree n is the (n+1) x n matrices of total length
-    equal to the grading, with composite faces and degeneracies."""
+    """Diagonal slice: degree n is the paths of n columns of n+1 elements
+    of total length equal to the grading, with composite faces and
+    degeneracies."""
+    H, ell = _normed_slice(N, grading, max_degree)
     return assemble_simplicial(
-        (_matrices_of_length(N, n, n, grading) for n in range(max_degree + 1)),
-        *diagonal_maps(*_normed_maps(N)),
+        (_tuple_generators(H, n, n, ell) for n in range(max_degree + 1)),
+        *diagonal_maps(*_generator_maps(H)),
     )
 
 
 def reachable_normed_gradings(N: NormedGroup, max_degree: int,
                               route: str = "tot") -> list[Fraction]:
-    """Gradings realizable by matrices inside the truncation: sums of at
-    most max_steps norm values, where max_steps counts the d-steps of the
-    largest matrix shape the route enumerates."""
+    """Gradings realizable by paths inside the truncation: sums of at most
+    max_steps norm values, where max_steps counts the d-steps of the
+    largest p columns of q+1 elements the route enumerates."""
     if route == "diag":
         D = max_degree + 1
         max_steps = D * D

@@ -132,23 +132,40 @@ def assemble_simplicial(basis, face, degen) -> BasedSimplicialObject:
 
     face(n, i, x) is the i-th face of x in degree n >= 1 (None for zero)
     and degen(n, i, x) its i-th degeneracy, asked for below the top degree.
+    Every value is stored as the basis label object it equals, so the
+    tables hold no copies of labels; a value outside the basis raises.
     """
     basis = tuple(tuple(b) for b in basis)
     D = len(basis) - 1
+    labels = [{x: x for x in level} for level in basis]
+
+    def table(kind, f, n, i, target):
+        out = {}
+        for x in basis[n]:
+            y = f(n, i, x)
+            if y is not None:
+                try:
+                    y = target[y]
+                except KeyError:
+                    raise ValidationError(
+                        f"{kind} {i} in degree {n} leaves the basis: {y!r}"
+                    ) from None
+            out[x] = y
+        return out
+
     faces = ((),) + tuple(
-        tuple({x: face(n, i, x) for x in basis[n]} for i in range(n + 1))
+        tuple(table("face", face, n, i, labels[n - 1]) for i in range(n + 1))
         for n in range(1, D + 1)
     )
     degens = tuple(
-        tuple({x: degen(n, i, x) for x in basis[n]} for i in range(n + 1))
+        tuple(table("degeneracy", degen, n, i, labels[n + 1]) for i in range(n + 1))
         for n in range(D)
     )
     return BasedSimplicialObject(basis, faces, degens)
 
 
 def _alternating_matrix(
-    source: tuple, target: tuple, maps: tuple, signs: Optional[list[int]] = None,
-    keep: Optional[set] = None,
+    source: tuple, target: tuple, maps: tuple, keep: Optional[set] = None
 ) -> IntMatrix:
     index = {lab: i for i, lab in enumerate(target)}
     cols = []
@@ -158,9 +175,8 @@ def _alternating_matrix(
             y = fm.get(x)
             if y is None or (keep is not None and y not in keep):
                 continue
-            s = signs[i] if signs is not None else (-1 if i % 2 else 1)
             t = index[y]
-            nv = col.get(t, 0) + s
+            nv = col.get(t, 0) + (-1 if i % 2 else 1)
             if nv:
                 col[t] = nv
             else:

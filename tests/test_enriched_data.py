@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from maghom import (
     INF,
+    CatGroup,
     NCatSet,
     NCatSuspension,
     ValidationError,
@@ -158,6 +160,32 @@ def test_discrete_cat_group_shape():
     C = discrete_cat_group(cyclic_group(2))
     assert len(C.cells.morphisms) == 2
     validate_cat_group(C)
+
+
+def test_mutated_horizontal_products_are_rejected():
+    # in S3/A3 each hom-set has at most one arrow, so every change to the
+    # table of horizontal products breaks its endpoints
+    C = two_group_from_normal_subgroup(S3, A3)
+    validate_cat_group(C)
+    keys = sorted(C.hmul, key=repr)
+    arrows = C.cells.morphisms
+    rng = random.Random(7)
+    mutations = []
+    for _ in range(100):
+        k = rng.choice(keys)
+        mutations.append({x: v for x, v in C.hmul.items() if x != k})
+        mutations.append({**C.hmul, k: rng.choice(arrows)})
+        k2 = rng.choice(keys)
+        mutations.append({**C.hmul, k: C.hmul[k2], k2: C.hmul[k]})
+    changed = 0
+    for hmul in mutations:
+        if hmul == C.hmul:
+            validate_cat_group(CatGroup(C.cells, C.group, hmul))
+            continue
+        changed += 1
+        with pytest.raises(ValidationError):
+            validate_cat_group(CatGroup(C.cells, C.group, hmul))
+    assert changed > 250
 
 
 def test_all_pairs_up_to_order_8_validate():

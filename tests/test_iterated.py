@@ -43,7 +43,11 @@ from maghom import (
     validate_simplicial,
     word_norm_group,
 )
-from maghom.iterated import _col_length
+
+
+def _col_length(N, col: tuple) -> Fraction:
+    return sum((N.d(a, b) for a, b in zip(col, col[1:])), Fraction(0))
+
 
 S3 = symmetric_group(3)
 A3 = frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)})
@@ -261,15 +265,18 @@ def test_normed_diag_slice_validates():
         validate_simplicial(diag_nerve_normed_group(N, ell, 3))
 
 
-def test_normed_basis_order_is_row_major():
-    N = z2_normed()
-    B = double_nerve_normed_group(N, 1, 2)
-    for (p, q), labels in B.basis.items():
-        keys = [
-            tuple(mat[c][r] for r in range(q + 1) for c in range(p))
-            for mat in labels
-        ]
-        assert keys == sorted(keys), (p, q)
+def test_normed_basis_order_is_by_leg_length_then_element():
+    # legs compare by length, then by element index, the first leg first
+    for N in (z2_normed(), word_norm_group(S3, [(1, 0, 2)])):
+        index = {g: i for i, g in enumerate(N.group.elements)}
+        for ell in (0, 1, 2):
+            B = double_nerve_normed_group(N, ell, 2)
+            for (p, q), labels in B.basis.items():
+                keys = [
+                    tuple((_col_length(N, c), tuple(index[g] for g in c)) for c in cols)
+                    for xs, cols in labels
+                ]
+                assert keys == sorted(keys), (ell, p, q)
 
 
 def test_normed_basis_shapes():
@@ -288,21 +295,69 @@ def test_normed_basis_shapes():
 def test_normed_faces_preserve_total_length():
     NS3 = word_norm_group(S3, [(1, 0, 2)])
     for ell in (Fraction(1), Fraction(2)):
-        B = double_nerve_normed_group(NS3, ell, 1)
-        for (p, q), maps in B.h_face.items():
-            for fm in maps:
-                for tgt in fm.values():
-                    if tgt is not None:
-                        assert sum(
-                            (_col_length(NS3, c) for c in tgt), Fraction(0)
-                        ) == ell
-        for (p, q), maps in B.v_face.items():
-            for fm in maps:
-                for tgt in fm.values():
-                    if tgt is not None and tgt != ():
-                        assert sum(
-                            (_col_length(NS3, c) for c in tgt), Fraction(0)
-                        ) == ell
+        B = double_nerve_normed_group(NS3, ell, 2)
+        for faces in (B.h_face, B.v_face):
+            checked = 0
+            for maps in faces.values():
+                for fm in maps:
+                    for tgt in fm.values():
+                        if tgt is not None:
+                            assert sum(
+                                (_col_length(NS3, c) for c in tgt[1]), Fraction(0)
+                            ) == ell
+                            checked += 1
+            assert checked > 0, ell
+
+
+def _brute_force_normed_slice(N, ell, p, q):
+    """Basis and (generator, face) pairs at (p, q) of the grading-ell slice:
+    every p-tuple of (q+1)-columns of total length ell, with each face the
+    plain drop or merge of columns or drop of a row, zero unless it keeps
+    the total length."""
+    G = N.group
+
+    def length(cols):
+        return sum((_col_length(N, c) for c in cols), Fraction(0))
+
+    basis = {
+        cols for cols in product(product(G.elements, repeat=q + 1), repeat=p)
+        if length(cols) == ell
+    }
+    pairs = set()
+    for cols in basis:
+        faces = []
+        if p:
+            faces += [("h", 0, cols[1:]), ("h", p, cols[:-1])]
+            for i in range(1, p):
+                merged = tuple(G.mul(a, b) for a, b in zip(cols[i - 1], cols[i]))
+                faces.append(("h", i, cols[: i - 1] + (merged,) + cols[i + 1:]))
+        if q:
+            for j in range(q + 1):
+                faces.append(("v", j, tuple(c[:j] + c[j + 1:] for c in cols)))
+        for direction, i, face in faces:
+            pairs.add((cols, direction, i, face if length(face) == ell else None))
+    return basis, pairs
+
+
+def test_normed_slices_match_brute_force():
+    cases = [
+        z2_normed(),
+        word_norm_group(cyclic_group(4), [1]),
+        word_norm_group(S3, [(1, 0, 2)]),
+    ]
+    for N in cases:
+        for ell in reachable_normed_gradings(N, 2, route="tot"):
+            B = double_nerve_normed_group(N, ell, 2)
+            for p in range(4):
+                for q in range(4 - p):
+                    pairs = set()
+                    for direction, faces in (("h", B.h_face), ("v", B.v_face)):
+                        for i, fm in enumerate(faces.get((p, q), ())):
+                            for (xs, cols), tgt in fm.items():
+                                pairs.add((cols, direction, i, tgt and tgt[1]))
+                    basis = {cols for xs, cols in B.basis[(p, q)]}
+                    assert (basis, pairs) == _brute_force_normed_slice(N, ell, p, q), (
+                        N.norm, ell, p, q)
 
 
 def test_normed_grading_zero_recovers_group_homology():
@@ -473,18 +528,18 @@ def _normed_groups_to_order_8():
 def test_normed_h_face_betweenness_is_the_length_formula():
     # merging columns a and b at rows 0, 1 keeps the length exactly when
     # |m_0 m_1^-1| = |a_0 a_1^-1| + |b_0 b_1^-1| for the merged column m
-    from maghom.iterated import _normed_maps
+    from maghom.iterated import _NormedNerves
 
     count = 0
     for N in _normed_groups_to_order_8():
-        h_face = _normed_maps(N)[0]
+        compose = _NormedNerves(N, 1).compose
         G = N.group
         d = {(g, h): N.d(g, h) for g in G.elements for h in G.elements}
         for a in product(G.elements, repeat=2):
             for b in product(G.elements, repeat=2):
                 m = (G.mul(a[0], b[0]), G.mul(a[1], b[1]))
                 keeps = d[m] == d[a] + d[b]
-                assert h_face(2, 1, 1, (a, b)) == ((m,) if keeps else None), (N.norm, a, b)
+                assert compose("*", "*", "*", 1, a, b) == (m if keeps else None), (N.norm, a, b)
                 count += 1
     assert count > 10**5
 

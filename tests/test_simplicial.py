@@ -222,3 +222,22 @@ def test_diagonal_requires_square():
     E = external_product(A, B)
     with pytest.raises(ValidationError):
         diagonal(E)
+
+
+def test_assemble_simplicial_stores_basis_labels_and_rejects_the_rest():
+    # pairs of 0/1 over their end points; faces and degeneracies build
+    # fresh tuples, and the tables hold the basis objects they equal
+    def faces(n, i, x):
+        return (x[1 - i],)
+
+    def degen(n, i, x):
+        return x + x
+
+    S = simplicial.assemble_simplicial([[(0,), (1,)], [(0, 0), (0, 1), (1, 1)]], faces, degen)
+    validate_simplicial(S)
+    assert S.face[1][0][(0, 1)] is S.basis[0][1]
+    assert S.degeneracy[0][0][(1,)] is S.basis[1][2]
+    with pytest.raises(ValidationError, match="degeneracy 0 in degree 0 leaves the basis"):
+        simplicial.assemble_simplicial([[(0,), (1,)], [(0, 0), (0, 1)]], faces, degen)
+    with pytest.raises(ValidationError, match="face 1 in degree 1 leaves the basis"):
+        simplicial.assemble_simplicial([[(1,)], [(0, 1)]], faces, degen)
