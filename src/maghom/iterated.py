@@ -281,7 +281,8 @@ def iterated_complex(
             raise ValidationError("row normalization belongs to the tot route")
         S = _diagonal_nerve(_hom_nerves_for(X, max_degree), max_degree)
         return unnormalized_chains(S)
-    H = _hom_nerves_for(X, max_degree)
+    # a leg sits at p >= 1, so no leg or degeneracy reads a hom above max_degree - 1
+    H = _hom_nerves_for(X, max(max_degree - 1, 0))
     B = _double_nerve(H, max_degree, max_degree, total_bound=max_degree)
     D = row_normalize(B) if normalize_rows else double_chains(B)
     return total_complex(D)

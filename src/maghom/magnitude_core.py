@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from math import floor, lcm
 from typing import Iterable, Union
 
 from .complexes import (
@@ -94,42 +94,64 @@ def _betweenness(X: GenMetricSpace) -> frozenset:
     return frozenset(out)
 
 
-def _enumerate_tuples(X: GenMetricSpace, max_degree: int, distinct: bool):
+def _enumerate_tuples(X: GenMetricSpace, max_degree: int, distinct: bool,
+                      max_grading=None):
     """All finite-length tuples, bucketed by (degree, grading).
 
     distinct=True skips tuples with equal adjacent entries (the
-    nondegenerate generators). Lengths are summed as ints over one common
-    denominator; each bucket's Fraction grading is made once.
+    nondegenerate generators). Lengths are summed as ints over the common
+    denominator L of _scaled_distances; each bucket's Fraction grading is
+    made once. A tuple longer than max_grading is dropped before it is
+    extended: steps are nonnegative, so no extension of it is shorter.
+
+    Degree n is built from degree n - 1 by appending one step to each
+    tuple. Degree 0 lists the points in order and each step list does too,
+    so every degree, and every bucket in it, is in lexicographic point
+    order. The keys are sorted by (degree, grading).
     """
+    if max_degree < 0:
+        raise ValidationError("max_degree must be nonnegative")
     D, L = _scaled_distances(X)
     steps = {
         x: [(p, D[x, p]) for p in X.points
             if D[x, p] is not None and not (distinct and p == x)]
         for x in X.points
     }
-    scaled: dict[tuple[int, int], list] = {}
-
-    def walk(tup, total, n):
-        scaled.setdefault((n, total), []).append(tup)
-        if n == max_degree:
-            return
-        for p, d in steps[tup[-1]]:
-            walk(tup + (p,), total + d, n + 1)
-
-    for p in X.points:
-        walk((p,), 0, 0)
-    order = {p: i for i, p in enumerate(X.points)}
+    cap = None if max_grading is None else floor(max_grading * L)
+    level = [((p,), 0) for p in X.points]
     buckets: dict[tuple[int, Fraction], list] = {}
-    for (n, total), tups in scaled.items():
-        tups.sort(key=lambda t: tuple(order[p] for p in t))
-        buckets[(n, Fraction(total, L))] = tups
+    for n in range(max_degree + 1):
+        if n:
+            level = [(t + (p,), s + d) for t, s in level for p, d in steps[t[-1]]]
+            if cap is not None:
+                level = [(t, s) for t, s in level if s <= cap]
+        by_length: dict[int, list] = {}
+        for t, s in level:
+            by_length.setdefault(s, []).append(t)
+        for s in sorted(by_length):
+            buckets[(n, Fraction(s, L))] = by_length[s]
     return buckets
 
 
 def reachable_gradings(X: GenMetricSpace, max_degree: int) -> list[Fraction]:
-    """Every grading realized by a nondegenerate tuple of length <= max_degree."""
-    buckets = _enumerate_tuples(X, max_degree, distinct=True)
-    return sorted({ell for (_, ell) in buckets})
+    """Every grading realized by a nondegenerate tuple of length <= max_degree.
+
+    A dynamic program over end points: reach[y] holds the integer lengths
+    (over the common denominator L) of the tuples of the current degree
+    that end at y, and each round extends them by one nondegenerate finite
+    step. No tuple is built.
+    """
+    if max_degree < 0:
+        raise ValidationError("max_degree must be nonnegative")
+    D, L = _scaled_distances(X)
+    preds = {y: [(x, D[x, y]) for x in X.points if x != y and D[x, y] is not None]
+             for y in X.points}
+    reach = {y: {0} for y in X.points}
+    seen = set().union(*reach.values())
+    for _ in range(max_degree):
+        reach = {y: {s + d for x, d in preds[y] for s in reach[x]} for y in X.points}
+        seen.update(*reach.values())
+    return [Fraction(s, L) for s in sorted(seen)]
 
 
 def _resolve_gradings(X, max_degree, gradings: GradingSpec) -> list[Fraction]:
@@ -138,6 +160,14 @@ def _resolve_gradings(X, max_degree, gradings: GradingSpec) -> list[Fraction]:
             raise ValidationError(f"unknown grading request {gradings!r}")
         return reachable_gradings(X, max_degree)
     return grading_values(gradings)
+
+
+def _graded_buckets(X, max_degree, gradings: GradingSpec, distinct: bool):
+    """The wanted gradings and the tuple buckets that hold them; an
+    explicit grading list bounds the enumeration by its largest grading."""
+    wanted = _resolve_gradings(X, max_degree, gradings)
+    top = None if isinstance(gradings, str) else max(wanted, default=0)
+    return wanted, _enumerate_tuples(X, max_degree, distinct, top)
 
 
 def is_between(X: GenMetricSpace, z, x, y) -> bool:
@@ -161,34 +191,29 @@ def magnitude_complex_metric(
 
     In each grading, degree n is spanned by tuples with distinct
     neighbours summing to that length; the differential only uses the
-    inner faces (the outer ones change the grading and die).
+    inner faces (the outer ones change the grading and die). Two inner
+    faces of a tuple with distinct neighbours never land on the same
+    tuple, so each column entry is set once, never summed.
     """
     if max_degree < 0:
         raise ValidationError("max_degree must be nonnegative")
-    wanted = _resolve_gradings(X, max_degree, gradings)
-    buckets = _enumerate_tuples(X, max_degree, distinct=True)
+    wanted, buckets = _graded_buckets(X, max_degree, gradings, distinct=True)
     between = _betweenness(X)
     pieces = {}
     for ell in wanted:
         basis = [tuple(buckets.get((n, ell), ())) for n in range(max_degree + 1)]
-        index = [{t: i for i, t in enumerate(level)} for level in basis]
         boundary = [IntMatrix.zero(0, len(basis[0]))]
         for n in range(1, max_degree + 1):
+            target = {t: i for i, t in enumerate(basis[n - 1])}
             cols = []
             for tup in basis[n]:
                 col: dict[int, int] = {}
                 for i in range(1, n):
                     if (tup[i], tup[i - 1], tup[i + 1]) in between:
-                        dropped = tup[:i] + tup[i + 1:]
-                        assert dropped[i - 1] != dropped[i], "face produced equal neighbours"
-                        t = index[n - 1][dropped]
-                        nv = col.get(t, 0) + (-1 if i % 2 else 1)
-                        if nv:
-                            col[t] = nv
-                        else:
-                            col.pop(t, None)
+                        assert tup[i - 1] != tup[i + 1], "face produced equal neighbours"
+                        col[target[tup[:i] + tup[i + 1:]]] = -1 if i % 2 else 1
                 cols.append(col)
-            boundary.append(IntMatrix.from_columns(len(basis[n - 1]), cols))
+            boundary.append(IntMatrix(len(basis[n - 1]), len(cols), tuple(cols)))
         pieces[ell] = BasedChainComplex(tuple(basis), tuple(boundary), max_degree - 1)
     return GradedChainComplex(pieces)
 
@@ -221,8 +246,7 @@ def metric_nerve(
     step has length 0; inner faces test betweenness; degeneracies repeat
     a point.
     """
-    wanted = _resolve_gradings(X, max_degree, gradings)
-    buckets = _enumerate_tuples(X, max_degree, distinct=False)
+    wanted, buckets = _graded_buckets(X, max_degree, gradings, distinct=False)
     face = partial(_metric_face, _betweenness(X))
     out = {}
     for ell in wanted:

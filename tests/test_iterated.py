@@ -554,3 +554,37 @@ def test_non_finite_normed_grading_is_rejected(grading):
         diag_nerve_normed_group(N, grading, 2)
     with pytest.raises(ValidationError, match="not a finite rational"):
         double_nerve_normed_group(N, grading, 2)
+
+
+def _tot_from_full_homs(X, max_degree, normalize_rows):
+    """The tot-route complex with every hom nerve built through max_degree."""
+    from maghom.iterated import _double_nerve, _hom_nerves_for
+    from maghom.simplicial import double_chains, row_normalize
+    from maghom.complexes import total_complex
+
+    B = _double_nerve(_hom_nerves_for(X, max_degree), max_degree, max_degree,
+                      total_bound=max_degree)
+    return total_complex(row_normalize(B) if normalize_rows else double_chains(B))
+
+
+def test_tot_route_reads_homs_only_below_max_degree():
+    from maghom import cat_group_from_preordered, dihedral_group
+    from maghom.cli import builder_documents, parse_input
+
+    docs = builder_documents()
+    cases = [parse_input(docs[name]) for name in (
+        "catgroup-s3-a3", "sphere-2", "suspension-two-discrete")]
+    cases += [
+        cat_group_from_preordered(parse_input(docs["preordered-s3-a3"])),
+        discrete_cat_group(cyclic_group(4)),
+        codiscrete_cat_group(klein_four_group()),
+        two_group_from_normal_subgroup(dihedral_group(4), [("r", k) for k in range(4)]),
+    ]
+    for X in cases:
+        for D in (1, 2, 3):
+            for rows in (False, True):
+                got = iterated_complex(X, D, "tot", normalize_rows=rows)
+                want = _tot_from_full_homs(X, D, rows)
+                assert got.basis == want.basis
+                assert got.boundary == want.boundary
+                assert got.faithful_degree == want.faithful_degree

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from maghom import (
     INF,
     FgAbelianGroup,
+    IntMatrix,
     ValidationError,
     adjacency,
     category_from_group,
@@ -185,7 +187,7 @@ def test_integer_lengths_match_fraction_sums(rnd):
         for distinct in (True, False):
             got = _enumerate_tuples(X, 3, distinct)
             want = _fraction_buckets(X, 3, distinct)
-            assert list(got) == list(want)
+            assert list(got) == sorted(want)
             assert got == want
 
 
@@ -193,3 +195,122 @@ def test_integer_lengths_match_fraction_sums(rnd):
 def test_non_finite_metric_grading_is_rejected(grading):
     with pytest.raises(ValidationError, match="not a finite rational"):
         metric_homology(LINE3, 1, [grading])
+
+
+def _enumeration_cases(rnd):
+    """LINE3, the 4-cycle digraph, a one-way space with INF and fractional
+    distances, and random spaces (fractional, some with INF)."""
+    one_way = make_metric_space(
+        ["a", "b", "c"],
+        {("a", "a"): 0, ("b", "b"): 0, ("c", "c"): 0,
+         ("a", "b"): Fraction(1, 2), ("b", "c"): Fraction(2, 3), ("a", "c"): Fraction(7, 6),
+         ("b", "a"): INF, ("c", "a"): INF, ("c", "b"): INF},
+    )
+    cases = [LINE3, cycle_digraph(4), one_way]
+    cases += [random_metric_space(rnd, rnd.randint(1, 4), complete=c)
+              for c in (True, True, False, False, False)]
+    return cases
+
+
+def _product_buckets(X, max_degree, distinct):
+    """Every tuple from itertools.product, in its lexicographic order,
+    bucketed by (degree, Fraction length)."""
+    buckets = {}
+    for n in range(max_degree + 1):
+        for tup in product(X.points, repeat=n + 1):
+            steps = [X.d(u, v) for u, v in zip(tup, tup[1:])]
+            if INF in steps or (distinct and any(u == v for u, v in zip(tup, tup[1:]))):
+                continue
+            buckets.setdefault((n, sum(steps, Fraction(0))), []).append(tup)
+    return buckets
+
+
+def test_buckets_match_product_brute_force(rnd):
+    for X in _enumeration_cases(rnd):
+        for distinct in (True, False):
+            got = _enumerate_tuples(X, 3, distinct)
+            want = _product_buckets(X, 3, distinct)
+            assert list(got) == sorted(want)
+            assert got == want
+
+
+def test_reachable_gradings_are_the_bucket_gradings(rnd):
+    for X in _enumeration_cases(rnd):
+        for n in range(5):
+            buckets = _enumerate_tuples(X, n, True)
+            assert reachable_gradings(X, n) == sorted({ell for _, ell in buckets})
+
+
+def test_grading_bound_keeps_exactly_the_shorter_tuples(rnd):
+    for X in _enumeration_cases(rnd):
+        for distinct in (True, False):
+            full = _enumerate_tuples(X, 3, distinct)
+            for top in sorted({ell for _, ell in full})[:4] + [Fraction(5, 7)]:
+                got = _enumerate_tuples(X, 3, distinct, top)
+                assert got == {k: v for k, v in full.items() if k[1] <= top}
+
+
+def _accumulating_metric_boundaries(X, max_degree, ell):
+    """The boundary matrices of one grading, summing each face into its
+    column with cancellation, as the builder did before it wrote entries
+    directly."""
+    buckets = _enumerate_tuples(X, max_degree, True)
+    basis = [buckets.get((n, ell), []) for n in range(max_degree + 1)]
+    index = [{t: i for i, t in enumerate(level)} for level in basis]
+    out = [IntMatrix.zero(0, len(basis[0]))]
+    for n in range(1, max_degree + 1):
+        cols = []
+        for tup in basis[n]:
+            col = {}
+            for i in range(1, n):
+                if is_between(X, tup[i], tup[i - 1], tup[i + 1]):
+                    t = index[n - 1][tup[:i] + tup[i + 1:]]
+                    nv = col.get(t, 0) + (-1 if i % 2 else 1)
+                    if nv:
+                        col[t] = nv
+                    else:
+                        col.pop(t, None)
+            cols.append(col)
+        out.append(IntMatrix.from_columns(len(basis[n - 1]), cols))
+    return tuple(out)
+
+
+def test_metric_boundaries_match_accumulating_builder(rnd):
+    for X in _enumeration_cases(rnd) + [cycle_graph(5)]:
+        G = magnitude_complex_metric(X, 4)
+        for ell, piece in G.pieces.items():
+            assert piece.boundary == _accumulating_metric_boundaries(X, 4, ell)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _enumerate_tuples(LINE3, -1, True),
+    lambda: reachable_gradings(LINE3, -1),
+    lambda: metric_nerve(LINE3, -1),
+    lambda: metric_nerve(LINE3, -1, [1]),
+], ids=["enumerate_tuples", "reachable_gradings", "metric_nerve", "metric_nerve_explicit"])
+def test_negative_max_degree_is_rejected(build):
+    with pytest.raises(ValidationError, match="max_degree must be nonnegative"):
+        build()
+
+
+def test_explicit_gradings_match_all_reachable(rnd):
+    for X in _enumeration_cases(rnd):
+        G = magnitude_complex_metric(X, 3)
+        slices = metric_nerve(X, 3)
+        reachable = sorted(G.pieces)
+        for wanted in ([0], reachable[:2], reachable[-1:], [reachable[len(reachable) // 2]]):
+            part = magnitude_complex_metric(X, 3, wanted)
+            assert part.pieces == {ell: G.pieces[ell] for ell in wanted}
+            part_slices = metric_nerve(X, 3, wanted)
+            assert list(part_slices) == wanted
+            for ell in wanted:
+                S, T = part_slices[ell], slices[ell]
+                assert (S.basis, S.face, S.degeneracy) == (T.basis, T.face, T.degeneracy)
+
+
+def test_explicit_grading_bounds_a_deep_enumeration():
+    # the degree-8 enumeration of the 6-cycle has 2.3M tuples; grading 1
+    # keeps those of length <= 1, the points and the 12 directed edges
+    t = metric_homology(cycle_graph(6), 7, [1])
+    assert t.group(1, 1) == FgAbelianGroup(12)
+    assert all(t.group(k, 1).is_trivial for k in range(8) if k != 1)
