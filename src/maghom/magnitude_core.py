@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import floor, lcm
+from math import lcm
 from typing import Iterable, Union
 
 from .complexes import (
@@ -94,15 +94,13 @@ def _betweenness(X: GenMetricSpace) -> frozenset:
     return frozenset(out)
 
 
-def _enumerate_tuples(X: GenMetricSpace, max_degree: int, distinct: bool,
-                      max_grading=None):
+def _enumerate_tuples(X: GenMetricSpace, max_degree: int, distinct: bool):
     """All finite-length tuples, bucketed by (degree, grading).
 
     distinct=True skips tuples with equal adjacent entries (the
     nondegenerate generators). Lengths are summed as ints over the common
     denominator L of _scaled_distances; each bucket's Fraction grading is
-    made once. A tuple longer than max_grading is dropped before it is
-    extended: steps are nonnegative, so no extension of it is shorter.
+    made once.
 
     Degree n is built from degree n - 1 by appending one step to each
     tuple. Degree 0 lists the points in order and each step list does too,
@@ -117,14 +115,11 @@ def _enumerate_tuples(X: GenMetricSpace, max_degree: int, distinct: bool,
             if D[x, p] is not None and not (distinct and p == x)]
         for x in X.points
     }
-    cap = None if max_grading is None else floor(max_grading * L)
     level = [((p,), 0) for p in X.points]
     buckets: dict[tuple[int, Fraction], list] = {}
     for n in range(max_degree + 1):
         if n:
             level = [(t + (p,), s + d) for t, s in level for p, d in steps[t[-1]]]
-            if cap is not None:
-                level = [(t, s) for t, s in level if s <= cap]
         by_length: dict[int, list] = {}
         for t, s in level:
             by_length.setdefault(s, []).append(t)
@@ -162,14 +157,6 @@ def _resolve_gradings(X, max_degree, gradings: GradingSpec) -> list[Fraction]:
     return grading_values(gradings)
 
 
-def _graded_buckets(X, max_degree, gradings: GradingSpec, distinct: bool):
-    """The wanted gradings and the tuple buckets that hold them; an
-    explicit grading list bounds the enumeration by its largest grading."""
-    wanted = _resolve_gradings(X, max_degree, gradings)
-    top = None if isinstance(gradings, str) else max(wanted, default=0)
-    return wanted, _enumerate_tuples(X, max_degree, distinct, top)
-
-
 def is_between(X: GenMetricSpace, z, x, y) -> bool:
     return X.d(x, y) == d_add(X.d(x, z), X.d(z, y))
 
@@ -197,7 +184,8 @@ def magnitude_complex_metric(
     """
     if max_degree < 0:
         raise ValidationError("max_degree must be nonnegative")
-    wanted, buckets = _graded_buckets(X, max_degree, gradings, distinct=True)
+    wanted = _resolve_gradings(X, max_degree, gradings)
+    buckets = _enumerate_tuples(X, max_degree, distinct=True)
     between = _betweenness(X)
     pieces = {}
     for ell in wanted:
@@ -246,7 +234,8 @@ def metric_nerve(
     step has length 0; inner faces test betweenness; degeneracies repeat
     a point.
     """
-    wanted, buckets = _graded_buckets(X, max_degree, gradings, distinct=False)
+    wanted = _resolve_gradings(X, max_degree, gradings)
+    buckets = _enumerate_tuples(X, max_degree, distinct=False)
     face = partial(_metric_face, _betweenness(X))
     out = {}
     for ell in wanted:

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -158,6 +157,21 @@ def test_betweenness_table_matches_is_between(rnd):
     assert saw_inf
 
 
+def _enumeration_cases(rnd):
+    """LINE3, the 4-cycle digraph, a one-way space with INF and fractional
+    distances, and random spaces (fractional, some with INF)."""
+    one_way = make_metric_space(
+        ["a", "b", "c"],
+        {("a", "a"): 0, ("b", "b"): 0, ("c", "c"): 0,
+         ("a", "b"): Fraction(1, 2), ("b", "c"): Fraction(2, 3), ("a", "c"): Fraction(7, 6),
+         ("b", "a"): INF, ("c", "a"): INF, ("c", "b"): INF},
+    )
+    cases = [LINE3, cycle_digraph(4), one_way]
+    cases += [random_metric_space(rnd, rnd.randint(1, 4), complete=c)
+              for c in (True, True, False, False, False)]
+    return cases
+
+
 def _fraction_buckets(X, max_degree, distinct):
     """_enumerate_tuples with Fraction sums, as before integer lengths."""
     buckets = {}
@@ -181,7 +195,7 @@ def _fraction_buckets(X, max_degree, distinct):
 
 
 def test_integer_lengths_match_fraction_sums(rnd):
-    cases = [LINE3, cycle_digraph(4)]
+    cases = _enumeration_cases(rnd)
     cases += [random_metric_space(rnd, 4, complete=c) for c in (True, False, False)]
     for X in cases:
         for distinct in (True, False):
@@ -197,57 +211,11 @@ def test_non_finite_metric_grading_is_rejected(grading):
         metric_homology(LINE3, 1, [grading])
 
 
-def _enumeration_cases(rnd):
-    """LINE3, the 4-cycle digraph, a one-way space with INF and fractional
-    distances, and random spaces (fractional, some with INF)."""
-    one_way = make_metric_space(
-        ["a", "b", "c"],
-        {("a", "a"): 0, ("b", "b"): 0, ("c", "c"): 0,
-         ("a", "b"): Fraction(1, 2), ("b", "c"): Fraction(2, 3), ("a", "c"): Fraction(7, 6),
-         ("b", "a"): INF, ("c", "a"): INF, ("c", "b"): INF},
-    )
-    cases = [LINE3, cycle_digraph(4), one_way]
-    cases += [random_metric_space(rnd, rnd.randint(1, 4), complete=c)
-              for c in (True, True, False, False, False)]
-    return cases
-
-
-def _product_buckets(X, max_degree, distinct):
-    """Every tuple from itertools.product, in its lexicographic order,
-    bucketed by (degree, Fraction length)."""
-    buckets = {}
-    for n in range(max_degree + 1):
-        for tup in product(X.points, repeat=n + 1):
-            steps = [X.d(u, v) for u, v in zip(tup, tup[1:])]
-            if INF in steps or (distinct and any(u == v for u, v in zip(tup, tup[1:]))):
-                continue
-            buckets.setdefault((n, sum(steps, Fraction(0))), []).append(tup)
-    return buckets
-
-
-def test_buckets_match_product_brute_force(rnd):
-    for X in _enumeration_cases(rnd):
-        for distinct in (True, False):
-            got = _enumerate_tuples(X, 3, distinct)
-            want = _product_buckets(X, 3, distinct)
-            assert list(got) == sorted(want)
-            assert got == want
-
-
 def test_reachable_gradings_are_the_bucket_gradings(rnd):
     for X in _enumeration_cases(rnd):
         for n in range(5):
             buckets = _enumerate_tuples(X, n, True)
             assert reachable_gradings(X, n) == sorted({ell for _, ell in buckets})
-
-
-def test_grading_bound_keeps_exactly_the_shorter_tuples(rnd):
-    for X in _enumeration_cases(rnd):
-        for distinct in (True, False):
-            full = _enumerate_tuples(X, 3, distinct)
-            for top in sorted({ell for _, ell in full})[:4] + [Fraction(5, 7)]:
-                got = _enumerate_tuples(X, 3, distinct, top)
-                assert got == {k: v for k, v in full.items() if k[1] <= top}
 
 
 def _accumulating_metric_boundaries(X, max_degree, ell):
@@ -306,11 +274,3 @@ def test_explicit_gradings_match_all_reachable(rnd):
             for ell in wanted:
                 S, T = part_slices[ell], slices[ell]
                 assert (S.basis, S.face, S.degeneracy) == (T.basis, T.face, T.degeneracy)
-
-
-def test_explicit_grading_bounds_a_deep_enumeration():
-    # the degree-8 enumeration of the 6-cycle has 2.3M tuples; grading 1
-    # keeps those of length <= 1, the points and the 12 directed edges
-    t = metric_homology(cycle_graph(6), 7, [1])
-    assert t.group(1, 1) == FgAbelianGroup(12)
-    assert all(t.group(k, 1).is_trivial for k in range(8) if k != 1)
