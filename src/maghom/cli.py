@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import oracles
 from .complexes import (
+    GradedChainComplex,
     HomologyTable,
     graded_homology_table,
     graded_tensor,
@@ -52,7 +53,7 @@ from .enriched_data import (
     validate_ncat,
     word_norm_group,
 )
-from .errors import MaghomError, SchemaError, TruncationError, ValidationError
+from .errors import MaghomError, SchemaError, ValidationError
 from .exact_linalg import FgAbelianGroup
 from .groups import FinGroup
 from .iterated import (
@@ -379,24 +380,25 @@ def _structure_kind(obj) -> str:
     raise AssertionError(f"unclassified structure {obj!r}")
 
 
+def _pieces(G: GradedChainComplex, keep) -> GradedChainComplex:
+    return GradedChainComplex({ell: C for ell, C in G.pieces.items() if keep(ell)})
+
+
 def compute_homology(obj, max_degree: int, route: str = "diag",
-                     normalize_rows: bool = False, gradings=None,
-                     truncation=None) -> HomologyTable:
+                     normalize_rows: bool = False, gradings=None) -> HomologyTable:
     """Homology table for any parsed structure."""
-    kind = _structure_kind(obj)
-    if truncation is not None and truncation <= max_degree:
-        raise TruncationError(max_degree, truncation - 1)
-    D = truncation if truncation is not None else max_degree + 1
     if normalize_rows and route != "tot":
         raise ValidationError("--normalize-rows requires --route tot")
+    if isinstance(obj, StrictNCat) and obj.level <= 1:
+        obj = as_category(obj)
+    kind = _structure_kind(obj)
 
     if kind == "category":
         if route == "tot":
             return iterated_homology(
                 two_cat_from_category(obj), max_degree, "tot", normalize_rows
             )
-        S = nerve_category(obj, D)
-        return homology_table(normalized_chains(S), max_degree)
+        return category_homology(obj, max_degree)
 
     if kind == "metric":
         if route == "tot":
@@ -404,8 +406,7 @@ def compute_homology(obj, max_degree: int, route: str = "diag",
                 "a plain metric space has no second nerve direction; "
                 "use --route diag (or the tensor kind for product routes)"
             )
-        G = magnitude_complex_metric(obj, D, gradings if gradings else "all-reachable")
-        return graded_homology_table(G, max_degree)
+        return metric_homology(obj, max_degree, gradings if gradings else "all-reachable")
 
     if kind == "normed-group":
         return normed_group_homology(
@@ -416,43 +417,33 @@ def compute_homology(obj, max_degree: int, route: str = "diag",
     if kind == "preordered-group":
         obj = cat_group_from_preordered(obj)
         kind = "cat-group"
-    if kind == "cat-group":
-        return iterated_homology(obj, max_degree, route, normalize_rows)
-
-    if kind == "ncat":
-        if obj.level <= 1:
-            if route == "tot":
-                return iterated_homology(
-                    two_cat_from_category(as_category(obj)), max_degree, "tot",
-                    normalize_rows,
-                )
-            return category_homology(as_category(obj), max_degree)
+    if kind in ("cat-group", "ncat"):
         return iterated_homology(obj, max_degree, route, normalize_rows)
 
     if kind == "product":
         _, left, right = obj
         if route == "tot":
-            CL = normalized_chains(nerve_category(left, D))
-            CR = normalized_chains(nerve_category(right, D))
+            CL = normalized_chains(nerve_category(left, max_degree + 1))
+            CR = normalized_chains(nerve_category(right, max_degree + 1))
             return homology_table(tensor_complex(CL, CR), max_degree)
         return category_homology(product_category(left, right), max_degree)
 
     if kind == "tensor":
         _, left, right = obj
-        if route == "tot":
-            GL = magnitude_complex_metric(left, D, "all-reachable")
-            GR = magnitude_complex_metric(right, D, "all-reachable")
-            table = graded_homology_table(graded_tensor(GL, GR), max_degree)
-        else:
-            G = magnitude_complex_metric(tensor_metric(left, right), D,
-                                         gradings if gradings else "all-reachable")
-            table = graded_homology_table(G, max_degree)
-        if gradings and not isinstance(gradings, str):
-            wanted = set(grading_values(gradings))
-            return HomologyTable(
-                {key: grp for key, grp in table.items() if key[1] in wanted}
-            )
-        return table
+        if route != "tot":
+            return metric_homology(tensor_metric(left, right), max_degree,
+                                   gradings if gradings else "all-reachable")
+        GL = magnitude_complex_metric(left, max_degree + 1)
+        GR = magnitude_complex_metric(right, max_degree + 1)
+        if not gradings or isinstance(gradings, str):
+            return graded_homology_table(graded_tensor(GL, GR), max_degree)
+        # gradings add up under the tensor and none is negative, so a factor
+        # piece above the largest wanted grading contributes nothing
+        wanted = set(grading_values(gradings))
+        top = max(wanted)
+        T = graded_tensor(_pieces(GL, lambda ell: ell <= top),
+                          _pieces(GR, lambda ell: ell <= top))
+        return graded_homology_table(_pieces(T, wanted.__contains__), max_degree)
 
     raise AssertionError("unreachable")
 
@@ -563,13 +554,7 @@ def _verify_ncat(X: StrictNCat, max_degree: int, v: _Verifier):
         v.check("suspension-shift", True, "not a suspension; skipped")
     else:
         K = max(2, max_degree)
-        if inner.level == 0:
-            from .exact_linalg import FgAbelianGroup as FG
-
-            inner_table = HomologyTable({(0, None): FG(len(inner.elements))})
-        else:
-            inner_table = compute_homology(inner, K)
-        pred = oracles.oracle_suspension(inner_table, K)
+        pred = oracles.oracle_suspension(compute_homology(inner, K), K)
         got = compute_homology(X, K)
         v.check("suspension-shift", got == pred, f"degrees 0..{K}")
     td = iterated_homology(X, max_degree, "diag")
@@ -775,8 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--route", choices=("diag", "tot"), default="diag")
     ph.add_argument("--normalize-rows", action="store_true")
     ph.add_argument("--output", choices=("text", "json"), default="text")
-    ph.add_argument("--truncation", type=int, default=None,
-                    help="build complexes up to this degree (default max-degree+1)")
 
     pv = sub.add_parser("verify", help="run the oracle suite for this input kind")
     pv.add_argument("input")
@@ -828,8 +811,7 @@ def main(argv=None) -> int:
         if args.all_gradings:
             gradings = "all-reachable"
         table = compute_homology(
-            obj, args.max_degree, args.route, args.normalize_rows, gradings,
-            args.truncation,
+            obj, args.max_degree, args.route, args.normalize_rows, gradings
         )
         if args.output == "json":
             payload = {

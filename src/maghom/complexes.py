@@ -74,13 +74,11 @@ def make_chain_complex(
     basis: Iterable[Iterable[Label]],
     boundary: Iterable[IntMatrix],
     faithful_degree: int,
-    check: bool = True,
 ) -> BasedChainComplex:
     C = BasedChainComplex(
         tuple(tuple(b) for b in basis), tuple(boundary), faithful_degree
     )
-    if check:
-        validate_complex(C)
+    validate_complex(C)
     return C
 
 

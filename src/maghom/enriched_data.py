@@ -110,14 +110,12 @@ def validate_category(X: FinCategory) -> None:
                     )
 
 
-def make_category(objects, morphisms, source, target, identity, compose,
-                  check: bool = True) -> FinCategory:
+def make_category(objects, morphisms, source, target, identity, compose) -> FinCategory:
     X = FinCategory(
         tuple(objects), tuple(morphisms), dict(source), dict(target),
         dict(identity), dict(compose),
     )
-    if check:
-        validate_category(X)
+    validate_category(X)
     return X
 
 
@@ -256,13 +254,12 @@ def validate_metric(X: GenMetricSpace) -> None:
                     )
 
 
-def make_metric_space(points, dist, check: bool = True) -> GenMetricSpace:
+def make_metric_space(points, dist) -> GenMetricSpace:
     norm = {}
     for k, v in dict(dist).items():
         norm[k] = INF if v is INF else as_fraction(v)
     X = GenMetricSpace(tuple(points), norm)
-    if check:
-        validate_metric(X)
+    validate_metric(X)
     return X
 
 
@@ -368,10 +365,9 @@ def validate_normed_group(N: NormedGroup) -> None:
                 )
 
 
-def make_normed_group(G: FinGroup, norm: Mapping, check: bool = True) -> NormedGroup:
+def make_normed_group(G: FinGroup, norm: Mapping) -> NormedGroup:
     N = NormedGroup(G, {g: as_fraction(v) for g, v in dict(norm).items()})
-    if check:
-        validate_normed_group(N)
+    validate_normed_group(N)
     return N
 
 

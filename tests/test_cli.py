@@ -126,13 +126,22 @@ def test_homology_grading_filter(tmp_path):
     assert not any(line.startswith("MH_0^0") for line in out.splitlines())
 
 
-def test_homology_rejects_thin_truncation(tmp_path):
-    path = doc_file(tmp_path, "two-point-metric")
-    code, out, err = run_cli(
-        ["homology", path, "--max-degree", "3", "--truncation", "2"]
-    )
-    assert code == 2
-    assert "max degree >= 4" in err
+def test_tensor_tot_grading_filter_keeps_the_unfiltered_rows(tmp_path):
+    docs = builder_documents()
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps(
+        {"kind": "tensor", "factors": [docs["half-integer-metric"], docs["cycle-digraph-3"]]}
+    ))
+    base = ["homology", str(path), "--route", "tot", "--max-degree", "2", "--output", "json"]
+    code, out, _ = run_cli(base)
+    assert code == 0
+    rows = json.loads(out)["homology"]
+    for wanted in (["1"], ["3/2", "2"], ["1/2", "7"]):
+        code, out, _ = run_cli(base + [arg for g in wanted for arg in ("--grading", g)])
+        assert code == 0
+        got = json.loads(out)["homology"]
+        assert got == [row for row in rows if row["grading"] in wanted]
+        assert got
 
 
 def test_metric_has_no_tot_route(tmp_path):

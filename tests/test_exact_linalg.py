@@ -517,13 +517,38 @@ def test_unit_peel_matches_the_loop_on_mixed_echelon_bases(rnd):
         _assert_peel_agrees(_echelon_basis(rnd, rnd.randint(1, 12), (1, -1, 1, 2, 3, -4)))
 
 
-def test_all_unit_echelon_basis_peels_without_picking_a_pivot(rnd, monkeypatch):
-    def refuse(self):
-        raise AssertionError("_pick_pivot called on an all-unit echelon basis")
-
-    monkeypatch.setattr(_SparseSmith, "_pick_pivot", refuse)
+def test_all_unit_echelon_basis_peels_without_picking_a_pivot(rnd):
     basis = _echelon_basis(rnd, 2000, (1, -1))
+    smith = _SparseSmith(basis)
+    assert smith._peel_units() == 2000
+    assert smith.cols == {} and smith.row_occ == {}
     assert _SparseSmith(basis).diagonal() == [1] * 2000
     # the echelon basis of a real top boundary, pivots on the bottommost row
     B = IntMatrix.from_rows([[1, 1, 0], [-1, 0, 1], [0, -1, -1]])
     assert _SparseSmith(_reduce_columns(B.cols).values()).diagonal() == [1, 1]
+
+
+# --- the dense finisher against determinantal divisors --------------------------
+
+
+def _assert_minors_agree(columns, nrows: int) -> None:
+    """The Smith diagonal, put in divisibility order, equals the invariant
+    factors read off the gcds of the k x k minors (snf_by_minors)."""
+    columns = list(columns)
+    rows = [[col.get(r, 0) for col in columns] for r in range(nrows)]
+    assert _invariant_chain(_SparseSmith(columns).diagonal()) == snf_by_minors(rows)
+
+
+def test_smith_diagonal_matches_minor_gcds_on_random_matrices(rnd):
+    for _ in range(300):
+        nrows, ncols = rnd.randint(1, 5), rnd.randint(1, 5)
+        entries = (0, 0, 1, -1, 2, -3, 4, 6, -9, 12)
+        _assert_minors_agree(
+            ({r: rnd.choice(entries) for r in range(nrows)} for _ in range(ncols)), nrows
+        )
+
+
+def test_smith_diagonal_matches_minor_gcds_on_echelon_bases(rnd):
+    for _ in range(60):
+        n = rnd.randint(1, 5)
+        _assert_minors_agree(_echelon_basis(rnd, n, (1, -1, 2, 3, -4, 6)), 2 * n)
