@@ -392,6 +392,11 @@ def compute_homology(obj, max_degree: int, route: str = "diag",
     if isinstance(obj, StrictNCat) and obj.level <= 1:
         obj = as_category(obj)
     kind = _structure_kind(obj)
+    if gradings and kind not in ("metric", "normed-group", "tensor"):
+        raise ValidationError(
+            f"{kind} documents have no length gradings; --grading and "
+            "--all-gradings apply only to metric, normed-group and tensor documents"
+        )
 
     if kind == "category":
         if route == "tot":

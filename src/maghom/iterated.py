@@ -12,8 +12,10 @@ invariant norm get a grading-by-grading version: one object whose hom is
 the metric nerve of the group, every leg of integer length, and a face
 zero unless it preserves total length. Every builder here supplies only
 its generators and generator-level faces and degeneracies;
-simplicial.assemble_simplicial and assemble_bisimplicial tabulate them,
-and simplicial.diagonal_maps composes the diagonal.
+simplicial.assemble_simplicial and assemble_bisimplicial tabulate them.
+The diagonal builders skip the bisimplicial maps: _diagonal_maps fuses
+each diagonal face into one pass over the legs, with every inner merge
+composed once per builder call.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .simplicial import (
     BasedSimplicialObject,
     assemble_bisimplicial,
     assemble_simplicial,
-    diagonal_maps,
     double_chains,
     row_normalize,
     unnormalized_chains,
@@ -212,15 +213,60 @@ def _double_nerve(H: _HomNerves, P: int, Q: int,
     )
 
 
-def _diagonal_nerve(H: _HomNerves, D: int) -> BasedSimplicialObject:
-    """Only the (n, n) bidegrees, with composite faces and degeneracies.
+def _diagonal_maps(H: _HomNerves) -> tuple:
+    """Face and degeneracy of the diagonal of H's double nerve.
 
-    Equivalent to diagonal(_double_nerve(H, D, D)) but never materializes
-    the off-diagonal bidegrees.
+    Face i in degree n is v-face i out of (n, n) followed by h-face i out
+    of (n, n - 1), fused: every leg's v-face is read from one table per
+    (n, i), and an inner merge is composed once per distinct (x, y, z, q,
+    a, b) for the life of the returned maps. The degeneracy is the plain
+    composite of the generator-level ones.
+    """
+    lengths = H.lengths
+    v_faces = {}
+    merges = {}
+
+    def face(n, i, gen):
+        xs, legs = gen
+        try:
+            table = v_faces[n, i]
+        except KeyError:
+            table = v_faces[n, i] = {xy: S.face[n][i] for xy, S in H.homs.items()}
+        new = []
+        for idx, leg in enumerate(legs):
+            y = table[xs[idx], xs[idx + 1]].get(leg)
+            if y is None:
+                return None
+            new.append(y)
+        if i == 0:
+            return None if lengths and lengths.get(new[0], 0) else (xs[1:], tuple(new[1:]))
+        if i == n:
+            return None if lengths and lengths.get(new[-1], 0) else (xs[:-1], tuple(new[:-1]))
+        key = (xs[i - 1], xs[i], xs[i + 1], n - 1, new[i - 1], new[i])
+        try:
+            merged = merges[key]
+        except KeyError:
+            merged = merges[key] = H.compose(*key)
+        if merged is None:
+            return None
+        new[i - 1 : i + 1] = (merged,)
+        return (xs[:i] + xs[i + 1:], tuple(new))
+
+    def degen(n, i, gen):
+        return _h_degen_gen(H, n, n + 1, i, _v_degen_gen(H, n, n, i, gen))
+
+    return face, degen
+
+
+def _diagonal_nerve(H: _HomNerves, D: int) -> BasedSimplicialObject:
+    """Only the (n, n) bidegrees, with the faces and degeneracies of
+    _diagonal_maps.
+
+    Equal to diagonal(_double_nerve(H, D, D)) but never materializes the
+    off-diagonal bidegrees.
     """
     return assemble_simplicial(
-        (_tuple_generators(H, n, n) for n in range(D + 1)),
-        *diagonal_maps(*_generator_maps(H)),
+        (_tuple_generators(H, n, n) for n in range(D + 1)), *_diagonal_maps(H)
     )
 
 
@@ -380,7 +426,7 @@ def diag_nerve_normed_group(
     H, ell = _normed_slice(N, grading, max_degree)
     return assemble_simplicial(
         (_tuple_generators(H, n, n, ell) for n in range(max_degree + 1)),
-        *diagonal_maps(*_generator_maps(H)),
+        *_diagonal_maps(H),
     )
 
 

@@ -182,7 +182,7 @@ def _alternating_matrix(
             else:
                 col.pop(t, None)
         cols.append(col)
-    return IntMatrix.from_columns(len(target), cols)
+    return IntMatrix(len(target), len(cols), tuple(cols))
 
 
 def unnormalized_chains(S: BasedSimplicialObject) -> BasedChainComplex:

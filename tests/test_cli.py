@@ -126,6 +126,17 @@ def test_homology_grading_filter(tmp_path):
     assert not any(line.startswith("MH_0^0") for line in out.splitlines())
 
 
+def test_grading_is_rejected_on_kinds_without_length_gradings(tmp_path):
+    for name, kind in (("sphere-2", "ncat"), ("catgroup-s3-a3", "cat-group")):
+        path = doc_file(tmp_path, name)
+        for flags in (["--grading", "1"], ["--all-gradings"]):
+            code, out, err = run_cli(
+                ["homology", path, "--route", "tot", "--max-degree", "1", *flags]
+            )
+            _assert_one_line_error(code, out, err)
+            assert kind in err, (name, flags)
+
+
 def test_tensor_tot_grading_filter_keeps_the_unfiltered_rows(tmp_path):
     docs = builder_documents()
     path = tmp_path / "tensor.json"

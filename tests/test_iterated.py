@@ -464,6 +464,73 @@ def test_diagonal_nerve_is_the_diagonal_of_the_double_nerve():
         assert _diagonal_nerve(H, 2) == diagonal(_double_nerve(H, 2, 2)), X
 
 
+def _composite_diagonal(H, D, ell=0):
+    """The diagonal as the plain composite of the bisimplicial generator maps."""
+    from maghom.iterated import _generator_maps, _tuple_generators
+    from maghom.simplicial import assemble_simplicial, diagonal_maps
+
+    return assemble_simplicial(
+        (_tuple_generators(H, n, n, ell) for n in range(D + 1)),
+        *diagonal_maps(*_generator_maps(H)),
+    )
+
+
+def _tables_in_order(S):
+    return (S.basis, [[list(m.items()) for m in level] for level in (*S.face, *S.degeneracy)])
+
+
+def _count_compose(monkeypatch, cls):
+    """Count calls to cls.compose by argument tuple, the diagonal's memo key."""
+    from collections import Counter
+
+    calls = Counter()
+    original = cls.compose
+
+    def compose(self, *key):
+        calls[key] += 1
+        return original(self, *key)
+
+    monkeypatch.setattr(cls, "compose", compose)
+    return calls
+
+
+def test_fused_diagonal_matches_the_composite_in_order(monkeypatch):
+    from maghom import all_groups_up_to_order_8
+    from maghom.cli import builder_documents, parse_input
+    from maghom.iterated import _NormedNerves, _diagonal_nerve, _hom_nerves_for, _normed_slice
+
+    docs = builder_documents()
+    cases = [(sphere_ncat(2), 3), (sphere_ncat(3), 3),
+             (parse_input(docs["suspension-two-discrete"]), 3)]
+    for G in all_groups_up_to_order_8():
+        if len(G.elements) <= 4:
+            for N in G.normal_subgroups():
+                # the top diagonal has (|G| |N|^D)^D generators; D = 3 would
+                # reach 16.7M for the codiscrete groups of order 4
+                D = 3 if len(G.elements) * len(N) <= 8 else 2
+                cases.append((two_group_from_normal_subgroup(G, N), D))
+    composed = 0
+    for X, D in cases:
+        H = _hom_nerves_for(X, D)
+        want = _tables_in_order(_composite_diagonal(H, D))
+        calls = _count_compose(monkeypatch, type(H))
+        assert _tables_in_order(_diagonal_nerve(H, D)) == want, (X, D)
+        assert all(c == 1 for c in calls.values()), (X, D)
+        composed += len(calls)
+        monkeypatch.undo()
+    for name in ("s3-word-norm", "z4-word-norm"):
+        N = parse_input(docs[name])
+        for ell in sorted(set(N.norm.values())):
+            H, scaled = _normed_slice(N, ell, 3)
+            want = _tables_in_order(_composite_diagonal(H, 3, scaled))
+            calls = _count_compose(monkeypatch, _NormedNerves)
+            assert _tables_in_order(diag_nerve_normed_group(N, ell, 3)) == want, (name, ell)
+            assert all(c == 1 for c in calls.values()), (name, ell)
+            composed += len(calls)
+            monkeypatch.undo()
+    assert composed > 1000
+
+
 def _compose_faces(outer, inner, x):
     y = inner.get(x)
     return None if y is None else outer.get(y)
