@@ -18,7 +18,8 @@ Run it on two checkouts and diff the outputs: an empty diff means both
 build the same complexes, generator for generator, and print the same
 answers. A change that only relabels generators leaves the stdout and
 shape lines as they were. The diag route of catgroup-s3-a3 and
-preordered-s3-a3 is skipped; it runs for more than 300 s.
+preordered-s3-a3 is skipped; it takes 79-95 s and about 3 GB per
+document (2 vCPU, Python 3.11).
 """
 
 import contextlib

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Print the graded homology table of a normed group and the closed-form
-predictions next to it, optionally comparing both computation routes.
+predictions next to it, optionally comparing both computation routes;
+exits 1 if the routes disagree.
 """
 
 import argparse
+import sys
 import time
 
 from maghom import (
@@ -54,7 +56,9 @@ def main():
         diag = normed_group_homology(N, "norm-values", K, route="diag")
         print(f"diagonal route: {time.monotonic() - start:.2f}s "
               f"({'agree' if diag == table else 'MISMATCH'})")
+        return 0 if diag == table else 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

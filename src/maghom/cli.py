@@ -425,6 +425,11 @@ def compute_homology(obj, max_degree: int, route: str = "diag",
     if kind in ("cat-group", "ncat"):
         return iterated_homology(obj, max_degree, route, normalize_rows)
 
+    if kind in ("product", "tensor") and normalize_rows:
+        raise ValidationError(
+            f"--normalize-rows does not apply to {kind} documents: their tot "
+            "route tensors the factors' chains and has no double nerve rows"
+        )
     if kind == "product":
         _, left, right = obj
         if route == "tot":

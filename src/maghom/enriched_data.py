@@ -547,21 +547,14 @@ def positive_cone(P: PreorderedGroup) -> frozenset:
 
 
 def cat_group_from_preordered(P: PreorderedGroup) -> CatGroup:
-    """View the preorder as the hom structure of a Cat-group."""
-    G = P.group
-    arrows = sorted(P.leq, key=repr)
-    cells = make_category(
-        G.elements, arrows,
-        {a: a[0] for a in arrows}, {a: a[1] for a in arrows},
-        {g: (g, g) for g in G.elements},
-        {(b, a): (a[0], b[1]) for b in arrows for a in arrows if a[1] == b[0]},
-    )
-    hmul = {
-        ((a, b), (c, d)): (G.mul(a, c), G.mul(b, d))
-        for (a, b) in arrows
-        for (c, d) in arrows
-    }
-    return CatGroup(cells, G, hmul)
+    """View the preorder as the hom structure of a Cat-group.
+
+    Translation invariance makes g <= h exactly when h g^-1 lies in the
+    positive cone, and in a finite group that cone is a normal subgroup;
+    so this is the thin Cat-group of the cone, with the arrow g -> h
+    labelled (h g^-1, g).
+    """
+    return two_group_from_normal_subgroup(P.group, positive_cone(P))
 
 
 # ---------------------------------------------------------------------------

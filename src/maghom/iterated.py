@@ -10,7 +10,10 @@ Horizontal structure composes along the outer tuple (1-cells), vertical
 structure runs inside each hom (2-cells). Groups with a conjugation-
 invariant norm get a grading-by-grading version: one object whose hom is
 the metric nerve of the group, every leg of integer length, and a face
-zero unless it preserves total length. Every builder here supplies only
+zero unless it preserves total length. That hom's columns are the tuples
+magnitude_core._enumerate_tuples lists for the group's metric, and its
+reachable gradings are the metric's reachable_gradings. Both kinds share
+one route body, _route_chains. Every builder here supplies only
 its generators and generator-level faces and degeneracies;
 simplicial.assemble_simplicial and assemble_bisimplicial tabulate them.
 The diagonal builders skip the bisimplicial maps: _diagonal_maps fuses
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import product
 from typing import Optional, Union
 
 from .complexes import (
@@ -44,11 +46,13 @@ from .enriched_data import (
 from .errors import ValidationError
 from .magnitude_core import (
     _betweenness,
+    _enumerate_tuples,
     _metric_degen,
     _metric_face,
     _scaled_distances,
     grading_values,
     nerve_category,
+    reachable_gradings,
 )
 from .simplicial import (
     BasedBisimplicialObject,
@@ -312,6 +316,21 @@ def mb_n(X: StrictNCat, max_degree: int) -> BasedSimplicialObject:
     return _diagonal_nerve(_hom_nerves_for(X, max_degree), max_degree)
 
 
+def _route_chains(route: str, normalize_rows: bool):
+    """Check the route flags; return chains(diag_nerve, double_nerve),
+    which builds only the nerve its route reads (each argument builds one
+    when called) and takes its unnormalized chains (diag) or the total
+    complex of its double chains, rows normalized or not (tot)."""
+    if route not in ("diag", "tot"):
+        raise ValidationError(f"unknown route {route!r}")
+    if route == "diag":
+        if normalize_rows:
+            raise ValidationError("row normalization belongs to the tot route")
+        return lambda diag_nerve, double_nerve: unnormalized_chains(diag_nerve())
+    double_complex = row_normalize if normalize_rows else double_chains
+    return lambda diag_nerve, double_nerve: total_complex(double_complex(double_nerve()))
+
+
 def iterated_complex(
     X, max_degree: int, route: str = "diag", normalize_rows: bool = False
 ) -> BasedChainComplex:
@@ -320,18 +339,13 @@ def iterated_complex(
 
     Both routes are faithful through max_degree - 1.
     """
-    if route not in ("diag", "tot"):
-        raise ValidationError(f"unknown route {route!r}")
-    if route == "diag":
-        if normalize_rows:
-            raise ValidationError("row normalization belongs to the tot route")
-        S = _diagonal_nerve(_hom_nerves_for(X, max_degree), max_degree)
-        return unnormalized_chains(S)
+    chains = _route_chains(route, normalize_rows)
     # a leg sits at p >= 1, so no leg or degeneracy reads a hom above max_degree - 1
-    H = _hom_nerves_for(X, max(max_degree - 1, 0))
-    B = _double_nerve(H, max_degree, max_degree, total_bound=max_degree)
-    D = row_normalize(B) if normalize_rows else double_chains(B)
-    return total_complex(D)
+    return chains(
+        lambda: _diagonal_nerve(_hom_nerves_for(X, max_degree), max_degree),
+        lambda: _double_nerve(_hom_nerves_for(X, max(max_degree - 1, 0)),
+                              max_degree, max_degree, total_bound=max_degree),
+    )
 
 
 def iterated_homology(
@@ -347,25 +361,23 @@ def iterated_homology(
 
 class _NormedNerves(_HomNerves):
     """One object, "*", whose hom is the unnormalized metric nerve of the
-    group: every column up to degree max_q, ordered by length, then by
-    element order. Lengths are integers over the common denominator scale
-    of the metric's distances."""
+    group: every column up to degree max_q, in _enumerate_tuples' buckets
+    of increasing length (within one, lexicographic in element order).
+    Lengths are integers over the common denominator scale of the
+    metric's distances."""
 
     def __init__(self, N: NormedGroup, max_q: int):
         G = N.group
         X = metric_of_normed_group(N)
-        dist, self.scale = _scaled_distances(X)
+        self.scale = _scaled_distances(X)[1]
         self.between = _betweenness(X)
         self.mul = {(x, y): G.mul(x, y) for x in G.elements for y in G.elements}
         self.unit = G.identity
         self.lengths = {}
-        columns = []
-        for q in range(max_q + 1):
-            cols = list(product(G.elements, repeat=q + 1))
-            for col in cols:
-                self.lengths[col] = sum(dist[a, b] for a, b in zip(col, col[1:]))
-            cols.sort(key=self.lengths.__getitem__)
-            columns.append(cols)
+        columns = [[] for _ in range(max_q + 1)]
+        for (q, ell), cols in _enumerate_tuples(X, max_q, distinct=False).items():
+            columns[q] += cols
+            self.lengths.update(dict.fromkeys(cols, int(ell * self.scale)))
         self.objects = ("*",)
         self.homs = {("*", "*"): assemble_simplicial(
             columns, partial(_metric_face, self.between), _metric_degen
@@ -433,19 +445,16 @@ def diag_nerve_normed_group(
 def reachable_normed_gradings(N: NormedGroup, max_degree: int,
                               route: str = "tot") -> list[Fraction]:
     """Gradings realizable by paths inside the truncation: sums of at most
-    max_steps norm values, where max_steps counts the d-steps of the
-    largest p columns of q+1 elements the route enumerates."""
+    max_steps norm values (the metric's reachable gradings, since every
+    norm value is a step out of every point), where max_steps counts the
+    d-steps of the largest p columns of q+1 elements the route enumerates."""
     if route == "diag":
         D = max_degree + 1
         max_steps = D * D
     else:
         T = max_degree + 1
         max_steps = max(p * q for p in range(T + 1) for q in range(T + 1 - p))
-    values = sorted({v for v in N.norm.values() if v > 0})
-    sums = {Fraction(0)}
-    for _ in range(max_steps):
-        sums |= {s + v for s in sums for v in values}
-    return sorted(sums)
+    return reachable_gradings(metric_of_normed_group(N), max_steps)
 
 
 def normed_group_homology(
@@ -461,10 +470,7 @@ def normed_group_homology(
     group element takes), or "all-reachable" (everything the truncation
     can see).
     """
-    if route not in ("diag", "tot"):
-        raise ValidationError(f"unknown route {route!r}")
-    if route == "diag" and normalize_rows:
-        raise ValidationError("row normalization belongs to the tot route")
+    chains = _route_chains(route, normalize_rows)
     if isinstance(gradings, str):
         if gradings == "norm-values":
             ells = sorted({Fraction(0), *N.norm.values()})
@@ -476,13 +482,8 @@ def normed_group_homology(
         ells = grading_values(gradings)
     entries = {}
     for ell in ells:
-        if route == "diag":
-            S = diag_nerve_normed_group(N, ell, max_degree + 1)
-            C = unnormalized_chains(S)
-        else:
-            B = double_nerve_normed_group(N, ell, max_degree)
-            D = row_normalize(B) if normalize_rows else double_chains(B)
-            C = total_complex(D)
+        C = chains(lambda: diag_nerve_normed_group(N, ell, max_degree + 1),
+                   lambda: double_nerve_normed_group(N, ell, max_degree))
         table = homology_table(C, max_degree)
         for k in range(max_degree + 1):
             entries[(k, ell)] = table.group(k)

@@ -168,6 +168,14 @@ def test_normalize_rows_needs_tot(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["product-parallel-arrows", "tensor-two-point"])
+def test_normalize_rows_is_rejected_without_double_nerve_rows(tmp_path, name):
+    path = doc_file(tmp_path, name)
+    code, out, err = run_cli(["homology", path, "--route", "tot", "--normalize-rows"])
+    _assert_one_line_error(code, out, err)
+    assert "--normalize-rows" in err
+
+
 def test_half_integer_gradings_render_exactly(tmp_path):
     path = doc_file(tmp_path, "half-integer-metric")
     code, out, _ = run_cli(["homology", path, "--max-degree", "1"])

@@ -655,3 +655,133 @@ def test_tot_route_reads_homs_only_below_max_degree():
                 assert got.basis == want.basis
                 assert got.boundary == want.boundary
                 assert got.faithful_degree == want.faithful_degree
+
+
+# --- the generic constructions against the twins they replaced ---------------
+
+
+def _stock_normed_groups():
+    from maghom.cli import builder_documents, parse_input
+
+    docs = builder_documents()
+    return [(name, parse_input(docs[name]))
+            for name in ("z2-normed", "z4-word-norm", "s3-word-norm", "d4-word-norm")]
+
+
+def _product_sorted_columns(N, max_q):
+    """The normed hom's columns and integer lengths, built the old way:
+    every (q+1)-tuple of elements, stably sorted by length."""
+    from maghom.magnitude_core import _scaled_distances
+
+    dist, _ = _scaled_distances(metric_of_normed_group(N))
+    columns, lengths = [], {}
+    for q in range(max_q + 1):
+        cols = list(product(N.group.elements, repeat=q + 1))
+        for col in cols:
+            lengths[col] = sum(dist[a, b] for a, b in zip(col, col[1:]))
+        cols.sort(key=lengths.__getitem__)
+        columns.append(tuple(cols))
+    return tuple(columns), lengths
+
+
+def test_normed_columns_are_the_sorted_product():
+    from maghom.iterated import _NormedNerves
+
+    for name, N in _stock_normed_groups():
+        H = _NormedNerves(N, 3)
+        columns, lengths = _product_sorted_columns(N, 3)
+        assert H.homs["*", "*"].basis == columns, name
+        assert H.lengths == lengths, name
+
+
+def _norm_sums(N, max_degree, route):
+    """Reachable normed gradings, built the old way: every sum of at most
+    max_steps positive norm values."""
+    T = max_degree + 1
+    if route == "diag":
+        max_steps = T * T
+    else:
+        max_steps = max(p * q for p in range(T + 1) for q in range(T + 1 - p))
+    values = {v for v in N.norm.values() if v > 0}
+    sums = {Fraction(0)}
+    for _ in range(max_steps):
+        sums |= {s + v for s in sums for v in values}
+    return sorted(sums)
+
+
+def test_reachable_normed_gradings_are_the_norm_sums():
+    cases = [N for _, N in _stock_normed_groups()]
+    cases.append(make_normed_group(cyclic_group(3), {0: 0, 1: Fraction(1, 2), 2: 1}))
+    for N in cases:
+        for route in ("diag", "tot"):
+            for k in range(4):
+                assert reachable_normed_gradings(N, k, route) == _norm_sums(N, k, route), (
+                    N.norm, route, k)
+
+
+def test_bad_route_is_rejected_before_any_grading():
+    N = z2_normed()
+    for gradings in ([], "norm-values"):
+        with pytest.raises(ValidationError, match="unknown route"):
+            normed_group_homology(N, gradings, 1, route="sideways")
+        with pytest.raises(ValidationError, match="tot route"):
+            normed_group_homology(N, gradings, 1, route="diag", normalize_rows=True)
+
+
+def _direct_cat_group_from_preordered(P):
+    """The Cat-group of a preordered group, built the old way: one arrow
+    (g, h) per pair g <= h, multiplied entrywise."""
+    from maghom.enriched_data import CatGroup, make_category
+
+    G = P.group
+    arrows = sorted(P.leq, key=repr)
+    cells = make_category(
+        G.elements, arrows,
+        {a: a[0] for a in arrows}, {a: a[1] for a in arrows},
+        {g: (g, g) for g in G.elements},
+        {(b, a): (a[0], b[1]) for b in arrows for a in arrows if a[1] == b[0]},
+    )
+    hmul = {((a, b), (c, d)): (G.mul(a, c), G.mul(b, d))
+            for (a, b) in arrows for (c, d) in arrows}
+    return CatGroup(cells, G, hmul)
+
+
+def _relabelled(C, G):
+    """C with the arrow (g, h) renamed (h g^-1, g), the name the normal-
+    subgroup Cat-group gives the arrow g -> h."""
+    name = {m: (G.mul(m[1], G.inv(m[0])), m[0]) for m in C.cells.morphisms}
+    X = C.cells
+    return (
+        set(name.values()),
+        {name[m]: X.source[m] for m in X.morphisms},
+        {name[m]: X.target[m] for m in X.morphisms},
+        {g: name[m] for g, m in X.identity.items()},
+        {(name[b], name[a]): name[c] for (b, a), c in X.compose.items()},
+        {(name[a], name[b]): name[c] for (a, b), c in C.hmul.items()},
+    )
+
+
+def test_preordered_cat_group_is_the_cone_cat_group():
+    from maghom import (
+        all_groups_up_to_order_8,
+        cat_group_from_preordered,
+        preordered_group_from_cone,
+    )
+
+    count = 0
+    for G in all_groups_up_to_order_8():
+        for K in G.normal_subgroups():
+            P = preordered_group_from_cone(G, K)
+            old, new = _direct_cat_group_from_preordered(P), cat_group_from_preordered(P)
+            X = new.cells
+            assert _relabelled(old, G) == (
+                set(X.morphisms), dict(X.source), dict(X.target), dict(X.identity),
+                dict(X.compose), dict(new.hmul)), (G.elements, K)
+            for rows in (False, True):
+                assert iterated_homology(old, 1, "tot", rows) == \
+                    iterated_homology(new, 1, "tot", rows), (G.elements, K, rows)
+            count += 1
+    assert count == 64
+    P = preordered_group_from_cone(S3, A3)
+    assert iterated_homology(_direct_cat_group_from_preordered(P), 1, "diag") == \
+        iterated_homology(cat_group_from_preordered(P), 1, "diag")

@@ -241,3 +241,31 @@ def test_assemble_simplicial_stores_basis_labels_and_rejects_the_rest():
         simplicial.assemble_simplicial([[(0,), (1,)], [(0, 0), (0, 1)]], faces, degen)
     with pytest.raises(ValidationError, match="face 1 in degree 1 leaves the basis"):
         simplicial.assemble_simplicial([[(1,)], [(0, 1)]], faces, degen)
+
+
+def test_validate_bisimplicial_rejects_broken_tables():
+    from dataclasses import replace
+
+    E = external_product(nerve_category(parallel_arrows_category(), 2),
+                         nerve_category(linear_order_category(2), 2))
+    validate_bisimplicial(E)
+
+    h_face = dict(E.h_face)
+    del h_face[(1, 1)]
+    with pytest.raises(ValidationError, match="row q=1: face 0 in degree 1 not defined"):
+        validate_bisimplicial(replace(E, h_face=h_face))
+
+    v_face = dict(E.v_face)
+    off = dict(v_face[(1, 1)][0])
+    off[next(iter(off))] = "nowhere"
+    v_face[(1, 1)] = (off,) + v_face[(1, 1)][1:]
+    with pytest.raises(ValidationError, match="column p=1: face 0 in degree 1 leaves the basis"):
+        validate_bisimplicial(replace(E, v_face=v_face))
+
+    h_degen = dict(E.h_degen)
+    merged = dict(h_degen[(0, 0)][0])
+    a, b = E.basis[(0, 0)][:2]
+    merged[b] = merged[a]
+    h_degen[(0, 0)] = (merged,)
+    with pytest.raises(ValidationError, match="row q=0: degeneracy 0 in degree 0 is not injective"):
+        validate_bisimplicial(replace(E, h_degen=h_degen))
