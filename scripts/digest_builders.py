@@ -17,7 +17,15 @@ stdout.
 Run it on two checkouts and diff the outputs: an empty diff means both
 build the same complexes, generator for generator, and print the same
 answers. A change that only relabels generators leaves the stdout and
-shape lines as they were. The diag route of catgroup-s3-a3 and
+shape lines as they were.
+
+scripts/builder_digests.txt is the output at the current commit, and CI
+diffs a fresh run against it. A change that alters a complex on purpose
+regenerates that file with
+
+    PYTHONPATH=src python3 scripts/digest_builders.py > scripts/builder_digests.txt
+
+and says in CHANGES.md which lines moved and why. The diag route of catgroup-s3-a3 and
 preordered-s3-a3 is skipped; it takes 79-95 s and about 3 GB per
 document (2 vCPU, Python 3.11).
 """

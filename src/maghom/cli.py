@@ -55,7 +55,7 @@ from .enriched_data import (
 )
 from .errors import MaghomError, SchemaError, ValidationError
 from .exact_linalg import FgAbelianGroup
-from .groups import FinGroup
+from .groups import FinGroup, cyclic_group, dihedral_group
 from .iterated import (
     iterated_homology,
     kunneth_check,
@@ -105,6 +105,27 @@ def _need_labels(doc: dict, key: str, kind: str) -> list:
     return _labels(_need(doc, key, kind), f"{kind}: {key}")
 
 
+def _need_rows(doc: dict, key: str, kind: str, shape: str, lengths, count=None) -> list:
+    """A JSON list of label rows, count of them when count is given, each
+    as long as one of lengths; shape describes them in the error."""
+    rows = _need(doc, key, kind)
+    if not isinstance(rows, list) or (count is not None and len(rows) != count) or any(
+        not isinstance(row, list) or len(row) not in lengths for row in rows
+    ):
+        raise SchemaError(f"{kind}: {key} must be a list of {shape}")
+    for row in rows:
+        _labels(row, f"{kind}: {key} row")
+    return rows
+
+
+def _need_natural(doc: dict, key: str, kind: str) -> int:
+    n = _need(doc, key, kind)
+    # bool is a subclass of int, and JSON true is not a number
+    if type(n) is not int or n < 0:
+        raise SchemaError(f"{kind}: {key} must be a nonnegative integer")
+    return n
+
+
 def _reject_unknown(doc: dict, allowed: set, kind: str):
     extra = set(doc) - allowed - {"kind"}
     if extra:
@@ -131,8 +152,11 @@ def _exact_number(v, where: str):
 
 def _parse_group(doc: dict, kind: str) -> FinGroup:
     if "permutation_generators" in doc:
-        degree = _need(doc, "permutation_degree", kind)
-        gens = [tuple(g) for g in doc["permutation_generators"]]
+        degree = _need_natural(doc, "permutation_degree", kind)
+        gens = [tuple(g) for g in _need_rows(
+            doc, "permutation_generators", kind,
+            f"permutations of 0..{degree - 1}", (degree,),
+        )]
         for g in gens:
             if not all(type(i) is int for i in g) or sorted(g) != list(range(degree)):
                 raise SchemaError(f"{kind}: {g} is not a permutation of 0..{degree - 1}")
@@ -153,15 +177,10 @@ def _parse_group(doc: dict, kind: str) -> FinGroup:
         }
         return FinGroup(sorted(label.values()), mul, name=f"perm{degree}")
     elements = _need_labels(doc, "elements", kind)
-    table = _need(doc, "table", kind)
-    if len(table) != len(elements) or any(len(r) != len(elements) for r in table):
-        raise SchemaError(f"{kind}: table must be square on the element list")
-    for row in table:
-        _labels(row, f"{kind}: table row")
+    n = len(elements)
+    table = _need_rows(doc, "table", kind, f"{n} rows of {n} elements", (n,), n)
     mul = {
-        (elements[i], elements[j]): table[i][j]
-        for i in range(len(elements))
-        for j in range(len(elements))
+        (elements[i], elements[j]): table[i][j] for i in range(n) for j in range(n)
     }
     return FinGroup(elements, mul)
 
@@ -170,6 +189,8 @@ def _parse_norm(doc: dict, G: FinGroup, kind: str) -> NormedGroup:
     if "word_norm_generators" in doc:
         return word_norm_group(G, _need_labels(doc, "word_norm_generators", kind))
     norm = _need(doc, "norm", kind)
+    if not isinstance(norm, dict):
+        raise SchemaError(f"{kind}: norm must map elements to numbers")
     # JSON object keys are strings even when the elements are numbers
     lookup = {str(e): e for e in G.elements}
     rekeyed = {}
@@ -198,14 +219,10 @@ def parse_input(doc):
     if kind == "category":
         _reject_unknown(doc, {"objects", "morphisms", "identities", "compose"}, kind)
         objects = _need_labels(doc, "objects", kind)
-        morphisms = _need(doc, "morphisms", kind)
         source = {}
         target = {}
         names = []
-        for entry in morphisms:
-            if len(entry) != 3:
-                raise SchemaError("category: morphisms entries are [name, src, dst]")
-            name, src, dst = _labels(entry, "category: morphisms entry")
+        for name, src, dst in _need_rows(doc, "morphisms", kind, "[name, src, dst]", (3,)):
             names.append(name)
             source[name] = src
             target[name] = dst
@@ -214,10 +231,7 @@ def parse_input(doc):
             raise SchemaError("category: identities must map objects to morphisms")
         _labels(list(identities.values()), "category: identities")
         compose = {}
-        for entry in _need(doc, "compose", kind):
-            if len(entry) != 3:
-                raise SchemaError("category: compose entries are [g, f, g_after_f]")
-            g, f, h = _labels(entry, "category: compose entry")
+        for g, f, h in _need_rows(doc, "compose", kind, "[g, f, g_after_f]", (3,)):
             compose[(g, f)] = h
         for f in names:
             compose.setdefault((f, identities.get(source[f])), f)
@@ -227,13 +241,12 @@ def parse_input(doc):
     if kind == "metric":
         _reject_unknown(doc, {"points", "d"}, kind)
         points = _need_labels(doc, "points", kind)
-        rows = _need(doc, "d", kind)
-        if len(rows) != len(points) or any(len(r) != len(points) for r in rows):
-            raise SchemaError("metric: d must be a square matrix over the points")
+        n = len(points)
+        rows = _need_rows(doc, "d", kind, f"{n} rows of {n} distances", (n,), n)
         dist = {
             (points[i], points[j]): _exact_number(rows[i][j], f"d[{i}][{j}]")
-            for i in range(len(points))
-            for j in range(len(points))
+            for i in range(n)
+            for j in range(n)
         }
         return make_metric_space(points, dist)
 
@@ -242,15 +255,8 @@ def parse_input(doc):
         vertices = _need_labels(doc, "vertices", kind)
         edges = []
         weights = {}
-        for entry in _need(doc, "edges", kind):
-            _labels(entry, "digraph: edges entry")
-            if len(entry) == 2:
-                u, v = entry
-                w = 1
-            elif len(entry) == 3:
-                u, v, w = entry
-            else:
-                raise SchemaError("digraph: edges entries are [u, v] or [u, v, w]")
+        for u, v, *w in _need_rows(doc, "edges", kind, "[u, v] or [u, v, w]", (2, 3)):
+            w = w[0] if w else 1
             edges.append((u, v))
             weights[(u, v)] = _exact_number(w, f"weight of ({u!r}, {v!r})")
         return metric_from_digraph(vertices, edges, weights)
@@ -297,17 +303,14 @@ def parse_input(doc):
 
     if kind == "sphere":
         _reject_unknown(doc, {"n"}, kind)
-        n = _need(doc, "n", kind)
-        if not isinstance(n, int) or n < 0:
-            raise SchemaError("sphere: n must be a nonnegative integer")
-        X = sphere_ncat(n)
+        X = sphere_ncat(_need_natural(doc, "n", kind))
         validate_ncat(X)
         return X
 
     if kind in ("product", "tensor"):
         _reject_unknown(doc, {"factors"}, kind)
         factors = _need(doc, "factors", kind)
-        if len(factors) != 2:
+        if not isinstance(factors, list) or len(factors) != 2:
             raise SchemaError(f"{kind}: exactly two factors")
         left, right = (parse_input(f) for f in factors)
         if kind == "product":
@@ -475,6 +478,19 @@ class _Verifier:
             self.failures += 1
 
 
+def _route_tables(obj, max_degree: int) -> list[HomologyTable]:
+    """The diag, tot and (where the tot route has double nerve rows)
+    tot-rows tables of compute_homology, in that order."""
+    routes = [("diag", False), ("tot", False), ("tot", True)]
+    if _structure_kind(obj) in ("product", "tensor"):
+        routes.pop()
+    return [compute_homology(obj, max_degree, r, rows) for r, rows in routes]
+
+
+def _agree(tables: list[HomologyTable]) -> bool:
+    return all(t == tables[0] for t in tables[1:])
+
+
 def _verify_metric(X: GenMetricSpace, max_degree: int, v: _Verifier):
     table = metric_homology(X, max(1, max_degree))
     h00 = table.group(0, 0)
@@ -492,24 +508,20 @@ def _verify_category(X: FinCategory, max_degree: int, v: _Verifier):
     tn = homology_table(normalized_chains(S), max_degree)
     tu = homology_table(unnormalized_chains(S), max_degree)
     v.check("normalization-invariance", tn == tu, f"degrees 0..{max_degree}")
-    emb = two_cat_from_category(X)
-    td = iterated_homology(emb, max_degree, "diag")
-    tt = iterated_homology(emb, max_degree, "tot")
-    ttn = iterated_homology(emb, max_degree, "tot", normalize_rows=True)
-    v.check("route-equivalence", tn == td == tt == ttn, "diag vs tot vs normalized rows")
+    routes = _route_tables(two_cat_from_category(X), max_degree)
+    v.check("route-equivalence", _agree([tn, *routes]), "diag vs tot vs normalized rows")
 
 
 def _verify_cat_group(C: CatGroup, max_degree: int, v: _Verifier):
     h0, h1 = oracles.oracle_mh01_catgroup(C)
-    td = iterated_homology(C, 1, "diag")
-    tt = iterated_homology(C, 1, "tot")
-    ttn = iterated_homology(C, 1, "tot", normalize_rows=True)
+    routes = _route_tables(C, 1)
+    td = routes[0]
     v.check(
         "components-abelianization",
         td.group(0) == h0 and td.group(1) == h1,
         f"predicted MH_1 = {h1}",
     )
-    v.check("route-equivalence", td == tt == ttn, "degrees 0..1")
+    v.check("route-equivalence", _agree(routes), "degrees 0..1")
 
 
 def _verify_normed(N: NormedGroup, max_degree: int, v: _Verifier):
@@ -549,10 +561,7 @@ def _verify_normed(N: NormedGroup, max_degree: int, v: _Verifier):
             if separated != factored:
                 okadj = False
     v.check("adjacency-factorization", okadj, "all ordered pairs")
-    td = normed_group_homology(N, "norm-values", 1, route="diag")
-    tt = normed_group_homology(N, "norm-values", 1, route="tot")
-    ttn = normed_group_homology(N, "norm-values", 1, route="tot", normalize_rows=True)
-    v.check("route-equivalence", td == tt == ttn, "degrees 0..1, all norm values")
+    v.check("route-equivalence", _agree(_route_tables(N, 1)), "degrees 0..1, all norm values")
 
 
 def _verify_ncat(X: StrictNCat, max_degree: int, v: _Verifier):
@@ -567,19 +576,16 @@ def _verify_ncat(X: StrictNCat, max_degree: int, v: _Verifier):
         pred = oracles.oracle_suspension(compute_homology(inner, K), K)
         got = compute_homology(X, K)
         v.check("suspension-shift", got == pred, f"degrees 0..{K}")
-    td = iterated_homology(X, max_degree, "diag")
-    tt = iterated_homology(X, max_degree, "tot")
-    ttn = iterated_homology(X, max_degree, "tot", normalize_rows=True)
-    v.check("route-equivalence", td == tt == ttn, f"degrees 0..{max_degree}")
+    v.check("route-equivalence", _agree(_route_tables(X, max_degree)),
+            f"degrees 0..{max_degree}")
 
 
 def _verify_product(obj, max_degree: int, v: _Verifier):
     tag, left, right = obj
     rep = kunneth_check(left, right, max_degree)
     v.check("kunneth-split", rep.ok, f"{len(rep.rows)} comparisons")
-    direct = compute_homology(obj, max_degree, route="diag")
-    via_tensor = compute_homology(obj, max_degree, route="tot")
-    v.check("route-equivalence", direct == via_tensor, "direct vs tensor of factors")
+    v.check("route-equivalence", _agree(_route_tables(obj, max_degree)),
+            "direct vs tensor of factors")
 
 
 def run_verify(obj, max_degree: int, out) -> int:
@@ -610,38 +616,29 @@ def _s3_doc_base() -> dict:
     return {"permutation_degree": 3, "permutation_generators": [[1, 0, 2], [0, 2, 1]]}
 
 
-def builder_documents() -> dict:
-    z4 = {"elements": [0, 1, 2, 3],
-          "table": [[(i + j) % 4 for j in range(4)] for i in range(4)]}
-    d4_elems = [f"{t}{k}" for t in "rs" for k in range(4)]
-
-    def d4_mul(a, b):
-        ta, ka = a[0], int(a[1])
-        tb, kb = b[0], int(b[1])
-        if ta == "r" and tb == "r":
-            return f"r{(ka + kb) % 4}"
-        if ta == "r" and tb == "s":
-            return f"s{(ka + kb) % 4}"
-        if ta == "s" and tb == "r":
-            return f"s{(ka - kb) % 4}"
-        return f"r{(ka - kb) % 4}"
-
-    d4 = {
-        "elements": d4_elems,
-        "table": [[d4_mul(a, b) for b in d4_elems] for a in d4_elems],
+def _table_doc(G: FinGroup, label=lambda g: g) -> dict:
+    """The elements and multiplication table of G, each element labelled."""
+    return {
+        "elements": [label(g) for g in G.elements],
+        "table": [[label(G.mul(a, b)) for b in G.elements] for a in G.elements],
     }
+
+
+def builder_documents() -> dict:
+    z4 = _table_doc(cyclic_group(4))
+    d4 = _table_doc(dihedral_group(4), lambda g: f"{g[0]}{g[1]}")
+    parallel_arrows = {
+        "kind": "category",
+        "objects": ["A", "B"],
+        "morphisms": [["idA", "A", "A"], ["idB", "B", "B"],
+                      ["f", "A", "B"], ["g", "A", "B"]],
+        "identities": {"A": "idA", "B": "idB"},
+        "compose": [],
+    }
+    two_point = {"kind": "metric", "points": ["a", "b"], "d": [[0, 1], [1, 0]]}
     docs = {
-        "parallel-arrows": {
-            "kind": "category",
-            "objects": ["A", "B"],
-            "morphisms": [["idA", "A", "A"], ["idB", "B", "B"],
-                          ["f", "A", "B"], ["g", "A", "B"]],
-            "identities": {"A": "idA", "B": "idB"},
-            "compose": [],
-        },
-        "two-point-metric": {
-            "kind": "metric", "points": ["a", "b"], "d": [[0, 1], [1, 0]],
-        },
+        "parallel-arrows": parallel_arrows,
+        "two-point-metric": two_point,
         "three-point-line": {
             "kind": "metric", "points": ["a", "b", "c"],
             "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
@@ -689,23 +686,8 @@ def builder_documents() -> dict:
                 "identities": {"x": "idx", "y": "idy"}, "compose": [],
             },
         },
-        "product-parallel-arrows": {
-            "kind": "product",
-            "factors": [
-                {
-                    "kind": "category", "objects": ["A", "B"],
-                    "morphisms": [["idA", "A", "A"], ["idB", "B", "B"],
-                                  ["f", "A", "B"], ["g", "A", "B"]],
-                    "identities": {"A": "idA", "B": "idB"}, "compose": [],
-                }
-            ] * 2,
-        },
-        "tensor-two-point": {
-            "kind": "tensor",
-            "factors": [
-                {"kind": "metric", "points": ["a", "b"], "d": [[0, 1], [1, 0]]},
-            ] * 2,
-        },
+        "product-parallel-arrows": {"kind": "product", "factors": [parallel_arrows] * 2},
+        "tensor-two-point": {"kind": "tensor", "factors": [two_point] * 2},
     }
     return docs
 

@@ -82,7 +82,14 @@ def make_chain_complex(
     return C
 
 
+def _check_max_degree(max_degree: int) -> None:
+    """Every entry point that takes a max_degree refuses a negative one."""
+    if max_degree < 0:
+        raise ValidationError("max_degree must be nonnegative")
+
+
 def empty_complex(max_degree: int, faithful_degree: Optional[int] = None) -> BasedChainComplex:
+    _check_max_degree(max_degree)
     basis = tuple(() for _ in range(max_degree + 1))
     boundary = tuple(IntMatrix.zero(0, 0) for _ in range(max_degree + 1))
     if faithful_degree is None:
@@ -283,6 +290,8 @@ def grading_values(gradings: Iterable) -> list[Fraction]:
     a finite nonnegative rational (INF, NaN, a non-numeric string) is a
     ValidationError rather than an arithmetic error further in.
     """
+    if not isinstance(gradings, Iterable):
+        raise ValidationError(f"gradings {gradings!r} are not a list of rationals")
     wanted = set()
     for g in gradings:
         try:
@@ -374,6 +383,7 @@ class HomologyTable:
 def _homology_groups(C: BasedChainComplex, max_degree: int) -> list[FgAbelianGroup]:
     """H_0..H_max_degree; the one place where d*d = 0 is checked before
     homology is read, so the builders of complexes do not check it."""
+    _check_max_degree(max_degree)
     if max_degree > C.faithful_degree:
         raise TruncationError(max_degree, C.faithful_degree)
     validate_complex(C)

@@ -377,7 +377,7 @@ def word_norm_group(G: FinGroup, S: Iterable) -> NormedGroup:
     Requires S to normally generate G; otherwise some element has no word
     at all and this raises.
     """
-    gens = set(S)
+    gens = G.subset(S, "word norm generator")
     gens |= {G.inv(s) for s in gens}
     conjugates = {G.conjugate(g, s) for g in G.elements for s in gens}
     dist = {G.identity: 0}
@@ -457,7 +457,7 @@ def two_group_from_normal_subgroup(G: FinGroup, N: Iterable) -> CatGroup:
     Arrows multiply in the semidirect product: the product of (k, g) and
     (k2, g2) is (k * g k2 g^-1, g g2).
     """
-    Nset = set(N)
+    Nset = G.subset(N, "normal subgroup member")
     if G.identity not in Nset or not all(
         G.mul(a, b) in Nset and G.inv(a) in Nset for a in Nset for b in Nset
     ):
@@ -521,7 +521,7 @@ def preordered_group_from_cone(G: FinGroup, cone: Iterable) -> PreorderedGroup:
     and conjugation. In a finite group such a cone is automatically a
     subgroup, so the resulting preorder is symmetric.
     """
-    P = set(cone)
+    P = G.subset(cone, "cone member")
     if G.identity not in P:
         raise ValidationError("cone must contain the identity")
     for a in P:

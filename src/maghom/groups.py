@@ -63,6 +63,14 @@ class FinGroup:
     def inv(self, a: Element) -> Element:
         return self._inv[a]
 
+    def subset(self, items: Iterable, what: str) -> set:
+        """items as a set, after checking that each is an element."""
+        out = set(items)
+        for x in out:
+            if x not in self._inv:  # keyed by the elements
+                raise ValidationError(f"{what} {x!r} is not a group element")
+        return out
+
     def conjugate(self, g: Element, h: Element) -> Element:
         """g h g^-1"""
         return self.mul(self.mul(g, h), self.inv(g))

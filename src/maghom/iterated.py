@@ -30,6 +30,7 @@ from typing import Optional, Union
 from .complexes import (
     BasedChainComplex,
     HomologyTable,
+    _check_max_degree,
     homology_table,
     total_complex,
 )
@@ -296,6 +297,7 @@ def double_nerve_2cat(
     """
     if not isinstance(X, (CatGroup, Explicit2Cat)):
         raise ValidationError("expected a Cat-group or an explicit 2-category")
+    _check_max_degree(max_degree)
     return _double_nerve(_hom_nerves_for(X, max_degree), max_degree, max_degree,
                          total_bound)
 
@@ -309,6 +311,7 @@ def mb_n(X: StrictNCat, max_degree: int) -> BasedSimplicialObject:
     """
     if not isinstance(X, StrictNCat):
         raise ValidationError("expected a strict n-category")
+    _check_max_degree(max_degree)
     if X.level == 0:
         raise ValidationError("a bare set has no nerve; wrap it to level >= 1")
     if X.level == 1:
@@ -448,6 +451,7 @@ def reachable_normed_gradings(N: NormedGroup, max_degree: int,
     max_steps norm values (the metric's reachable gradings, since every
     norm value is a step out of every point), where max_steps counts the
     d-steps of the largest p columns of q+1 elements the route enumerates."""
+    _check_max_degree(max_degree)
     if route == "diag":
         D = max_degree + 1
         max_steps = D * D
@@ -516,32 +520,22 @@ class KunnethReport:
 def kunneth_check(X, Y, max_degree: int) -> KunnethReport:
     """Compare homology of a product computed directly with the tensor/Tor
     assembly of the factors' homology. Metric inputs are compared grading
-    by grading; categories plainly."""
+    by grading; categories in their one grading, None."""
     from .enriched_data import FinCategory, GenMetricSpace, product_category, tensor_metric
     from .magnitude_core import category_homology, metric_homology
     from .oracles import oracle_kunneth
 
     if isinstance(X, FinCategory) and isinstance(Y, FinCategory):
-        HX = category_homology(X, max_degree)
-        HY = category_homology(Y, max_degree)
-        direct = category_homology(product_category(X, Y), max_degree)
-        pred = oracle_kunneth(HX, HY, max_degree)
-        rows = [
-            (k, None, direct.group(k), pred.group(k)) for k in range(max_degree + 1)
-        ]
-        return KunnethReport(rows)
-    if isinstance(X, GenMetricSpace) and isinstance(Y, GenMetricSpace):
-        HX = metric_homology(X, max_degree)
-        HY = metric_homology(Y, max_degree)
-        direct = metric_homology(tensor_metric(X, Y), max_degree)
-        pred = oracle_kunneth(HX, HY, max_degree)
-        gradings = sorted(
-            {g for g in direct.gradings() if g is not None}
-            | {g for g in pred.gradings() if g is not None}
-        )
-        rows = []
-        for ell in gradings:
-            for k in range(max_degree + 1):
-                rows.append((k, ell, direct.group(k, ell), pred.group(k, ell)))
-        return KunnethReport(rows)
-    raise ValidationError("both inputs must be categories or both metric spaces")
+        homology, product = category_homology, product_category
+    elif isinstance(X, GenMetricSpace) and isinstance(Y, GenMetricSpace):
+        homology, product = metric_homology, tensor_metric
+    else:
+        raise ValidationError("both inputs must be categories or both metric spaces")
+    direct = homology(product(X, Y), max_degree)
+    pred = oracle_kunneth(homology(X, max_degree), homology(Y, max_degree), max_degree)
+    gradings = sorted(set(direct.gradings()) | set(pred.gradings()))
+    return KunnethReport([
+        (k, ell, direct.group(k, ell), pred.group(k, ell))
+        for ell in gradings
+        for k in range(max_degree + 1)
+    ])

@@ -18,6 +18,7 @@ from .complexes import (
     BasedChainComplex,
     GradedChainComplex,
     HomologyTable,
+    _check_max_degree,
     graded_homology_table,
     grading_values,
     homology_table,
@@ -37,6 +38,7 @@ def nerve_category(X: FinCategory, max_degree: int) -> BasedSimplicialObject:
     with target(fi) = source(fi+1). Inner faces compose in diagram order,
     outer faces drop an end, degeneracies insert identities.
     """
+    _check_max_degree(max_degree)
     D = max_degree
     basis: list[tuple] = [tuple(X.objects)]
     for n in range(1, D + 1):
@@ -107,8 +109,7 @@ def _enumerate_tuples(X: GenMetricSpace, max_degree: int, distinct: bool):
     so every degree, and every bucket in it, is in lexicographic point
     order. The keys are sorted by (degree, grading).
     """
-    if max_degree < 0:
-        raise ValidationError("max_degree must be nonnegative")
+    _check_max_degree(max_degree)
     D, L = _scaled_distances(X)
     steps = {
         x: [(p, D[x, p]) for p in X.points
@@ -136,8 +137,7 @@ def reachable_gradings(X: GenMetricSpace, max_degree: int) -> list[Fraction]:
     that end at y, and each round extends them by one nondegenerate finite
     step. No tuple is built.
     """
-    if max_degree < 0:
-        raise ValidationError("max_degree must be nonnegative")
+    _check_max_degree(max_degree)
     D, L = _scaled_distances(X)
     preds = {y: [(x, D[x, y]) for x in X.points if x != y and D[x, y] is not None]
              for y in X.points}
@@ -182,8 +182,6 @@ def magnitude_complex_metric(
     faces of a tuple with distinct neighbours never land on the same
     tuple, so each column entry is set once, never summed.
     """
-    if max_degree < 0:
-        raise ValidationError("max_degree must be nonnegative")
     wanted = _resolve_gradings(X, max_degree, gradings)
     buckets = _enumerate_tuples(X, max_degree, distinct=True)
     between = _betweenness(X)

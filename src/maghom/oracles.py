@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .complexes import HomologyTable, grading_values
+from .complexes import HomologyTable, _check_max_degree, grading_values
 from .enriched_data import (
     CatGroup,
     GenMetricSpace,
@@ -97,6 +97,7 @@ def oracle_suspension(table: HomologyTable, max_degree: int) -> HomologyTable:
     is free of rank one less than the rank of the input's degree 0, which
     must be free and nonzero.
     """
+    _check_max_degree(max_degree)
     h0 = table.group(0)
     if h0.torsion:
         raise ValidationError("degree-0 homology with torsion cannot feed the shift")
@@ -122,6 +123,7 @@ def oracle_kunneth(HX: HomologyTable, HY: HomologyTable, max_degree: int) -> Hom
     """The split form of the product formula: tensor terms in degree n plus
     Tor terms one degree down, summed over grading splittings when the
     inputs are graded."""
+    _check_max_degree(max_degree)
     gx, gy = HX.gradings(), HY.gradings()
     entries = {}
     if gx == [None] or gy == [None]:

@@ -11,6 +11,7 @@ or assemble_bisimplicial tabulates them into these objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Hashable, Mapping, Optional
 
 from .complexes import (
@@ -287,6 +288,11 @@ def _identity_check_1d(basis_at, face_at, degen_at, D, tag: str):
 
 
 def validate_bisimplicial(B: BasedBisimplicialObject) -> None:
+    """Check the laws of a bisimplicial object: every basis lies in the
+    region; every row (fixed q) and column (fixed p) is a simplicial
+    object, checked by validate_simplicial; and every horizontal face or
+    degeneracy commutes with every vertical one on each generator where
+    both maps, their corner and both composites lie in the region."""
     for (p, q) in B.basis:
         if not B.present(p, q):
             raise ValidationError(f"basis stored outside the region at {(p, q)}")
@@ -315,53 +321,25 @@ def validate_bisimplicial(B: BasedBisimplicialObject) -> None:
             f"column p={p}",
         )
 
-    # the two directions commute
+    # the two directions commute: a horizontal map (face or degeneracy,
+    # moving p by dp) and a vertical one (moving q by dq) give the same
+    # composite both ways round, wherever both ways stay in the region
+    h_maps = (("face", -1, B.h_faces), ("degeneracy", 1, B.h_degens))
+    v_maps = (("face", -1, B.v_faces), ("degeneracy", 1, B.v_degens))
     for (p, q), labels in B.basis.items():
-        if p >= 1 and q >= 1 and B.present(p - 1, q - 1):
-            for i, hf in enumerate(B.h_faces(p, q)):
-                for j, vf in enumerate(B.v_faces(p, q)):
-                    hf2 = B.h_faces(p, q - 1)[i]
-                    vf2 = B.v_faces(p - 1, q)[j]
+        for (h_kind, dp, h), (v_kind, dq, v) in product(h_maps, v_maps):
+            if not (B.present(p + dp, q) and B.present(p, q + dq)
+                    and B.present(p + dp, q + dq)):
+                continue
+            for i, a in enumerate(h(p, q)):
+                a_up = h(p, q + dq)[i]
+                for j, b in enumerate(v(p, q)):
+                    b_over = v(p + dp, q)[j]
                     for x in labels:
-                        if _compose(vf2, hf, x) != _compose(hf2, vf, x):
+                        if _compose(b_over, a, x) != _compose(a_up, b, x):
                             raise ValidationError(
-                                f"h-face {i} and v-face {j} do not commute at {(p, q)}"
-                            )
-        if p >= 1 and B.present(p - 1, q + 1) and B.present(p, q + 1):
-            for i, hf in enumerate(B.h_faces(p, q)):
-                for j, vs in enumerate(B.v_degens(p, q)):
-                    hf2 = B.h_faces(p, q + 1)[i]
-                    vs2 = B.v_degens(p - 1, q)[j]
-                    for x in labels:
-                        lhs = hf2.get(vs[x])
-                        y = hf.get(x)
-                        rhs = None if y is None else vs2[y]
-                        if lhs != rhs:
-                            raise ValidationError(
-                                f"h-face {i} and v-degeneracy {j} do not commute at {(p, q)}"
-                            )
-        if q >= 1 and B.present(p + 1, q - 1) and B.present(p + 1, q):
-            for i, hs in enumerate(B.h_degens(p, q)):
-                for j, vf in enumerate(B.v_faces(p, q)):
-                    vf2 = B.v_faces(p + 1, q)[j]
-                    hs2 = B.h_degens(p, q - 1)[i]
-                    for x in labels:
-                        lhs = vf2.get(hs[x])
-                        y = vf.get(x)
-                        rhs = None if y is None else hs2[y]
-                        if lhs != rhs:
-                            raise ValidationError(
-                                f"h-degeneracy {i} and v-face {j} do not commute at {(p, q)}"
-                            )
-        if B.present(p + 1, q + 1):
-            for i, hs in enumerate(B.h_degens(p, q)):
-                for j, vs in enumerate(B.v_degens(p, q)):
-                    vs2 = B.v_degens(p + 1, q)[j]
-                    hs2 = B.h_degens(p, q + 1)[i]
-                    for x in labels:
-                        if vs2[hs[x]] != hs2[vs[x]]:
-                            raise ValidationError(
-                                f"degeneracies do not commute at {(p, q)}"
+                                f"h-{h_kind} {i} and v-{v_kind} {j} do not "
+                                f"commute at {(p, q)}"
                             )
 
 

@@ -1,8 +1,12 @@
+import copy
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maghom import FgAbelianGroup, GenMetricSpace, NormedGroup, SchemaError
 from maghom.cli import builder_documents, main, parse_input
@@ -315,3 +319,127 @@ def test_negative_grading_is_rejected_on_tensor_tot_route(tmp_path):
     _assert_one_line_error(
         *run_cli(["homology", path, "--route", "tot", "--grading", "-1"])
     )
+
+
+# --- document shapes ---------------------------------------------------------
+
+
+def _with(name, key, value):
+    doc = copy.deepcopy(builder_documents()[name])
+    doc[key] = value
+    return doc
+
+
+def _word_norm_on_non_element():
+    doc = _with("z2-normed", "word_norm_generators", [7])
+    del doc["norm"]
+    return doc
+
+
+MALFORMED = {
+    "permutation_degree-string": _with("s3-word-norm", "permutation_degree", "3"),
+    "permutation_generators-number": _with("s3-word-norm", "permutation_generators", 5),
+    "permutation_generators-row-number": _with("s3-word-norm", "permutation_generators", [5]),
+    "table-number": _with("z4-word-norm", "table", 5),
+    "table-row-numbers": _with("z2-normed", "table", [1, 2]),
+    "norm-list": _with("z2-normed", "norm", [0, 1]),
+    "d-number": _with("two-point-metric", "d", 5),
+    "d-row-number": {"kind": "metric", "points": ["a"], "d": [5]},
+    "edges-number": _with("cycle-digraph-3", "edges", 5),
+    "morphisms-number": _with("parallel-arrows", "morphisms", 5),
+    "morphisms-row-number": _with("parallel-arrows", "morphisms", [5]),
+    "compose-number": _with("parallel-arrows", "compose", 5),
+    "compose-row-number": _with("parallel-arrows", "compose", [5]),
+    "factors-number": _with("product-parallel-arrows", "factors", 5),
+    "sphere-n-true": _with("sphere-2", "n", True),
+    "sphere-n-false": _with("sphere-2", "n", False),
+    "word-norm-non-element": _word_norm_on_non_element(),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_document_exits_2_on_every_command(tmp_path, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    for command in ("homology", "info", "verify"):
+        _assert_one_line_error(*run_cli([command, str(path)]))
+
+
+def test_word_norm_error_names_the_element(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED["word-norm-non-element"]))
+    assert "7" in run_cli(["homology", str(path)])[2]
+
+
+def test_group_builders_keep_their_tables():
+    docs = builder_documents()
+    assert docs["z4-word-norm"] == {
+        "kind": "normed-group",
+        "elements": [0, 1, 2, 3],
+        "table": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]],
+        "word_norm_generators": [1],
+    }
+    assert docs["d4-word-norm"] == {
+        "kind": "normed-group",
+        "elements": ["r0", "r1", "r2", "r3", "s0", "s1", "s2", "s3"],
+        "table": [
+            ["r0", "r1", "r2", "r3", "s0", "s1", "s2", "s3"],
+            ["r1", "r2", "r3", "r0", "s1", "s2", "s3", "s0"],
+            ["r2", "r3", "r0", "r1", "s2", "s3", "s0", "s1"],
+            ["r3", "r0", "r1", "r2", "s3", "s0", "s1", "s2"],
+            ["s0", "s3", "s2", "s1", "r0", "r3", "r2", "r1"],
+            ["s1", "s0", "s3", "s2", "r1", "r0", "r3", "r2"],
+            ["s2", "s1", "s0", "s3", "r2", "r1", "r0", "r3"],
+            ["s3", "s2", "s1", "s0", "r3", "r2", "r1", "r0"],
+        ],
+        "word_norm_generators": ["r1", "s0"],
+    }
+
+
+# Every builder document with one field dropped, renamed or replaced by a
+# value of the wrong type, at any depth. Numbers are never mutated: a
+# valid document can ask for a computation that runs for minutes.
+_BAD_VALUES = [None, True, "x", [], {}, [[]]]
+
+
+def _locations(doc, at=()):
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield at + (key,)
+        yield from _locations(value, at + (key,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(list(builder_documents().values()))))
+    location = draw(st.sampled_from(list(_locations(doc))))
+    *path, key = location
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    renames = ["rename"] if isinstance(parent, dict) else []
+    mutation = draw(st.sampled_from(["drop", *renames, *range(len(_BAD_VALUES))]))
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "rename":
+        parent[f"{key}_renamed"] = parent.pop(key)
+    else:
+        parent[key] = copy.deepcopy(_BAD_VALUES[mutation])
+    return doc
+
+
+@settings(max_examples=500, deadline=None)
+@given(_mutated_documents())
+def test_mutated_documents_exit_0_or_2_with_one_error_line(doc):
+    text = json.dumps(doc)
+    for args in (["homology", "-", "--max-degree", "1"], ["info", "-"]):
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            code, out, err = run_cli(args)
+        assert code in (0, 2), (args, text, err)
+        if code == 2:
+            _assert_one_line_error(code, out, err)

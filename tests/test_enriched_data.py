@@ -326,3 +326,13 @@ def test_metric_of_normed_group_asymmetric_when_norm_is():
     M = metric_of_normed_group(N)
     validate_metric(M)
     assert M.d(1, 0) == 1 and M.d(0, 1) == 2
+
+
+def test_group_subsets_must_be_elements():
+    Z2 = cyclic_group(2)
+    with pytest.raises(ValidationError, match="word norm generator 7 is not a group element"):
+        word_norm_group(Z2, [7])
+    with pytest.raises(ValidationError, match="normal subgroup member 7"):
+        two_group_from_normal_subgroup(Z2, [0, 7])
+    with pytest.raises(ValidationError, match="cone member 7"):
+        preordered_group_from_cone(Z2, [0, 7])

@@ -785,3 +785,72 @@ def test_preordered_cat_group_is_the_cone_cat_group():
     P = preordered_group_from_cone(S3, A3)
     assert iterated_homology(_direct_cat_group_from_preordered(P), 1, "diag") == \
         iterated_homology(cat_group_from_preordered(P), 1, "diag")
+
+
+def _kunneth_rows_two_branches(X, Y, max_degree):
+    """The two-branch body kunneth_check had before it was one body."""
+    from maghom import (
+        FinCategory, GenMetricSpace, metric_homology, oracle_kunneth,
+        product_category, tensor_metric,
+    )
+
+    if isinstance(X, FinCategory) and isinstance(Y, FinCategory):
+        HX = category_homology(X, max_degree)
+        HY = category_homology(Y, max_degree)
+        direct = category_homology(product_category(X, Y), max_degree)
+        pred = oracle_kunneth(HX, HY, max_degree)
+        return [(k, None, direct.group(k), pred.group(k)) for k in range(max_degree + 1)]
+    assert isinstance(X, GenMetricSpace) and isinstance(Y, GenMetricSpace)
+    HX = metric_homology(X, max_degree)
+    HY = metric_homology(Y, max_degree)
+    direct = metric_homology(tensor_metric(X, Y), max_degree)
+    pred = oracle_kunneth(HX, HY, max_degree)
+    gradings = sorted(
+        {g for g in direct.gradings() if g is not None}
+        | {g for g in pred.gradings() if g is not None}
+    )
+    return [
+        (k, ell, direct.group(k, ell), pred.group(k, ell))
+        for ell in gradings
+        for k in range(max_degree + 1)
+    ]
+
+
+def test_kunneth_rows_match_the_two_branch_body():
+    two = discrete_space(2, 1)
+    s1 = parallel_arrows_category()
+    for X, Y in ((two, two), (cycle_graph(3), two), (s1, s1)):
+        assert kunneth_check(X, Y, 3).rows == _kunneth_rows_two_branches(X, Y, 3)
+
+
+def test_negative_max_degree_is_rejected_at_every_entry_point():
+    from maghom import HomologyTable, metric_homology, nerve_category, oracle_kunneth
+    from maghom.complexes import empty_complex, grading_values
+
+    errors = []
+    for route in ("diag", "tot"):
+        with pytest.raises(ValidationError) as caught:
+            normed_group_homology(z2_normed(), "norm-values", -1, route=route)
+        errors.append(str(caught.value))
+    assert errors == ["max_degree must be nonnegative"] * 2
+
+    C = two_group_from_normal_subgroup(cyclic_group(2), [0, 1])
+    for build in (
+        lambda: iterated_homology(C, -1),
+        lambda: iterated_homology(C, -1, "tot"),
+        lambda: category_homology(parallel_arrows_category(), -1),
+        lambda: metric_homology(cycle_graph(3), -1),
+        lambda: nerve_category(parallel_arrows_category(), -1),
+        lambda: mb_n(sphere_ncat(2), -1),
+        lambda: double_nerve_2cat(C, -1),
+        lambda: kunneth_check(cycle_graph(3), cycle_graph(3), -1),
+        lambda: reachable_normed_gradings(z2_normed(), -1, "diag"),
+        lambda: empty_complex(-1),
+        lambda: oracle_suspension(category_homology(parallel_arrows_category(), 1), -1),
+        lambda: oracle_kunneth(HomologyTable({}), HomologyTable({}), -1),
+    ):
+        with pytest.raises(ValidationError, match="max_degree must be nonnegative"):
+            build()
+    for bad in (lambda: grading_values(5), lambda: metric_homology(cycle_graph(3), 1, 5)):
+        with pytest.raises(ValidationError, match="not a list of rationals"):
+            bad()

@@ -269,3 +269,33 @@ def test_validate_bisimplicial_rejects_broken_tables():
     h_degen[(0, 0)] = (merged,)
     with pytest.raises(ValidationError, match="row q=0: degeneracy 0 in degree 0 is not injective"):
         validate_bisimplicial(replace(E, h_degen=h_degen))
+
+
+# One object with a loop (1,), and two objects with arrows f, g: A -> B; in
+# degrees 0 and 1 a redirected face or degeneracy below keeps every row and
+# column simplicial, so only the commutation of the two directions fails.
+LOOP = nerve_category(category_from_group(cyclic_group(2)), 1)
+ARROWS = nerve_category(parallel_arrows_category(), 1)
+
+
+@pytest.mark.parametrize("factors, table, at, x, y, law", [
+    ((LOOP, ARROWS), "v_face", (1, 1), ((1,), ("f",)), ((1,), "A"),
+     r"h-face 0 and v-face 0 do not commute at \(1, 1\)"),
+    ((ARROWS, LOOP), "v_degen", (1, 0), (("f",), "*"), (("f",), (1,)),
+     r"h-face 0 and v-degeneracy 0 do not commute at \(1, 0\)"),
+    ((LOOP, ARROWS), "h_degen", (0, 1), ("*", ("f",)), ((1,), ("f",)),
+     r"h-degeneracy 0 and v-face 0 do not commute at \(0, 1\)"),
+    ((LOOP, ARROWS), "h_degen", (0, 1), ("*", ("idA",)), ((1,), ("idA",)),
+     r"h-degeneracy 0 and v-degeneracy 0 do not commute at \(0, 0\)"),
+], ids=["face-face", "face-degeneracy", "degeneracy-face", "degeneracy-degeneracy"])
+def test_validate_bisimplicial_rejects_each_noncommuting_pair(factors, table, at, x, y, law):
+    from dataclasses import replace
+
+    E = external_product(*factors)
+    validate_bisimplicial(E)
+    tables = dict(getattr(E, table))
+    first, *rest = tables[at]
+    assert first[x] != y
+    tables[at] = ({**first, x: y}, *rest)
+    with pytest.raises(ValidationError, match=law):
+        validate_bisimplicial(replace(E, **{table: tables}))
