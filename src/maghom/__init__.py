@@ -122,6 +122,7 @@ from .magnitude_core import (
     metric_homology,
     metric_nerve,
     nerve_category,
+    point_orbits,
     reachable_gradings,
 )
 from .oracles import (

@@ -67,6 +67,7 @@ from .magnitude_core import (
     magnitude_complex_metric,
     metric_homology,
     nerve_category,
+    point_orbits,
 )
 from .simplicial import normalized_chains, unnormalized_chains
 
@@ -703,6 +704,9 @@ def _info_lines(obj) -> list[str]:
         lines.append(f"points: {len(obj.points)}")
         infinite = sum(1 for v in obj.dist.values() if v is INF)
         lines.append(f"infinite-distances: {infinite}")
+        sizes = sorted((len(o) for o in point_orbits(obj)), reverse=True)
+        shown = f" (sizes {', '.join(map(str, sizes))})" if sizes else ""
+        lines.append(f"point-orbits: {len(sizes)}{shown}")
     elif kind == "normed-group":
         lines.append(f"order: {len(obj.group)}")
         values = sorted({_grading_str(x) for x in obj.norm.values()})

@@ -148,26 +148,31 @@ def _tuple_generators(H: _HomNerves, p: int, q: int, ell=0):
     leg in each hom whose lengths sum to ell."""
     if p == 0:
         return tuple(((x,), ()) for x in H.objects) if ell == 0 else ()
-    lengths = H.lengths
-    out = []
-
-    def rec(xs, legs, budget):
-        if len(legs) == p:
-            if budget == 0:
-                out.append((xs, legs))
-            return
-        x = xs[-1]
-        for y in H.objects:
-            S = H.homs.get((x, y))
-            for leg in () if S is None else S.basis[q]:
-                n = lengths.get(leg, 0) if lengths else 0
-                if n > budget:
-                    break
-                rec(xs + (y,), legs + (leg,), budget - n)
-
+    out: list = []
     for x in H.objects:
-        rec((x,), (), ell)
+        _extend_paths(H, p, q, (x,), (), ell, out)
     return tuple(out)
+
+
+def _extend_paths(H: _HomNerves, p: int, q: int, xs: tuple, legs: tuple,
+                  budget: int, out: list) -> None:
+    """Append to out every way of extending the path (xs, legs) to p legs
+    of degree q whose lengths add up to budget. A module-level function
+    rather than a recursive closure, whose reference cycle would keep out
+    and H alive until the next cyclic garbage collection."""
+    if len(legs) == p:
+        if budget == 0:
+            out.append((xs, legs))
+        return
+    lengths = H.lengths
+    x = xs[-1]
+    for y in H.objects:
+        S = H.homs.get((x, y))
+        for leg in () if S is None else S.basis[q]:
+            n = lengths.get(leg, 0) if lengths else 0
+            if n > budget:
+                break
+            _extend_paths(H, p, q, xs + (y,), legs + (leg,), budget - n, out)
 
 
 def _h_face_gen(H: _HomNerves, p: int, q: int, i: int, gen):

@@ -5,6 +5,20 @@ Generalized metric spaces get the length-graded theory: a generator in
 degree n is a tuple of points, its grading is the sum of its consecutive
 distances, and faces drop a point exactly when it sits between its
 neighbours. Tuples through an infinite distance are never generated.
+
+The differential of the normalized metric complex uses inner faces only,
+so it never moves the start point x_0: each grading piece is the direct
+sum over points a of the subcomplex MC(a, .) of tuples starting at a. An
+isometry g of X keeps every length and every betweenness triple, so it
+maps MC(a, .) onto MC(g a, .) as a chain isomorphism.
+``metric_homology`` therefore builds and reduces only the blocks of one
+representative per orbit of Isom(X) on the points, from the orbits
+``point_orbits`` finds, and takes each one's homology |orbit| times.
+Every complex built is still an exact chain complex whose d*d is checked
+before its homology is read. Two points share an orbit only after a map
+between them has been checked against the whole distance table; a
+search that runs out of its step budget counts as failed, which only
+splits an orbit and leaves the answer unchanged.
 """
 
 from __future__ import annotations
@@ -12,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from math import lcm
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .complexes import (
     BasedChainComplex,
@@ -25,10 +39,14 @@ from .complexes import (
 )
 from .enriched_data import INF, FinCategory, GenMetricSpace, d_add
 from .errors import ValidationError
-from .exact_linalg import IntMatrix
+from .exact_linalg import FgAbelianGroup, IntMatrix
 from .simplicial import BasedSimplicialObject, assemble_simplicial
 
 GradingSpec = Union[str, Iterable]
+
+# candidate images the isometry search of one point_orbits call may try;
+# past it every search counts as failed, so orbits only get finer
+_ORBIT_BUDGET = 10**5
 
 
 def nerve_category(X: FinCategory, max_degree: int) -> BasedSimplicialObject:
@@ -96,13 +114,15 @@ def _betweenness(X: GenMetricSpace) -> frozenset:
     return frozenset(out)
 
 
-def _enumerate_tuples(X: GenMetricSpace, max_degree: int, distinct: bool):
+def _enumerate_tuples(X: GenMetricSpace, max_degree: int, distinct: bool, *,
+                      starts: Optional[Iterable] = None):
     """All finite-length tuples, bucketed by (degree, grading).
 
     distinct=True skips tuples with equal adjacent entries (the
     nondegenerate generators). Lengths are summed as ints over the common
     denominator L of _scaled_distances; each bucket's Fraction grading is
-    made once.
+    made once. Only the tuples that begin at one of the points in starts
+    are listed; the default, None, starts at every point.
 
     Degree n is built from degree n - 1 by appending one step to each
     tuple. Degree 0 lists the points in order and each step list does too,
@@ -110,13 +130,17 @@ def _enumerate_tuples(X: GenMetricSpace, max_degree: int, distinct: bool):
     order. The keys are sorted by (degree, grading).
     """
     _check_max_degree(max_degree)
+    if starts is not None:
+        starts = set(starts)
+        for a in starts - set(X.points):
+            raise ValidationError(f"start {a!r} is not a point of the space")
     D, L = _scaled_distances(X)
     steps = {
         x: [(p, D[x, p]) for p in X.points
             if D[x, p] is not None and not (distinct and p == x)]
         for x in X.points
     }
-    level = [((p,), 0) for p in X.points]
+    level = [((p,), 0) for p in X.points if starts is None or p in starts]
     buckets: dict[tuple[int, Fraction], list] = {}
     for n in range(max_degree + 1):
         if n:
@@ -172,7 +196,8 @@ def adjacency(X: GenMetricSpace, x, y):
 
 
 def magnitude_complex_metric(
-    X: GenMetricSpace, max_degree: int, gradings: GradingSpec = "all-reachable"
+    X: GenMetricSpace, max_degree: int, gradings: GradingSpec = "all-reachable",
+    *, starts: Optional[Iterable] = None,
 ) -> GradedChainComplex:
     """Normalized length-graded chain complex of a metric space.
 
@@ -181,9 +206,13 @@ def magnitude_complex_metric(
     inner faces (the outer ones change the grading and die). Two inner
     faces of a tuple with distinct neighbours never land on the same
     tuple, so each column entry is set once, never summed.
+
+    With start points S, the complex is the direct summand, the sum of
+    the blocks MC(a, .) over a in S, of the tuples that begin in S (inner
+    faces keep the first point); the default, None, is the whole complex.
     """
     wanted = _resolve_gradings(X, max_degree, gradings)
-    buckets = _enumerate_tuples(X, max_degree, distinct=True)
+    buckets = _enumerate_tuples(X, max_degree, distinct=True, starts=starts)
     between = _betweenness(X)
     pieces = {}
     for ell in wanted:
@@ -250,8 +279,114 @@ def category_homology(X: FinCategory, max_degree: int) -> HomologyTable:
     return homology_table(normalized_chains(S), max_degree)
 
 
+def _find_isometry(D: dict, pts: tuple, sig: dict, a, b, budget: list) -> Optional[dict]:
+    """A bijection g of pts with g(a) = b under which every distance of D
+    agrees, in both directions, with the distances among the points already
+    mapped; None when there is none or budget[0] runs out first.
+
+    Backtracking over point images in point order. A point only maps to a
+    point with the same signature (sorted row and column of D), and each
+    image tried costs one step of the budget.
+    """
+    rest = [x for x in pts if x != a]
+    g = {a: b}
+    used = {b}
+    tries = [iter(pts)]
+    while len(g) <= len(rest):
+        x = rest[len(g) - 1]
+        for y in tries[-1]:
+            if y in used or sig[y] != sig[x]:
+                continue
+            if budget[0] <= 0:
+                return None
+            budget[0] -= 1
+            if all(D[x, u] == D[y, v] and D[u, x] == D[v, y] for u, v in g.items()):
+                g[x] = y
+                used.add(y)
+                tries.append(iter(pts))
+                break
+        else:
+            tries.pop()
+            if len(g) == 1:
+                return None
+            used.discard(g.pop(rest[len(g) - 2]))
+    return g
+
+
+def _is_isometry(D: dict, pts: tuple, g: dict) -> bool:
+    """g is a permutation of pts that keeps the whole distance table."""
+    return (set(g) == set(pts) == set(g.values())
+            and all(D[x, y] == D[g[x], g[y]] for x in pts for y in pts))
+
+
+def point_orbits(X: GenMetricSpace) -> list[tuple]:
+    """Classes of points that isometries of X carry onto each other.
+
+    Each class is listed from its representative, the first of its points
+    in X.points, then in point order. A point joins a class only through
+    an isometry that _is_isometry has checked against the whole table of
+    _scaled_distances. The searches of one call share _ORBIT_BUDGET steps;
+    when they run out, the remaining points stay in their own classes, so
+    the classes are the orbits of Isom(X) or a refinement of them.
+    """
+    D, _ = _scaled_distances(X)
+    pts = tuple(X.points)
+
+    def line(values):
+        return tuple(sorted(-1 if v is None else v for v in values))
+
+    sig = {x: (line(D[x, y] for y in pts), line(D[y, x] for y in pts)) for x in pts}
+    budget = [_ORBIT_BUDGET]
+    placed: set = set()
+    orbits = []
+    for a in pts:
+        if a in placed:
+            continue
+        placed.add(a)
+        orbit = [a]
+        for b in pts:
+            if b in placed or sig[b] != sig[a]:
+                continue
+            g = _find_isometry(D, pts, sig, a, b, budget)
+            if g is not None and _is_isometry(D, pts, g):
+                orbit.append(b)
+                placed.add(b)
+        orbits.append(tuple(orbit))
+    return orbits
+
+
 def metric_homology(
     X: GenMetricSpace, max_degree: int, gradings: GradingSpec = "all-reachable"
 ) -> HomologyTable:
-    G = magnitude_complex_metric(X, max_degree + 1, gradings)
-    return graded_homology_table(G, max_degree)
+    """Magnitude homology of X in degrees 0..max_degree, one row per
+    (degree, wanted grading), zero rows included.
+
+    Inner faces keep the start point, so each grading's complex is the
+    direct sum of the blocks MC(a, .), and an isometry carries MC(a, .)
+    isomorphically onto MC(g a, .). Every point of a class of point_orbits
+    is joined to the class's representative by a checked isometry, so the
+    class contributes |class| copies of the homology of the
+    representative's block. The representatives of the classes of one
+    size k are built and reduced together, as one complex with those
+    start points, whose homology counts k times; with no isometry besides
+    the identity that is the whole complex, as before the split. Every
+    complex built gets its own d*d check. The wanted gradings are resolved
+    once on the whole space, so every complex has a piece for each.
+    """
+    wanted = _resolve_gradings(X, max_degree + 1, gradings)
+    _check_max_degree(max_degree)
+    reps_by_size: dict[int, list] = {}
+    for orbit in point_orbits(X):
+        reps_by_size.setdefault(len(orbit), []).append(orbit[0])
+    table: dict = {}
+    for size, reps in reps_by_size.items():
+        G = magnitude_complex_metric(X, max_degree + 1, wanted, starts=reps)
+        for key, grp in graded_homology_table(G, max_degree).items():
+            if size > 1:
+                grp = FgAbelianGroup.from_parts(size * grp.free_rank, grp.torsion * size)
+            table[key] = table[key].direct_sum(grp) if key in table else grp
+    # the empty space has no orbit and still gets its zero rows
+    for ell in wanted:
+        for k in range(max_degree + 1):
+            table.setdefault((k, ell), FgAbelianGroup())
+    return HomologyTable(table)

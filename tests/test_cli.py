@@ -443,3 +443,13 @@ def test_mutated_documents_exit_0_or_2_with_one_error_line(doc):
         assert code in (0, 2), (args, text, err)
         if code == 2:
             _assert_one_line_error(code, out, err)
+
+
+@pytest.mark.parametrize("name,line", [
+    ("cycle-graph-4", "point-orbits: 1 (sizes 4)"),
+    ("three-point-line", "point-orbits: 2 (sizes 2, 1)"),
+])
+def test_info_prints_point_orbits(tmp_path, name, line):
+    code, out, _ = run_cli(["info", doc_file(tmp_path, name)])
+    assert code == 0
+    assert line in out.splitlines()

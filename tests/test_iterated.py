@@ -854,3 +854,14 @@ def test_negative_max_degree_is_rejected_at_every_entry_point():
     for bad in (lambda: grading_values(5), lambda: metric_homology(cycle_graph(3), 1, 5)):
         with pytest.raises(ValidationError, match="not a list of rationals"):
             bad()
+
+
+def test_diagonal_nerve_leaves_no_reference_cycles():
+    """Reference counting frees everything a nerve build allocates, so
+    peak memory does not depend on when the cyclic collector runs."""
+    import gc
+
+    N = word_norm_group(S3, [(1, 0, 2)])
+    gc.collect()
+    diag_nerve_normed_group(N, 2, 2)
+    assert gc.collect() == 0
