@@ -6,7 +6,10 @@ document, on the diag route, the tot route and the tot route with
 ``--normalize-rows``, and prints one sha256 per chain complex whose
 homology is read. A digest covers the complex's bases and every boundary
 column, entries in insertion order, so it changes when a generator, its
-position or the order a column was filled in changes. Beside it, a shape
+position or the order a column was filled in changes. The diag route
+streams its top boundary (exact_linalg.ColumnStream) and decodes its top
+generators when they are read; both are hashed in emission order, so a
+streamed complex digests the same as the tabulated one would. Beside it, a shape
 line gives the dimension of each degree and the nonzeros of each
 boundary, which relabeling or reordering the generators cannot change.
 Each run also gets one line for its exit status and the sha256 of its
@@ -26,8 +29,11 @@ regenerates that file with
     PYTHONPATH=src python3 scripts/digest_builders.py > scripts/builder_digests.txt
 
 and says in CHANGES.md which lines moved and why. The diag route of catgroup-s3-a3 and
-preordered-s3-a3 is skipped; it takes 79-95 s and about 3 GB per
-document (2 vCPU, Python 3.11).
+preordered-s3-a3 is skipped. Their CLI runs take 28-31 s and 25 MB,
+but here each streamed top degree (4,251,528 columns) is read three
+times, for the digest, the shape and the homology, and its basis is
+hashed as one repr: 155-162 s and 1.6 GB per document (2 vCPU,
+Python 3.11).
 """
 
 import contextlib
@@ -49,7 +55,7 @@ SKIP = {("catgroup-s3-a3", "diag"), ("preordered-s3-a3", "diag")}
 def complex_digest(C) -> str:
     h = hashlib.sha256()
     for level in C.basis:
-        h.update(repr(level).encode())
+        h.update(repr(tuple(level)).encode())
         h.update(b"\n")
     for M in C.boundary:
         h.update(f"{M.nrows}x{M.ncols}\n".encode())

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import oracles
 from .complexes import (
@@ -740,7 +741,11 @@ def _read_document(path: str) -> str:
         raise SchemaError(f"{path} is not UTF-8 text") from None
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused: building
+    one leaves cyclic garbage behind (formatters, argument groups and
+    actions that point at each other), and parsing with it leaves none."""
     parser = argparse.ArgumentParser(
         prog="maghom",
         description="magnitude and iterated magnitude homology of finite structures",
@@ -770,8 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "builders":
             docs = builder_documents()

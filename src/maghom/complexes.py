@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Optional
 
 from .errors import InvalidComplexError, TruncationError, ValidationError
-from .exact_linalg import FgAbelianGroup, IntMatrix, homology_between
+from .exact_linalg import ColumnStream, FgAbelianGroup, IntMatrix, homology_between
 
 Label = Hashable
 
@@ -28,7 +28,9 @@ class BasedChainComplex:
     """Free chain complex on degrees 0..max_degree with named generators.
 
     boundary[k] maps degree k to degree k-1; boundary[0] is the zero map
-    out of degree 0 (a matrix with no rows).
+    out of degree 0 (a matrix with no rows). The top boundary may be a
+    ColumnStream, whose columns are computed when read; its degree's basis
+    is then a sized iterable that makes its labels when iterated.
     """
 
     basis: tuple[tuple[Label, ...], ...]
@@ -54,7 +56,12 @@ class BasedChainComplex:
 
 
 def validate_complex(C: BasedChainComplex) -> None:
-    """Raise InvalidComplexError at the first failing degree."""
+    """Raise InvalidComplexError at the first failing degree.
+
+    A top boundary may be a ColumnStream over the boundary below it. Its
+    d*d is not checked here: the stream checks each column as it is read
+    (see homology_between).
+    """
     if len(C.boundary) != len(C.basis):
         raise InvalidComplexError("one boundary matrix required per degree")
     if C.boundary[0].nrows != 0 or C.boundary[0].ncols != len(C.basis[0]):
@@ -66,7 +73,12 @@ def validate_complex(C: BasedChainComplex) -> None:
                 f"boundary in degree {k} is {d.nrows}x{d.ncols}, expected "
                 f"{len(C.basis[k - 1])}x{len(C.basis[k])}"
             )
-        if not C.boundary[k - 1].mul(d).is_zero():
+        if isinstance(d, ColumnStream):
+            if k != len(C.basis) - 1 or d.below is not C.boundary[k - 1]:
+                raise InvalidComplexError(
+                    f"degree {k} streams a boundary that is not the top one over the one below"
+                )
+        elif not C.boundary[k - 1].mul(d).is_zero():
             raise InvalidComplexError(f"d*d != 0 at degree {k}")
 
 
@@ -382,7 +394,8 @@ class HomologyTable:
 
 def _homology_groups(C: BasedChainComplex, max_degree: int) -> list[FgAbelianGroup]:
     """H_0..H_max_degree; the one place where d*d = 0 is checked before
-    homology is read, so the builders of complexes do not check it."""
+    homology is read, so the builders of complexes do not check it. A
+    streamed top boundary is checked column by column as it is read."""
     _check_max_degree(max_degree)
     if max_degree > C.faithful_degree:
         raise TruncationError(max_degree, C.faithful_degree)

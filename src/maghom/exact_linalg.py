@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .errors import InvalidComplexError
 
@@ -109,6 +109,53 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.nrows}x{self.ncols}, nnz={sum(len(c) for c in self.cols)})"
+
+
+class ColumnStream:
+    """A boundary matrix whose columns are computed when read and never stored.
+
+    below is the boundary one degree down, so nrows is below.ncols. Every
+    column is checked to satisfy below * column = 0 as it is emitted, by
+    one sparse product per column, and checked counts the columns that
+    passed. Each read of cols computes and checks the columns again, and a
+    pass that ends after a number of columns other than ncols raises too.
+    """
+
+    __slots__ = ("below", "nrows", "ncols", "_columns", "checked")
+
+    def __init__(self, below: IntMatrix, ncols: int,
+                 columns: Callable[[], Iterable[Mapping[int, int]]]):
+        self.below = below
+        self.nrows = below.ncols
+        self.ncols = ncols
+        self._columns = columns
+        self.checked = 0
+
+    @property
+    def cols(self) -> Iterator[Mapping[int, int]]:
+        return self._checked_columns()
+
+    def _checked_columns(self):
+        below = self.below.cols
+        j = -1
+        for j, col in enumerate(self._columns()):
+            acc: dict[int, int] = {}
+            for r, v in col.items():
+                for i, w in below[r].items():
+                    if i in acc:
+                        acc[i] += v * w
+                    else:
+                        acc[i] = v * w
+            if any(acc.values()):
+                raise InvalidComplexError(
+                    f"composite of consecutive boundaries is nonzero on streamed column {j}"
+                )
+            self.checked += 1
+            yield col
+        if j + 1 != self.ncols:
+            raise InvalidComplexError(
+                f"stream emitted {j + 1} columns, expected {self.ncols}"
+            )
 
 
 def _sub_scaled(v: dict, b: dict, q: int) -> None:
@@ -328,8 +375,15 @@ def smith_normal_form(M: IntMatrix, stop_rank: Optional[int] = None) -> tuple[li
     transforms are not computed. stop_rank is passed to _reduce_columns;
     it is sound only when the column span of M lies in a saturated
     lattice of that rank.
+
+    M may be a ColumnStream. The columns the reduction leaves unread are
+    still drawn, so a stream checks d*d on every one of its columns
+    before this returns.
     """
-    basis = _reduce_columns(M.cols, stop_rank)
+    cols = iter(M.cols)
+    basis = _reduce_columns(cols, stop_rank)
+    for _ in cols:
+        pass
     if not basis:
         return [], 0
     diag = _SparseSmith(basis.values()).diagonal()
@@ -410,6 +464,14 @@ def homology_between(d_k: IntMatrix, d_k_plus_1: IntMatrix, check: bool = True) 
     lattice of rank dim ker d_k: that lattice is all of ker d_k, so H_k is
     0 and the rest cannot change it. This needs d_k * d_k_plus_1 = 0, which
     check=True verifies and a caller passing check=False has verified.
+
+    d_k_plus_1 may be a ColumnStream over d_k, whose columns are computed
+    as the reduction reads them. It checks d_k * column = 0 on each column
+    it emits, and smith_normal_form draws the columns the reduction leaves
+    unread, so d*d has been checked on every column by the time a group
+    is returned. The early exit keeps the argument above unchanged: the
+    unread columns lie in ker d_k (each one is checked), and the columns
+    read already span all of it.
     """
     n = d_k.ncols
     if d_k_plus_1.nrows != n:

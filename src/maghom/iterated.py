@@ -19,12 +19,23 @@ simplicial.assemble_simplicial and assemble_bisimplicial tabulate them.
 The diagonal builders skip the bisimplicial maps: _diagonal_maps fuses
 each diagonal face into one pass over the legs, with every inner merge
 composed once per builder call.
+
+Homology through degree D - 1 reads the diagonal's boundary out of degree
+D, by far its largest, and usually only part of it before the column
+reduction's early exit. So iterated_homology and normed_group_homology
+tabulate the diagonal only through D - 1 and never build degree D: its
+boundary is streamed from integer codes of its generators (_CodedTop, a
+second copy of _diagonal_maps' face for that degree alone), one column
+at a time, each checked for d*d = 0 as it is emitted
+(exact_linalg.ColumnStream), read by the reduction until it stops, then
+drawn and checked to the end. iterated_complex, mb_n and the nerve
+builders stay fully tabulated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Optional, Union
 
 from .complexes import (
@@ -45,6 +56,7 @@ from .enriched_data import (
     two_cat_of_cat_group,
 )
 from .errors import ValidationError
+from .exact_linalg import ColumnStream
 from .magnitude_core import (
     _betweenness,
     _enumerate_tuples,
@@ -280,6 +292,261 @@ def _diagonal_nerve(H: _HomNerves, D: int) -> BasedSimplicialObject:
     )
 
 
+class _CodedTop:
+    """Degree D of the diagonal of H's double nerve in integer codes, for
+    streaming the boundary out of it (see extend).
+
+    An object is its index in H.objects and a leg its index in
+    homs[x, y].basis[q]. A degree-D generator is the pair (os, ls) of its
+    D + 1 object codes and D leg codes, and a degree-(D - 1) one is the
+    flat tuple os + ls, the key of its row. Face i is _diagonal_maps' face
+    on codes: every leg's v-face i comes from one tuple per leg, an end leg
+    whose face has nonzero length makes the face zero and otherwise drops,
+    and an inner merge comes from a memo on (x, y, z, a, b). Generators
+    are listed in _tuple_generators' order, as the D - 1 leg prefixes of
+    that order, each followed by the range of last legs that complete it.
+    Everything a face reads from the prefix alone is worked out once per
+    prefix and last object (_plan). The tables do not depend on the
+    grading, so one _CodedTop serves every slice.
+    """
+
+    def __init__(self, H: _HomNerves, D: int):
+        self.H = H
+        self.D = D
+        objects = H.objects
+        self.index = {x: k for k, x in enumerate(objects)}
+        self.merges = {}  # (x, y, z, a) -> {b: code of the merge, -1 for zero}
+        lengths = H.lengths
+        homs = [[H.homs.get((x, y)) for y in objects] for x in objects]
+
+        def table(f):
+            return [[None if S is None else f(S) for S in row] for row in homs]
+
+        def v_faces(S):
+            codes = {leg: k for k, leg in enumerate(S.basis[D - 1])}
+            faces = [S.face[D][i] for i in range(D + 1)]
+            return [tuple(-1 if (f := face[leg]) is None else codes[f] for face in faces)
+                    for leg in S.basis[D]]
+
+        def spans(S):
+            # the basis lists legs by nondecreasing length, so each length
+            # is one range of codes, and the dict keeps lengths in order
+            out = {}
+            for k, leg in enumerate(S.basis[D]):
+                n = lengths.get(leg, 0)
+                out[n] = range(out[n].start if n in out else k, k + 1)
+            return out
+
+        # per pair of objects x, y (None without a hom): the legs at D and
+        # at D - 1, the codes of the legs at D - 1 and their lengths, the
+        # codes of the top legs by length, and every top leg's D + 1
+        # v-faces as codes (-1 for zero)
+        self.top_legs = table(lambda S: S.basis[D])
+        self.low_legs = table(lambda S: S.basis[D - 1])
+        self.low_codes = table(lambda S: {leg: k for k, leg in enumerate(S.basis[D - 1])})
+        self.low_lengths = table(lambda S: [lengths.get(leg, 0) for leg in S.basis[D - 1]])
+        self.spans = table(spans)
+        self.v_faces = table(v_faces)
+
+    def _prefixes(self, ell) -> list:
+        """(os, ls, used): every path of D - 1 legs whose lengths sum to
+        used <= ell, in _tuple_generators' order."""
+        level = [((x,), (), 0) for x in range(len(self.index))]
+        for _ in range(self.D - 1):
+            nxt = []
+            for os, ls, used in level:
+                for y, spans in enumerate(self.spans[os[-1]]):
+                    for n, legs in (spans or {}).items():
+                        if used + n > ell:
+                            break
+                        nxt.extend((os + (y,), ls + (leg,), used + n) for leg in legs)
+            level = nxt
+        return level
+
+    def _last_legs(self, ell):
+        """(os, ls, y, legs): each prefix, an object y after it, and the
+        range of last legs into y that complete it to grading ell."""
+        for os, ls, used in self._prefixes(ell):
+            for y, spans in enumerate(self.spans[os[-1]]):
+                legs = spans.get(ell - used) if spans else None
+                if legs:
+                    yield os, ls, y, legs
+
+    def count(self, ell) -> int:
+        """How many degree-D generators grading ell has; none is built."""
+        return sum(len(legs) for *_, legs in self._last_legs(ell))
+
+    def codes(self, ell):
+        """The codes (os, ls) of the degree-D generators of grading ell."""
+        for os, ls, y, legs in self._last_legs(ell):
+            for leg in legs:
+                yield os + (y,), ls + (leg,)
+
+    def label(self, code) -> tuple:
+        """The (objects, legs) label that _tuple_generators gives a code."""
+        os, ls = code
+        objects, legs = self.H.objects, self.top_legs
+        return (tuple(objects[o] for o in os),
+                tuple(legs[os[k]][os[k + 1]][leg] for k, leg in enumerate(ls)))
+
+    def _low_code(self, label) -> tuple:
+        xs, legs = label
+        os = tuple(self.index[x] for x in xs)
+        return os + tuple(self.low_codes[os[k]][os[k + 1]][leg] for k, leg in enumerate(legs))
+
+    def _merged(self, memo: dict, x, y, z, a, b) -> int:
+        """Code of the composite of legs a: x -> y and b: y -> z at degree
+        D - 1 (-1 for zero), through memo = self.merges[x, y, z, a]."""
+        m = memo.get(b)
+        if m is None:
+            objects = self.H.objects
+            merged = self.H.compose(objects[x], objects[y], objects[z], self.D - 1,
+                                    self.low_legs[x][y][a], self.low_legs[y][z][b])
+            if merged is None:
+                m = -1
+            elif merged in self.low_codes[x][z]:
+                m = self.low_codes[x][z][merged]
+            else:
+                raise ValidationError(f"face in degree {self.D} leaves the basis: {merged!r}")
+            memo[b] = m
+        return m
+
+    def _plan(self, os, pre, y, rows, by_prefix):
+        """How each face of the codes (os + (y,), ls + (leg,)) finds its
+        row, given the v-faces pre of the prefix's legs ls. Returns (subs,
+        merge, ends), each in face order, faces zero on every leg left out:
+          subs   (i, sign, rows by the last code) for the faces i < D - 1,
+                 whose last leg is the v-face of the last leg;
+          merge  (sign, merge memo, a, rows by the last code) for face
+                 D - 1 when D >= 2, which merges the prefix's last leg's
+                 v-face a with the last leg's, else None;
+          ends   (i, sign, row or None) for the faces that drop the last leg
+                 when its v-face i has length 0.
+        """
+        D = self.D
+        x = os[-1]
+        path = os + (y,)
+        no_rows: dict = {}
+        subs = []
+        for i in range(D - 1):
+            new = [leg[i] for leg in pre]
+            if -1 in new:
+                continue
+            if i == 0:
+                if self.low_lengths[os[0]][os[1]][new[0]]:
+                    continue
+                key = path[1:] + tuple(new[1:])
+            else:
+                memo = self.merges.setdefault((os[i - 1], os[i], os[i + 1], new[i - 1]), {})
+                merged = self._merged(memo, os[i - 1], os[i], os[i + 1], new[i - 1], new[i])
+                if merged < 0:
+                    continue
+                new[i - 1 : i + 1] = (merged,)
+                key = path[:i] + path[i + 1:] + tuple(new)
+            subs.append((i, -1 if i % 2 else 1, by_prefix.get(key, no_rows)))
+        if D == 1:
+            return subs, None, [(0, 1, rows.get((y,))), (1, -1, rows.get((x,)))]
+        merge = None
+        new = [leg[D - 1] for leg in pre]
+        if -1 not in new:
+            memo = self.merges.setdefault((os[-2], x, y, new[-1]), {})
+            key = os[:-1] + (y,) + tuple(new[:-1])
+            merge = (-1 if D % 2 == 0 else 1, memo, new[-1], by_prefix.get(key, no_rows))
+        new = [leg[D] for leg in pre]
+        ends = [] if -1 in new else [(D, -1 if D % 2 else 1, rows.get(os + tuple(new)))]
+        return subs, merge, ends
+
+    def _columns(self, rows: dict, ell):
+        """The boundary columns of the codes of grading ell, entries in face
+        order as _alternating_matrix makes them."""
+        by_prefix: dict = {}  # rows by all but the last code, then by the last
+        for key, r in rows.items():
+            by_prefix.setdefault(key[:-1], {})[key[-1]] = r
+        v_faces, low_lengths = self.v_faces, self.low_lengths
+        for os, ls, y, legs in self._last_legs(ell):
+            x = os[-1]
+            pre = [v_faces[os[k]][os[k + 1]][leg] for k, leg in enumerate(ls)]
+            subs, merge, ends = self._plan(os, pre, y, rows, by_prefix)
+            if merge is not None:
+                m_sign, memo, a, m_rows = merge
+            faces, lens = v_faces[x][y], low_lengths[x][y]
+            for leg in legs:
+                last = faces[leg]
+                col: dict[int, int] = {}
+                try:
+                    for i, sign, sub in subs:
+                        f = last[i]
+                        if f >= 0:
+                            t = sub[f]
+                            if t not in col:
+                                col[t] = sign
+                            elif col[t] == -sign:
+                                del col[t]
+                            else:
+                                col[t] += sign
+                    if merge is not None and (b := last[-2]) >= 0:
+                        merged = memo.get(b)
+                        if merged is None:
+                            merged = self._merged(memo, os[-2], x, y, a, b)
+                        if merged >= 0:
+                            t = m_rows[merged]
+                            if t not in col:
+                                col[t] = m_sign
+                            elif col[t] == -m_sign:
+                                del col[t]
+                            else:
+                                col[t] += m_sign
+                except KeyError:
+                    raise ValidationError(
+                        f"a face in degree {self.D} of {self.label((os + (y,), ls + (leg,)))!r} "
+                        "leaves the basis"
+                    ) from None
+                for i, sign, t in ends:
+                    f = last[i]
+                    if f >= 0 and not lens[f]:
+                        if t is None:
+                            raise ValidationError(
+                                f"face {i} in degree {self.D} of "
+                                f"{self.label((os + (y,), ls + (leg,)))!r} leaves the basis"
+                            )
+                        if t not in col:
+                            col[t] = sign
+                        elif col[t] == -sign:
+                            del col[t]
+                        else:
+                            col[t] += sign
+                yield col
+
+    def extend(self, C: BasedChainComplex, ell) -> BasedChainComplex:
+        """C, the unnormalized chains of the diagonal through degree D - 1
+        in grading ell, with degree D on top. Its generators are decoded
+        from their codes whenever they are read, and its boundary is a
+        ColumnStream over C's top boundary, so no degree-D table is built."""
+        if len(C.basis) != self.D:
+            raise ValueError(f"expected chains through degree {self.D - 1}")
+        rows = {self._low_code(label): r for r, label in enumerate(C.basis[-1])}
+        top = ColumnStream(C.boundary[-1], self.count(ell), partial(self._columns, rows, ell))
+        return BasedChainComplex(
+            C.basis + (_CodedLabels(self, ell, top.ncols),), C.boundary + (top,), self.D - 1
+        )
+
+
+class _CodedLabels:
+    """The labels of the degree-D generators of one grading, decoded from
+    their codes each time they are iterated."""
+
+    __slots__ = ("top", "ell", "count")
+
+    def __init__(self, top: _CodedTop, ell, count: int):
+        self.top, self.ell, self.count = top, ell, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return map(self.top.label, self.top.codes(self.ell))
+
+
 def _hom_nerves_for(X, max_q: int) -> _HomNerves:
     if isinstance(X, CatGroup):
         X = two_cat_of_cat_group(X)
@@ -325,41 +592,69 @@ def mb_n(X: StrictNCat, max_degree: int) -> BasedSimplicialObject:
 
 
 def _route_chains(route: str, normalize_rows: bool):
-    """Check the route flags; return chains(diag_nerve, double_nerve),
-    which builds only the nerve its route reads (each argument builds one
-    when called) and takes its unnormalized chains (diag) or the total
-    complex of its double chains, rows normalized or not (tot)."""
+    """Check the route flags; return chains(diag, double_nerve), which
+    builds only what its route reads (each argument builds it when
+    called). diag() returns (nerve, top): the diagonal nerve, whose
+    unnormalized chains are taken, and top, None when the nerve holds every
+    degree, or else a function that puts the streamed top degree on those
+    chains (_CodedTop.extend). double_nerve() returns the double nerve,
+    whose double chains, rows normalized or not, give the total complex
+    (tot)."""
     if route not in ("diag", "tot"):
         raise ValidationError(f"unknown route {route!r}")
     if route == "diag":
         if normalize_rows:
             raise ValidationError("row normalization belongs to the tot route")
-        return lambda diag_nerve, double_nerve: unnormalized_chains(diag_nerve())
+
+        def chains(diag, double_nerve):
+            nerve, top = diag()
+            C = unnormalized_chains(nerve)
+            return C if top is None else top(C)
+
+        return chains
     double_complex = row_normalize if normalize_rows else double_chains
-    return lambda diag_nerve, double_nerve: total_complex(double_complex(double_nerve()))
+    return lambda diag, double_nerve: total_complex(double_complex(double_nerve()))
+
+
+def _truncated_double_nerve(X, max_degree: int) -> BasedBisimplicialObject:
+    """The double nerve on p + q <= max_degree. A leg sits at p >= 1, so no
+    leg or degeneracy reads a hom above max_degree - 1."""
+    return _double_nerve(_hom_nerves_for(X, max(max_degree - 1, 0)),
+                         max_degree, max_degree, total_bound=max_degree)
 
 
 def iterated_complex(
     X, max_degree: int, route: str = "diag", normalize_rows: bool = False
 ) -> BasedChainComplex:
     """Chain complex computing iterated magnitude homology, either via the
-    diagonal or via the total complex of the double chains.
+    diagonal or via the total complex of the double chains, with every
+    degree tabulated.
 
     Both routes are faithful through max_degree - 1.
     """
     chains = _route_chains(route, normalize_rows)
-    # a leg sits at p >= 1, so no leg or degeneracy reads a hom above max_degree - 1
     return chains(
-        lambda: _diagonal_nerve(_hom_nerves_for(X, max_degree), max_degree),
-        lambda: _double_nerve(_hom_nerves_for(X, max(max_degree - 1, 0)),
-                              max_degree, max_degree, total_bound=max_degree),
+        lambda: (_diagonal_nerve(_hom_nerves_for(X, max_degree), max_degree), None),
+        lambda: _truncated_double_nerve(X, max_degree),
     )
 
 
 def iterated_homology(
     X, max_degree: int, route: str = "diag", normalize_rows: bool = False
 ) -> HomologyTable:
-    C = iterated_complex(X, max_degree + 1, route, normalize_rows)
+    """Homology of iterated_complex(X, max_degree + 1, ...) in degrees
+    0..max_degree. The diag route tabulates the diagonal nerve through
+    max_degree only and streams the boundary out of degree max_degree + 1
+    (_CodedTop)."""
+    chains = _route_chains(route, normalize_rows)
+    _check_max_degree(max_degree)
+    D = max_degree + 1
+
+    def diag():
+        H = _hom_nerves_for(X, D)
+        return _diagonal_nerve(H, max_degree), partial(_CodedTop(H, D).extend, ell=0)
+
+    C = chains(diag, lambda: _truncated_double_nerve(X, D))
     return homology_table(C, max_degree)
 
 
@@ -391,6 +686,12 @@ class _NormedNerves(_HomNerves):
             columns, partial(_metric_face, self.between), _metric_degen
         )}
 
+    def units(self, ell: Fraction):
+        """A grading in integer length units; a Fraction when it is not a
+        whole number of them, which no path reaches."""
+        ell *= self.scale
+        return int(ell) if ell.denominator == 1 else ell
+
     def compose(self, x, y, z, q, a, b):
         """The entrywise product, or None when it changes the length.
 
@@ -415,8 +716,7 @@ def _normed_slice(N: NormedGroup, grading, max_q: int) -> tuple:
     """The hom nerves of N, and the grading in their integer length units."""
     (ell,) = grading_values([grading])
     H = _NormedNerves(N, max_q)
-    ell *= H.scale
-    return H, int(ell) if ell.denominator == 1 else ell
+    return H, H.units(ell)
 
 
 def double_nerve_normed_group(
@@ -477,9 +777,14 @@ def normed_group_homology(
 
     gradings may be an explicit list, "norm-values" (0 plus every norm a
     group element takes), or "all-reachable" (everything the truncation
-    can see).
+    can see). The diag route tabulates each slice through max_degree and
+    streams the boundary out of degree max_degree + 1 from one _CodedTop,
+    built once per call.
     """
     chains = _route_chains(route, normalize_rows)
+    _check_max_degree(max_degree)
+    D = max_degree + 1
+    top = cache(lambda: _CodedTop(_NormedNerves(N, D), D))
     if isinstance(gradings, str):
         if gradings == "norm-values":
             ells = sorted({Fraction(0), *N.norm.values()})
@@ -491,7 +796,8 @@ def normed_group_homology(
         ells = grading_values(gradings)
     entries = {}
     for ell in ells:
-        C = chains(lambda: diag_nerve_normed_group(N, ell, max_degree + 1),
+        C = chains(lambda: (diag_nerve_normed_group(N, ell, max_degree),
+                            partial(top().extend, ell=top().H.units(ell))),
                    lambda: double_nerve_normed_group(N, ell, max_degree))
         table = homology_table(C, max_degree)
         for k in range(max_degree + 1):

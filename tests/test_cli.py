@@ -453,3 +453,24 @@ def test_info_prints_point_orbits(tmp_path, name, line):
     code, out, _ = run_cli(["info", doc_file(tmp_path, name)])
     assert code == 0
     assert line in out.splitlines()
+
+
+def test_a_second_main_call_leaves_no_argparse_garbage(tmp_path):
+    """The parser is built once; a later call only parses with it, which
+    leaves no cyclic garbage from argparse behind."""
+    import gc
+
+    path = doc_file(tmp_path, "z2-normed")
+    run_cli(["homology", path, "--max-degree", "1"])
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_cli(["homology", path, "--max-degree", "1", "--output", "json"])
+        gc.collect()
+        from_argparse = [o for o in gc.garbage
+                         if type(o).__module__ == "argparse"
+                         or getattr(o, "__module__", None) == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert from_argparse == []
