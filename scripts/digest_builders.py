@@ -6,12 +6,14 @@ document, on the diag route, the tot route and the tot route with
 ``--normalize-rows``, and prints one sha256 per chain complex whose
 homology is read. A digest covers the complex's bases and every boundary
 column, entries in insertion order, so it changes when a generator, its
-position or the order a column was filled in changes. The diag route
-streams its top boundary (exact_linalg.ColumnStream) and decodes its top
-generators when they are read; both are hashed in emission order, so a
-streamed complex digests the same as the tabulated one would. Beside it, a shape
-line gives the dimension of each degree and the nonzeros of each
-boundary, which relabeling or reordering the generators cannot change.
+position or the order a column was filled in changes. Both routes stream
+their top boundary (exact_linalg.ColumnStream) and decode their top
+generators when they are read; both are hashed in emission order, label
+by label, so a streamed complex digests the same as the tabulated one
+would. Beside it, a shape line gives the dimension of each degree and
+the nonzeros of each boundary, which relabeling or reordering the
+generators cannot change; the digest and the shape come from one read
+of the boundaries.
 Each run also gets one line for its exit status and the sha256 of its
 stdout.
 
@@ -29,11 +31,11 @@ regenerates that file with
     PYTHONPATH=src python3 scripts/digest_builders.py > scripts/builder_digests.txt
 
 and says in CHANGES.md which lines moved and why. The diag route of catgroup-s3-a3 and
-preordered-s3-a3 is skipped. Their CLI runs take 28-31 s and 25 MB,
-but here each streamed top degree (4,251,528 columns) is read three
-times, for the digest, the shape and the homology, and its basis is
-hashed as one repr: 155-162 s and 1.6 GB per document (2 vCPU,
-Python 3.11).
+preordered-s3-a3 is skipped. Their CLI runs take about 26 s and 26 MB,
+but here each streamed top degree (4,251,528 columns) is read twice,
+once for the digest and shape and once for the homology, and its
+4,251,528 labels are decoded and hashed: 102-111 s and 29 MB per
+document (2 vCPU, Python 3.11).
 """
 
 import contextlib
@@ -52,23 +54,37 @@ ROUTES = {
 SKIP = {("catgroup-s3-a3", "diag"), ("preordered-s3-a3", "diag")}
 
 
-def complex_digest(C) -> str:
+def _hash_level(h, level) -> None:
+    """Feed h the bytes of repr(tuple(level)), one label at a time, so a
+    streamed level is never held as one string."""
+    h.update(b"(")
+    n = 0
+    for label in level:
+        if n:
+            h.update(b", ")
+        h.update(repr(label).encode())
+        n += 1
+    h.update(b",)" if n == 1 else b")")
+
+
+def complex_digest_and_shape(C) -> tuple[str, str]:
+    """The sha256 of the complex and its shape line, from one read of
+    every boundary column."""
     h = hashlib.sha256()
     for level in C.basis:
-        h.update(repr(tuple(level)).encode())
+        _hash_level(h, level)
         h.update(b"\n")
+    nnz = []
     for M in C.boundary:
         h.update(f"{M.nrows}x{M.ncols}\n".encode())
+        count = 0
         for col in M.cols:
             h.update(repr(list(col.items())).encode())
             h.update(b"\n")
-    return h.hexdigest()
-
-
-def complex_shape(C) -> str:
+            count += len(col)
+        nnz.append(str(count))
     dims = ",".join(str(len(level)) for level in C.basis)
-    nnz = ",".join(str(sum(len(col) for col in M.cols)) for M in C.boundary)
-    return f"dims {dims} nnz {nnz}"
+    return h.hexdigest(), f"dims {dims} nnz {','.join(nnz)}"
 
 
 def main() -> int:
@@ -76,7 +92,7 @@ def main() -> int:
     original = complexes._homology_groups
 
     def recording(C, max_degree):
-        digests.append((complex_digest(C), complex_shape(C)))
+        digests.append(complex_digest_and_shape(C))
         return original(C, max_degree)
 
     complexes._homology_groups = recording

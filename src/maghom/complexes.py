@@ -60,7 +60,12 @@ def validate_complex(C: BasedChainComplex) -> None:
 
     A top boundary may be a ColumnStream over the boundary below it. Its
     d*d is not checked here: the stream checks each column as it is read
-    (see homology_between).
+    (see homology_between). When the complex is the total complex of a
+    double complex, that per-column check is the whole of the double
+    complex's check on the top bidegrees: on a Tot column of bidegree
+    (p, q), d*d has its h*h part in block (p - 2, q), its v*v part in
+    (p, q - 2) and +-(hv - vh) in (p - 1, q - 1), disjoint row blocks, so
+    d*d = 0 on the column is exactly the three equations there.
     """
     if len(C.boundary) != len(C.basis):
         raise InvalidComplexError("one boundary matrix required per degree")

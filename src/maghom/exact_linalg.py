@@ -115,10 +115,12 @@ class ColumnStream:
     """A boundary matrix whose columns are computed when read and never stored.
 
     below is the boundary one degree down, so nrows is below.ncols. Every
-    column is checked to satisfy below * column = 0 as it is emitted, by
-    one sparse product per column, and checked counts the columns that
-    passed. Each read of cols computes and checks the columns again, and a
-    pass that ends after a number of columns other than ncols raises too.
+    column is checked to satisfy below * column = 0 as it is emitted, in
+    one dense accumulator per pass over the columns (below's columns are
+    read as tuples of entries, copied once per pass), and checked counts
+    the columns that passed.
+    Each read of cols computes and checks the columns again, and a pass
+    that ends after a number of columns other than ncols raises too.
     """
 
     __slots__ = ("below", "nrows", "ncols", "_columns", "checked")
@@ -136,20 +138,21 @@ class ColumnStream:
         return self._checked_columns()
 
     def _checked_columns(self):
-        below = self.below.cols
+        below = [tuple(col.items()) for col in self.below.cols]
+        acc = [0] * self.below.nrows
         j = -1
         for j, col in enumerate(self._columns()):
-            acc: dict[int, int] = {}
             for r, v in col.items():
-                for i, w in below[r].items():
-                    if i in acc:
-                        acc[i] += v * w
-                    else:
-                        acc[i] = v * w
-            if any(acc.values()):
-                raise InvalidComplexError(
-                    f"composite of consecutive boundaries is nonzero on streamed column {j}"
-                )
+                for i, w in below[r]:
+                    acc[i] += v * w
+            # a column that passes leaves acc all zero again, so a check
+            # costs the column's entries below, not a pass over the rows
+            for r in col:
+                for i, _ in below[r]:
+                    if acc[i]:
+                        raise InvalidComplexError(
+                            f"composite of consecutive boundaries is nonzero on streamed column {j}"
+                        )
             self.checked += 1
             yield col
         if j + 1 != self.ncols:

@@ -20,22 +20,29 @@ The diagonal builders skip the bisimplicial maps: _diagonal_maps fuses
 each diagonal face into one pass over the legs, with every inner merge
 composed once per builder call.
 
-Homology through degree D - 1 reads the diagonal's boundary out of degree
-D, by far its largest, and usually only part of it before the column
-reduction's early exit. So iterated_homology and normed_group_homology
-tabulate the diagonal only through D - 1 and never build degree D: its
-boundary is streamed from integer codes of its generators (_CodedTop, a
-second copy of _diagonal_maps' face for that degree alone), one column
-at a time, each checked for d*d = 0 as it is emitted
-(exact_linalg.ColumnStream), read by the reduction until it stops, then
-drawn and checked to the end. iterated_complex, mb_n and the nerve
-builders stay fully tabulated.
+Homology through degree D - 1 reads the boundary out of degree D, by far
+the largest, and usually only part of it before the column reduction's
+early exit. So iterated_homology and normed_group_homology tabulate each
+route's nerve only through total degree D - 1 and never build degree D:
+the diagonal's degree D or Tot_D, the bidegrees (p, D - p). Its boundary
+is streamed from integer codes of its generators (_CodedTop; _Coder
+holds the codes and tables of every leg degree, and one face rule on
+codes serves both routes), one column at a time, each checked for
+d*d = 0 as it is emitted (exact_linalg.ColumnStream), read by the
+reduction until it stops, then drawn and checked to the end. On the tot
+route the double complex is checked (validate_double_complex) only where
+it is tabulated. That loses no check: on a Tot column of bidegree
+(p, q), the components of d*d lie in disjoint row blocks, h*h in
+(p - 2, q), v*v in (p, q - 2) and +-(hv - vh) in (p - 1, q - 1), so the
+stream's check of each top column checks exactly the equations of the
+top bidegrees. iterated_complex, mb_n and the nerve builders stay fully
+tabulated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from typing import Optional, Union
 
 from .complexes import (
@@ -229,9 +236,10 @@ def _generator_maps(H: _HomNerves) -> tuple:
 
 
 def _double_nerve(H: _HomNerves, P: int, Q: int,
-                  total_bound: Optional[int] = None) -> BasedBisimplicialObject:
+                  total_bound: Optional[int] = None, ell=0) -> BasedBisimplicialObject:
+    """H's double nerve in grading ell (in H's integer length units)."""
     return assemble_bisimplicial(
-        P, Q, total_bound, partial(_tuple_generators, H), *_generator_maps(H)
+        P, Q, total_bound, lambda p, q: _tuple_generators(H, p, q, ell), *_generator_maps(H)
     )
 
 
@@ -292,221 +300,336 @@ def _diagonal_nerve(H: _HomNerves, D: int) -> BasedSimplicialObject:
     )
 
 
-class _CodedTop:
-    """Degree D of the diagonal of H's double nerve in integer codes, for
-    streaming the boundary out of it (see extend).
-
-    An object is its index in H.objects and a leg its index in
-    homs[x, y].basis[q]. A degree-D generator is the pair (os, ls) of its
-    D + 1 object codes and D leg codes, and a degree-(D - 1) one is the
-    flat tuple os + ls, the key of its row. Face i is _diagonal_maps' face
-    on codes: every leg's v-face i comes from one tuple per leg, an end leg
-    whose face has nonzero length makes the face zero and otherwise drops,
-    and an inner merge comes from a memo on (x, y, z, a, b). Generators
-    are listed in _tuple_generators' order, as the D - 1 leg prefixes of
-    that order, each followed by the range of last legs that complete it.
-    Everything a face reads from the prefix alone is worked out once per
-    prefix and last object (_plan). The tables do not depend on the
-    grading, so one _CodedTop serves every slice.
+class _Legs:
+    """The legs of degree q of every hom of H in integer codes. Each table
+    is indexed [x][y] by object codes, None where there is no hom, and is
+    built when first read:
+      legs     the hom's basis in degree q; a leg's code is its index here;
+      codes    leg -> code;
+      lengths  each code's length;
+      spans    length -> the range of codes of that length (a hom basis
+               lists its legs by nondecreasing length, so each length is
+               one range, and the dict keeps the lengths in order);
+      faces    per code, the codes of its v-faces 0..q in degree q - 1 (-1
+               for zero).
     """
 
-    def __init__(self, H: _HomNerves, D: int):
-        self.H = H
-        self.D = D
-        objects = H.objects
-        self.index = {x: k for k, x in enumerate(objects)}
-        self.merges = {}  # (x, y, z, a) -> {b: code of the merge, -1 for zero}
-        lengths = H.lengths
-        homs = [[H.homs.get((x, y)) for y in objects] for x in objects]
+    def __init__(self, homs: list, q: int, lengths: dict):
+        self._homs, self._q, self._lengths = homs, q, lengths
 
-        def table(f):
-            return [[None if S is None else f(S) for S in row] for row in homs]
+    def _table(self, f) -> list:
+        return [[None if S is None else f(S.basis[self._q], S) for S in row]
+                for row in self._homs]
 
-        def v_faces(S):
-            codes = {leg: k for k, leg in enumerate(S.basis[D - 1])}
-            faces = [S.face[D][i] for i in range(D + 1)]
-            return [tuple(-1 if (f := face[leg]) is None else codes[f] for face in faces)
-                    for leg in S.basis[D]]
+    @cached_property
+    def legs(self) -> list:
+        return self._table(lambda basis, S: basis)
 
-        def spans(S):
-            # the basis lists legs by nondecreasing length, so each length
-            # is one range of codes, and the dict keeps lengths in order
+    @cached_property
+    def codes(self) -> list:
+        return self._table(lambda basis, S: {leg: k for k, leg in enumerate(basis)})
+
+    @cached_property
+    def lengths(self) -> list:
+        return self._table(lambda basis, S: [self._lengths.get(leg, 0) for leg in basis])
+
+    @cached_property
+    def spans(self) -> list:
+        def spans(basis, S):
             out = {}
-            for k, leg in enumerate(S.basis[D]):
-                n = lengths.get(leg, 0)
+            for k, leg in enumerate(basis):
+                n = self._lengths.get(leg, 0)
                 out[n] = range(out[n].start if n in out else k, k + 1)
             return out
 
-        # per pair of objects x, y (None without a hom): the legs at D and
-        # at D - 1, the codes of the legs at D - 1 and their lengths, the
-        # codes of the top legs by length, and every top leg's D + 1
-        # v-faces as codes (-1 for zero)
-        self.top_legs = table(lambda S: S.basis[D])
-        self.low_legs = table(lambda S: S.basis[D - 1])
-        self.low_codes = table(lambda S: {leg: k for k, leg in enumerate(S.basis[D - 1])})
-        self.low_lengths = table(lambda S: [lengths.get(leg, 0) for leg in S.basis[D - 1]])
-        self.spans = table(spans)
-        self.v_faces = table(v_faces)
+        return self._table(spans)
 
-    def _prefixes(self, ell) -> list:
-        """(os, ls, used): every path of D - 1 legs whose lengths sum to
-        used <= ell, in _tuple_generators' order."""
+    @cached_property
+    def faces(self) -> list:
+        def faces(basis, S):
+            low = {leg: k for k, leg in enumerate(S.basis[self._q - 1])} if self._q else {}
+            maps = S.face[self._q]
+            return [tuple(-1 if (f := m[leg]) is None else low[f] for m in maps)
+                    for leg in basis]
+
+        return self._table(faces)
+
+
+class _Coder:
+    """H's double nerve in integer codes. An object is its index in
+    H.objects and a leg of degree q its index in homs[x, y].basis[q]. A
+    path of p legs is the pair (os, ls) of its p + 1 object codes and p leg
+    codes, and the flat tuple os + ls is its key. The tables of each leg
+    degree are built when first asked for (legs), and an inner merge is
+    composed once per (q, x, y, z, a, b) (merged)."""
+
+    def __init__(self, H: _HomNerves):
+        self.H = H
+        self.index = {x: k for k, x in enumerate(H.objects)}
+        self._homs = [[H.homs.get((x, y)) for y in H.objects] for x in H.objects]
+        self._legs: dict = {}
+        self._merges: dict = {}  # (q, x, y, z, a) -> {b: code of the merge, -1 for zero}
+
+    def legs(self, q: int) -> _Legs:
+        T = self._legs.get(q)
+        if T is None:
+            T = self._legs[q] = _Legs(self._homs, q, self.H.lengths)
+        return T
+
+    def memo(self, q: int, x: int, y: int, z: int, a: int) -> dict:
+        return self._merges.setdefault((q, x, y, z, a), {})
+
+    def merged(self, q: int, x: int, y: int, z: int, a: int, b: int) -> int:
+        """Code of the composite of legs a: x -> y and b: y -> z of degree
+        q (-1 for zero), composed once and then read from memo(q, x, y, z, a)."""
+        memo = self.memo(q, x, y, z, a)
+        m = memo.get(b)
+        if m is None:
+            objects, T = self.H.objects, self.legs(q)
+            merged = self.H.compose(objects[x], objects[y], objects[z], q,
+                                    T.legs[x][y][a], T.legs[y][z][b])
+            if merged is None:
+                m = -1
+            elif merged in T.codes[x][z]:
+                m = T.codes[x][z][merged]
+            else:
+                raise ValidationError(f"an h-face in leg degree {q} leaves the basis: {merged!r}")
+            memo[b] = m
+        return m
+
+    def paths(self, p: int, q: int, ell) -> list:
+        """(os, ls, used): every path of p legs of degree q whose lengths
+        sum to used <= ell, in _tuple_generators' order."""
+        spans = self.legs(q).spans
         level = [((x,), (), 0) for x in range(len(self.index))]
-        for _ in range(self.D - 1):
+        for _ in range(p):
             nxt = []
             for os, ls, used in level:
-                for y, spans in enumerate(self.spans[os[-1]]):
-                    for n, legs in (spans or {}).items():
+                for y, by_length in enumerate(spans[os[-1]]):
+                    for n, legs in (by_length or {}).items():
                         if used + n > ell:
                             break
                         nxt.extend((os + (y,), ls + (leg,), used + n) for leg in legs)
             level = nxt
         return level
 
-    def _last_legs(self, ell):
-        """(os, ls, y, legs): each prefix, an object y after it, and the
-        range of last legs into y that complete it to grading ell."""
-        for os, ls, used in self._prefixes(ell):
-            for y, spans in enumerate(self.spans[os[-1]]):
-                legs = spans.get(ell - used) if spans else None
+    def last_legs(self, p: int, q: int, ell):
+        """(os, ls, y, legs), for p >= 1: each path of p - 1 legs, an
+        object y after it, and the range of last legs into y that complete
+        it to grading ell; together, _tuple_generators(H, p, q, ell)."""
+        spans = self.legs(q).spans
+        for os, ls, used in self.paths(p - 1, q, ell):
+            for y, by_length in enumerate(spans[os[-1]]):
+                legs = by_length.get(ell - used) if by_length else None
                 if legs:
                     yield os, ls, y, legs
 
+    def key(self, q: int, label) -> tuple:
+        """The key os + ls of a path label (objects, legs of degree q)."""
+        xs, legs = label
+        os = tuple(self.index[x] for x in xs)
+        codes = self.legs(q).codes
+        return os + tuple(codes[os[k]][os[k + 1]][leg] for k, leg in enumerate(legs))
+
+    def label(self, q: int, os: tuple, ls: tuple) -> tuple:
+        """The (objects, legs) label that _tuple_generators gives a path."""
+        xs = tuple(self.H.objects[o] for o in os)
+        if not ls:
+            return xs, ()
+        legs = self.legs(q).legs
+        return xs, tuple(legs[os[k]][os[k + 1]][leg] for k, leg in enumerate(ls))
+
+
+_SUB, _MERGE, _END = range(3)  # how a face term finds its row (_CodedTop._plan)
+_NO_ROWS: dict = {}
+
+
+def _tot_terms(p: int, q: int) -> tuple:
+    """The face terms of Tot out of bidegree (p, q): h-faces into
+    (p - 1, q), then v-faces into (p, q - 1) with the sign (-1)^p."""
+    h = [(-1, i, (-1) ** i) for i in range(p + 1)] if p else []
+    v = [(j, None, (-1) ** (p + j)) for j in range(q + 1)] if q else []
+    return tuple(h + v)
+
+
+class _CodedTop:
+    """The top degree D of a route's chains in integer codes, for streaming
+    the boundary out of it (see extend).
+
+    Its generators come in blocks (p, q) of paths with p legs of degree q,
+    each block in _tuple_generators' order (_Coder.last_legs). A face term
+    (j, i, sign) of a block is v-face j of every leg (j < 0: none), then
+    h-face i (None: none), as _v_face_gen and _h_face_gen make them:
+      diag  degree D of the diagonal: one block (D, D) whose face i is
+            v-face i then h-face i, with sign (-1)^i, as in _diagonal_maps;
+      tot   Tot_D: blocks (p, D - p), p = 0..D, in total_complex's order,
+            whose terms are h-faces i = 0..p with sign (-1)^i, then v-faces
+            j = 0..q with sign (-1)^(p + j). With normalize_rows, as in
+            row_normalize, a generator in the image of an h-degeneracy is
+            left out, and so is a face term whose row the chains below
+            leave out.
+    Everything a face reads from a path's first p - 1 legs is worked out
+    once per such prefix and last object (_plan). The tables do not depend
+    on the grading, so one _CodedTop serves every slice.
+    """
+
+    def __init__(self, H: _HomNerves, D: int, route: str = "diag",
+                 normalize_rows: bool = False):
+        self.H, self.D = H, D
+        self.coder = _Coder(H)
+        self.tagged = route == "tot"  # labels (p, q, path), as total_complex's
+        self.drop = normalize_rows
+        if self.tagged:
+            self.blocks = tuple((p, D - p, _tot_terms(p, D - p)) for p in range(D + 1))
+        else:
+            self.blocks = ((D, D, tuple((i, i, (-1) ** i) for i in range(D + 1))),)
+
+    def _objects(self, ell) -> range:
+        """The object codes, the paths with no legs, which grading 0 alone has."""
+        return range(len(self.H.objects) if ell == 0 else 0)
+
+    def _gens(self, p: int, q: int, ell):
+        """(os, ls, y, legs) of block (p, q), p >= 1, as _Coder.last_legs
+        lists them, less the h-degenerate generators when rows are
+        normalized: leg k is the identity of x_k = x_{k+1}."""
+        gens = self.coder.last_legs(p, q, ell)
+        if not self.drop:
+            yield from gens
+            return
+        codes = self.coder.legs(q).codes
+        ident = [-1 if (c := codes[x][x]) is None else c.get(self.H.identity_gen(obj, q), -1)
+                 for x, obj in enumerate(self.H.objects)]
+        for os, ls, y, legs in gens:
+            if any(os[k] == os[k + 1] and leg == ident[os[k]] for k, leg in enumerate(ls)):
+                continue
+            if os[-1] == y and ident[y] in legs:
+                legs = [leg for leg in legs if leg != ident[y]]
+            if legs:
+                yield os, ls, y, legs
+
     def count(self, ell) -> int:
         """How many degree-D generators grading ell has; none is built."""
-        return sum(len(legs) for *_, legs in self._last_legs(ell))
+        return sum(len(self._objects(ell)) if p == 0 else
+                   sum(len(legs) for *_, legs in self._gens(p, q, ell))
+                   for p, q, _ in self.blocks)
 
     def codes(self, ell):
         """The codes (os, ls) of the degree-D generators of grading ell."""
-        for os, ls, y, legs in self._last_legs(ell):
-            for leg in legs:
-                yield os + (y,), ls + (leg,)
+        for p, q, _ in self.blocks:
+            if p == 0:
+                yield from (((x,), ()) for x in self._objects(ell))
+                continue
+            for os, ls, y, legs in self._gens(p, q, ell):
+                for leg in legs:
+                    yield os + (y,), ls + (leg,)
 
     def label(self, code) -> tuple:
-        """The (objects, legs) label that _tuple_generators gives a code."""
+        """The label the tabulated chains give a code."""
         os, ls = code
-        objects, legs = self.H.objects, self.top_legs
-        return (tuple(objects[o] for o in os),
-                tuple(legs[os[k]][os[k + 1]][leg] for k, leg in enumerate(ls)))
+        if not self.tagged:
+            return self.coder.label(self.D, os, ls)
+        q = self.D - len(ls)
+        return (len(ls), q, self.coder.label(q, os, ls))
 
-    def _low_code(self, label) -> tuple:
-        xs, legs = label
-        os = tuple(self.index[x] for x in xs)
-        return os + tuple(self.low_codes[os[k]][os[k + 1]][leg] for k, leg in enumerate(legs))
+    def _row_key(self, label) -> tuple:
+        if self.tagged:
+            _, q, label = label
+            return self.coder.key(q, label)
+        return self.coder.key(self.D - 1, label)
 
-    def _merged(self, memo: dict, x, y, z, a, b) -> int:
-        """Code of the composite of legs a: x -> y and b: y -> z at degree
-        D - 1 (-1 for zero), through memo = self.merges[x, y, z, a]."""
-        m = memo.get(b)
-        if m is None:
-            objects = self.H.objects
-            merged = self.H.compose(objects[x], objects[y], objects[z], self.D - 1,
-                                    self.low_legs[x][y][a], self.low_legs[y][z][b])
-            if merged is None:
-                m = -1
-            elif merged in self.low_codes[x][z]:
-                m = self.low_codes[x][z][merged]
-            else:
-                raise ValidationError(f"face in degree {self.D} leaves the basis: {merged!r}")
-            memo[b] = m
-        return m
-
-    def _plan(self, os, pre, y, rows, by_prefix):
-        """How each face of the codes (os + (y,), ls + (leg,)) finds its
-        row, given the v-faces pre of the prefix's legs ls. Returns (subs,
-        merge, ends), each in face order, faces zero on every leg left out:
-          subs   (i, sign, rows by the last code) for the faces i < D - 1,
-                 whose last leg is the v-face of the last leg;
-          merge  (sign, merge memo, a, rows by the last code) for face
-                 D - 1 when D >= 2, which merges the prefix's last leg's
-                 v-face a with the last leg's, else None;
-          ends   (i, sign, row or None) for the faces that drop the last leg
-                 when its v-face i has length 0.
+    def _plan(self, p, q, terms, os, ls, pre, y, rows) -> list:
+        """How each face term of the codes (os + (y,), ls + (leg,)) of block
+        (p, q) finds its row, given pre, the _Legs.faces entries of the
+        prefix's legs ls, and the rows of _columns. Returns (kind, j, sign,
+        target, aux) in term order, leaving out the terms that are zero on
+        every last leg:
+          _SUB    the face's last leg is the last leg's v-face j, whose code
+                  target maps to the row;
+          _MERGE  h-face p - 1 merges the prefix's last leg with the last
+                  leg (after v-face j); target maps the merge's code to the
+                  row, and aux is (memo, the arguments of _Coder.merged
+                  but b);
+          _END    the h-face drops the last leg, and is zero unless its
+                  v-face j has length 0, read from aux; target is the row.
         """
-        D = self.D
+        coder = self.coder
         x = os[-1]
         path = os + (y,)
-        no_rows: dict = {}
-        subs = []
-        for i in range(D - 1):
-            new = [leg[i] for leg in pre]
+        plan = []
+        for j, i, sign in terms:
+            new = list(ls) if j < 0 else [faces[j] for faces in pre]
             if -1 in new:
                 continue
-            if i == 0:
-                if self.low_lengths[os[0]][os[1]][new[0]]:
+            qq = q if j < 0 else q - 1
+            lengths = coder.legs(qq).lengths
+            if i is None:
+                key = path + tuple(new)
+            elif i == p or i == 0 and p == 1:
+                key = (y,) if i == 0 else os + tuple(new)
+                row = rows.get(key[:-1], _NO_ROWS).get(key[-1])
+                plan.append((_END, j, sign, row, lengths[x][y]))
+                continue
+            elif i == 0:
+                if lengths[os[0]][os[1]][new[0]]:
                     continue
                 key = path[1:] + tuple(new[1:])
-            else:
-                memo = self.merges.setdefault((os[i - 1], os[i], os[i + 1], new[i - 1]), {})
-                merged = self._merged(memo, os[i - 1], os[i], os[i + 1], new[i - 1], new[i])
+            elif i < p - 1:
+                merged = coder.merged(qq, os[i - 1], os[i], os[i + 1], new[i - 1], new[i])
                 if merged < 0:
                     continue
                 new[i - 1 : i + 1] = (merged,)
                 key = path[:i] + path[i + 1:] + tuple(new)
-            subs.append((i, -1 if i % 2 else 1, by_prefix.get(key, no_rows)))
-        if D == 1:
-            return subs, None, [(0, 1, rows.get((y,))), (1, -1, rows.get((x,)))]
-        merge = None
-        new = [leg[D - 1] for leg in pre]
-        if -1 not in new:
-            memo = self.merges.setdefault((os[-2], x, y, new[-1]), {})
-            key = os[:-1] + (y,) + tuple(new[:-1])
-            merge = (-1 if D % 2 == 0 else 1, memo, new[-1], by_prefix.get(key, no_rows))
-        new = [leg[D] for leg in pre]
-        ends = [] if -1 in new else [(D, -1 if D % 2 else 1, rows.get(os + tuple(new)))]
-        return subs, merge, ends
+            else:
+                args = (qq, os[-2], x, y, new[-1])
+                key = os[:-1] + (y,) + tuple(new[:-1])
+                plan.append((_MERGE, j, sign, rows.get(key, _NO_ROWS),
+                             (coder.memo(*args), args)))
+                continue
+            plan.append((_SUB, j, sign, rows.get(key, _NO_ROWS), None))
+        return plan
 
     def _columns(self, rows: dict, ell):
-        """The boundary columns of the codes of grading ell, entries in face
-        order as _alternating_matrix makes them."""
-        by_prefix: dict = {}  # rows by all but the last code, then by the last
-        for key, r in rows.items():
-            by_prefix.setdefault(key[:-1], {})[key[-1]] = r
-        v_faces, low_lengths = self.v_faces, self.low_lengths
-        for os, ls, y, legs in self._last_legs(ell):
-            x = os[-1]
-            pre = [v_faces[os[k]][os[k + 1]][leg] for k, leg in enumerate(ls)]
-            subs, merge, ends = self._plan(os, pre, y, rows, by_prefix)
-            if merge is not None:
-                m_sign, memo, a, m_rows = merge
-            faces, lens = v_faces[x][y], low_lengths[x][y]
-            for leg in legs:
-                last = faces[leg]
-                col: dict[int, int] = {}
-                try:
-                    for i, sign, sub in subs:
-                        f = last[i]
-                        if f >= 0:
-                            t = sub[f]
-                            if t not in col:
-                                col[t] = sign
-                            elif col[t] == -sign:
-                                del col[t]
-                            else:
-                                col[t] += sign
-                    if merge is not None and (b := last[-2]) >= 0:
-                        merged = memo.get(b)
-                        if merged is None:
-                            merged = self._merged(memo, os[-2], x, y, a, b)
-                        if merged >= 0:
-                            t = m_rows[merged]
-                            if t not in col:
-                                col[t] = m_sign
-                            elif col[t] == -m_sign:
-                                del col[t]
-                            else:
-                                col[t] += m_sign
-                except KeyError:
-                    raise ValidationError(
-                        f"a face in degree {self.D} of {self.label((os + (y,), ls + (leg,)))!r} "
-                        "leaves the basis"
-                    ) from None
-                for i, sign, t in ends:
-                    f = last[i]
-                    if f >= 0 and not lens[f]:
+        """The boundary columns of the codes of grading ell, each with its
+        entries in the order the tabulated column has them
+        (_alternating_matrix, then total_complex). rows holds the rows of
+        degree D - 1 by all but the last code of their key, then by the
+        last (extend)."""
+        drop, merged = self.drop, self.coder.merged
+        for p, q, terms in self.blocks:
+            if p == 0:
+                for x in self._objects(ell):
+                    yield self._object_column(x, terms, rows)
+                continue
+            faces = self.coder.legs(q).faces
+            for os, ls, y, legs in self._gens(p, q, ell):
+                pre = [faces[os[k]][os[k + 1]][leg] for k, leg in enumerate(ls)]
+                plan = self._plan(p, q, terms, os, ls, pre, y, rows)
+                last_faces = faces[os[-1]][y]
+                for leg in legs:
+                    steps = last_faces[leg]
+                    col: dict[int, int] = {}
+                    for kind, j, sign, target, aux in plan:
+                        f = leg if j < 0 else steps[j]
+                        if f < 0:
+                            continue
+                        if kind == _SUB:
+                            t = target.get(f)
+                        elif kind == _MERGE:
+                            m = aux[0].get(f)
+                            if m is None:
+                                m = merged(*aux[1], f)
+                            if m < 0:
+                                continue
+                            t = target.get(m)
+                        elif aux[f]:
+                            continue
+                        else:
+                            t = target
                         if t is None:
+                            if drop:
+                                continue
                             raise ValidationError(
-                                f"face {i} in degree {self.D} of "
+                                f"a face in degree {self.D} of "
                                 f"{self.label((os + (y,), ls + (leg,)))!r} leaves the basis"
                             )
                         if t not in col:
@@ -515,16 +638,26 @@ class _CodedTop:
                             del col[t]
                         else:
                             col[t] += sign
-                yield col
+                    yield col
+
+    @staticmethod
+    def _object_column(x: int, terms, rows: dict) -> dict:
+        """The column of the path with no legs at object x: each v-face is
+        that path again, one degree down."""
+        total = sum(sign for *_, sign in terms)
+        return {rows[()][x]: total} if total else {}
 
     def extend(self, C: BasedChainComplex, ell) -> BasedChainComplex:
-        """C, the unnormalized chains of the diagonal through degree D - 1
-        in grading ell, with degree D on top. Its generators are decoded
-        from their codes whenever they are read, and its boundary is a
-        ColumnStream over C's top boundary, so no degree-D table is built."""
+        """C, the route's chains through degree D - 1 in grading ell, with
+        degree D on top. Its generators are decoded from their codes
+        whenever they are read, and its boundary is a ColumnStream over C's
+        top boundary, so no degree-D table is built."""
         if len(C.basis) != self.D:
             raise ValueError(f"expected chains through degree {self.D - 1}")
-        rows = {self._low_code(label): r for r, label in enumerate(C.basis[-1])}
+        rows: dict = {}
+        for r, label in enumerate(C.basis[-1]):
+            key = self._row_key(label)
+            rows.setdefault(key[:-1], {})[key[-1]] = r
         top = ColumnStream(C.boundary[-1], self.count(ell), partial(self._columns, rows, ell))
         return BasedChainComplex(
             C.basis + (_CodedLabels(self, ell, top.ncols),), C.boundary + (top,), self.D - 1
@@ -594,26 +727,35 @@ def mb_n(X: StrictNCat, max_degree: int) -> BasedSimplicialObject:
 def _route_chains(route: str, normalize_rows: bool):
     """Check the route flags; return chains(diag, double_nerve), which
     builds only what its route reads (each argument builds it when
-    called). diag() returns (nerve, top): the diagonal nerve, whose
-    unnormalized chains are taken, and top, None when the nerve holds every
-    degree, or else a function that puts the streamed top degree on those
-    chains (_CodedTop.extend). double_nerve() returns the double nerve,
-    whose double chains, rows normalized or not, give the total complex
-    (tot)."""
+    called). Each returns (nerve, top). The nerve is the diagonal nerve
+    (diag), whose unnormalized chains are taken, or the double nerve
+    (double_nerve), whose double chains, rows normalized or not, give the
+    total complex (tot). top is None when the nerve holds every degree,
+    or else a function that puts the streamed top degree on those chains
+    (_CodedTop.extend).
+
+    On the tot route the double complex is checked (h*h, v*v and
+    commutation) only where it is tabulated. On a streamed Tot column of
+    bidegree (p, q), the three components of Tot's d*d lie in disjoint
+    row blocks: h*h in (p - 2, q), v*v in (p, q - 2) and +-(hv - vh) in
+    (p - 1, q - 1). So the stream's check of each column is exactly
+    validate_double_complex's check on the top bidegrees.
+    """
     if route not in ("diag", "tot"):
         raise ValidationError(f"unknown route {route!r}")
-    if route == "diag":
-        if normalize_rows:
-            raise ValidationError("row normalization belongs to the tot route")
+    if route == "diag" and normalize_rows:
+        raise ValidationError("row normalization belongs to the tot route")
 
-        def chains(diag, double_nerve):
+    def chains(diag, double_nerve):
+        if route == "diag":
             nerve, top = diag()
             C = unnormalized_chains(nerve)
-            return C if top is None else top(C)
+        else:
+            nerve, top = double_nerve()
+            C = total_complex((row_normalize if normalize_rows else double_chains)(nerve))
+        return C if top is None else top(C)
 
-        return chains
-    double_complex = row_normalize if normalize_rows else double_chains
-    return lambda diag, double_nerve: total_complex(double_complex(double_nerve()))
+    return chains
 
 
 def _truncated_double_nerve(X, max_degree: int) -> BasedBisimplicialObject:
@@ -635,7 +777,7 @@ def iterated_complex(
     chains = _route_chains(route, normalize_rows)
     return chains(
         lambda: (_diagonal_nerve(_hom_nerves_for(X, max_degree), max_degree), None),
-        lambda: _truncated_double_nerve(X, max_degree),
+        lambda: (_truncated_double_nerve(X, max_degree), None),
     )
 
 
@@ -643,7 +785,7 @@ def iterated_homology(
     X, max_degree: int, route: str = "diag", normalize_rows: bool = False
 ) -> HomologyTable:
     """Homology of iterated_complex(X, max_degree + 1, ...) in degrees
-    0..max_degree. The diag route tabulates the diagonal nerve through
+    0..max_degree. Either route tabulates its nerve through total degree
     max_degree only and streams the boundary out of degree max_degree + 1
     (_CodedTop)."""
     chains = _route_chains(route, normalize_rows)
@@ -654,8 +796,14 @@ def iterated_homology(
         H = _hom_nerves_for(X, D)
         return _diagonal_nerve(H, max_degree), partial(_CodedTop(H, D).extend, ell=0)
 
-    C = chains(diag, lambda: _truncated_double_nerve(X, D))
-    return homology_table(C, max_degree)
+    def double_nerve():
+        # a leg of Tot_D sits at p >= 1, so its degree is at most max_degree
+        H = _hom_nerves_for(X, max_degree)
+        top = _CodedTop(H, D, "tot", normalize_rows)
+        return (_double_nerve(H, max_degree, max_degree, total_bound=max_degree),
+                partial(top.extend, ell=0))
+
+    return homology_table(chains(diag, double_nerve), max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -732,9 +880,7 @@ def double_nerve_normed_group(
     """
     T = max_total_degree + 1
     H, ell = _normed_slice(N, grading, T - 1)
-    return assemble_bisimplicial(
-        T, T, T, lambda p, q: _tuple_generators(H, p, q, ell), *_generator_maps(H)
-    )
+    return _double_nerve(H, T, T, T, ell)
 
 
 def diag_nerve_normed_group(
@@ -777,14 +923,17 @@ def normed_group_homology(
 
     gradings may be an explicit list, "norm-values" (0 plus every norm a
     group element takes), or "all-reachable" (everything the truncation
-    can see). The diag route tabulates each slice through max_degree and
-    streams the boundary out of degree max_degree + 1 from one _CodedTop,
-    built once per call.
+    can see). Either route tabulates each slice through total degree
+    max_degree and streams the boundary out of degree max_degree + 1 from
+    one _CodedTop, built once per call, whose hom nerves the tot route's
+    slices share.
     """
     chains = _route_chains(route, normalize_rows)
     _check_max_degree(max_degree)
     D = max_degree + 1
-    top = cache(lambda: _CodedTop(_NormedNerves(N, D), D))
+    # the diagonal's legs reach degree D; Tot_D's, at p >= 1, reach D - 1
+    top = cache(lambda: _CodedTop(_NormedNerves(N, D if route == "diag" else max_degree),
+                                  D, route, normalize_rows))
     if isinstance(gradings, str):
         if gradings == "norm-values":
             ells = sorted({Fraction(0), *N.norm.values()})
@@ -796,9 +945,14 @@ def normed_group_homology(
         ells = grading_values(gradings)
     entries = {}
     for ell in ells:
+        def double_nerve():
+            H = top().H
+            return (_double_nerve(H, max_degree, max_degree, max_degree, H.units(ell)),
+                    partial(top().extend, ell=H.units(ell)))
+
         C = chains(lambda: (diag_nerve_normed_group(N, ell, max_degree),
                             partial(top().extend, ell=top().H.units(ell))),
-                   lambda: double_nerve_normed_group(N, ell, max_degree))
+                   double_nerve)
         table = homology_table(C, max_degree)
         for k in range(max_degree + 1):
             entries[(k, ell)] = table.group(k)
