@@ -65,7 +65,9 @@ def validate_complex(C: BasedChainComplex) -> None:
     complex's check on the top bidegrees: on a Tot column of bidegree
     (p, q), d*d has its h*h part in block (p - 2, q), its v*v part in
     (p, q - 2) and +-(hv - vh) in (p - 1, q - 1), disjoint row blocks, so
-    d*d = 0 on the column is exactly the three equations there.
+    d*d = 0 on the column is exactly the three equations there. That is
+    why the tot route of maghom.iterated checks the double complex
+    (validate_double_complex) only on the bidegrees it tabulates.
     """
     if len(C.boundary) != len(C.basis):
         raise InvalidComplexError("one boundary matrix required per degree")

@@ -16,9 +16,11 @@ reachable gradings are the metric's reachable_gradings. Both kinds share
 one route body, _route_chains. Every builder here supplies only
 its generators and generator-level faces and degeneracies;
 simplicial.assemble_simplicial and assemble_bisimplicial tabulate them.
-The diagonal builders skip the bisimplicial maps: _diagonal_maps fuses
-each diagonal face into one pass over the legs, with every inner merge
-composed once per builder call.
+Every second-order path is listed by one enumerator on integer codes,
+_Coder.last_legs; _tuple_generators decodes its codes into labels for
+the tabulated nerves. The diagonal builders skip the bisimplicial maps:
+_diagonal_maps fuses each diagonal face into one pass over the legs,
+with every inner merge composed once per builder call.
 
 Homology through degree D - 1 reads the boundary out of degree D, by far
 the largest, and usually only part of it before the column reduction's
@@ -29,14 +31,12 @@ is streamed from integer codes of its generators (_CodedTop; _Coder
 holds the codes and tables of every leg degree, and one face rule on
 codes serves both routes), one column at a time, each checked for
 d*d = 0 as it is emitted (exact_linalg.ColumnStream), read by the
-reduction until it stops, then drawn and checked to the end. On the tot
-route the double complex is checked (validate_double_complex) only where
-it is tabulated. That loses no check: on a Tot column of bidegree
-(p, q), the components of d*d lie in disjoint row blocks, h*h in
-(p - 2, q), v*v in (p, q - 2) and +-(hv - vh) in (p - 1, q - 1), so the
-stream's check of each top column checks exactly the equations of the
-top bidegrees. iterated_complex, mb_n and the nerve builders stay fully
-tabulated.
+reduction until it stops, then drawn and checked to the end. Its rows,
+the generators of degree D - 1, are indexed from the same coder's codes.
+On the tot route the double complex is checked (validate_double_complex)
+only where it is tabulated, which loses no check (see
+complexes.validate_complex). iterated_complex, mb_n and the nerve
+builders stay fully tabulated.
 """
 
 from __future__ import annotations
@@ -164,34 +164,21 @@ class _SuspensionNerves(_HomNerves):
 
 def _tuple_generators(H: _HomNerves, p: int, q: int, ell=0):
     """Generators at bidegree (p, q) in grading ell: object paths with a
-    leg in each hom whose lengths sum to ell."""
+    leg in each hom whose lengths sum to ell. _Coder.last_legs lists them
+    in codes; each prefix is decoded once, then each last leg."""
     if p == 0:
         return tuple(((x,), ()) for x in H.objects) if ell == 0 else ()
+    coder = _Coder(H)
+    bases = coder.legs(q).legs
     out: list = []
-    for x in H.objects:
-        _extend_paths(H, p, q, (x,), (), ell, out)
+    decoded = None
+    for os, ls, y, legs in coder.last_legs(p, q, ell):
+        if decoded is not os:
+            decoded = os
+            xs, prefix = coder.label(q, os, ls)
+        xy = xs + (H.objects[y],)
+        out += [(xy, prefix + (leg,)) for leg in bases[os[-1]][y][legs.start:legs.stop]]
     return tuple(out)
-
-
-def _extend_paths(H: _HomNerves, p: int, q: int, xs: tuple, legs: tuple,
-                  budget: int, out: list) -> None:
-    """Append to out every way of extending the path (xs, legs) to p legs
-    of degree q whose lengths add up to budget. A module-level function
-    rather than a recursive closure, whose reference cycle would keep out
-    and H alive until the next cyclic garbage collection."""
-    if len(legs) == p:
-        if budget == 0:
-            out.append((xs, legs))
-        return
-    lengths = H.lengths
-    x = xs[-1]
-    for y in H.objects:
-        S = H.homs.get((x, y))
-        for leg in () if S is None else S.basis[q]:
-            n = lengths.get(leg, 0) if lengths else 0
-            if n > budget:
-                break
-            _extend_paths(H, p, q, xs + (y,), legs + (leg,), budget - n, out)
 
 
 def _h_face_gen(H: _HomNerves, p: int, q: int, i: int, gen):
@@ -356,16 +343,17 @@ class _Legs:
 
 
 class _Coder:
-    """H's double nerve in integer codes. An object is its index in
-    H.objects and a leg of degree q its index in homs[x, y].basis[q]. A
-    path of p legs is the pair (os, ls) of its p + 1 object codes and p leg
-    codes, and the flat tuple os + ls is its key. The tables of each leg
-    degree are built when first asked for (legs), and an inner merge is
-    composed once per (q, x, y, z, a, b) (merged)."""
+    """H's double nerve in integer codes, and the one enumerator of its
+    paths (paths, last_legs): _tuple_generators decodes what it lists, and
+    _CodedTop streams from it. An object is its index in H.objects and a
+    leg of degree q its index in homs[x, y].basis[q]. A path of p legs is
+    the pair (os, ls) of its p + 1 object codes and p leg codes, and the
+    flat tuple os + ls is its key. The tables of each leg degree are built
+    when first asked for (legs), and an inner merge is composed once per
+    (q, x, y, z, a, b) (merged)."""
 
     def __init__(self, H: _HomNerves):
         self.H = H
-        self.index = {x: k for k, x in enumerate(H.objects)}
         self._homs = [[H.homs.get((x, y)) for y in H.objects] for x in H.objects]
         self._legs: dict = {}
         self._merges: dict = {}  # (q, x, y, z, a) -> {b: code of the merge, -1 for zero}
@@ -399,24 +387,22 @@ class _Coder:
 
     def paths(self, p: int, q: int, ell) -> list:
         """(os, ls, used): every path of p legs of degree q whose lengths
-        sum to used <= ell, in _tuple_generators' order."""
+        sum to used <= ell, in lexicographic order of their steps (next
+        object, then leg)."""
         spans = self.legs(q).spans
-        level = [((x,), (), 0) for x in range(len(self.index))]
+        level = [((x,), (), 0) for x in range(len(self.H.objects))]
         for _ in range(p):
-            nxt = []
-            for os, ls, used in level:
-                for y, by_length in enumerate(spans[os[-1]]):
-                    for n, legs in (by_length or {}).items():
-                        if used + n > ell:
-                            break
-                        nxt.extend((os + (y,), ls + (leg,), used + n) for leg in legs)
-            level = nxt
+            level = [(os + (y,), ls + (leg,), used + n)
+                     for os, ls, used in level
+                     for y, by_length in enumerate(spans[os[-1]]) if by_length
+                     for n, legs in by_length.items() if used + n <= ell
+                     for leg in legs]
         return level
 
     def last_legs(self, p: int, q: int, ell):
         """(os, ls, y, legs), for p >= 1: each path of p - 1 legs, an
         object y after it, and the range of last legs into y that complete
-        it to grading ell; together, _tuple_generators(H, p, q, ell)."""
+        it to grading ell: the paths of bidegree (p, q) in grading ell."""
         spans = self.legs(q).spans
         for os, ls, used in self.paths(p - 1, q, ell):
             for y, by_length in enumerate(spans[os[-1]]):
@@ -424,20 +410,13 @@ class _Coder:
                 if legs:
                     yield os, ls, y, legs
 
-    def key(self, q: int, label) -> tuple:
-        """The key os + ls of a path label (objects, legs of degree q)."""
-        xs, legs = label
-        os = tuple(self.index[x] for x in xs)
-        codes = self.legs(q).codes
-        return os + tuple(codes[os[k]][os[k + 1]][leg] for k, leg in enumerate(legs))
-
     def label(self, q: int, os: tuple, ls: tuple) -> tuple:
         """The (objects, legs) label that _tuple_generators gives a path."""
-        xs = tuple(self.H.objects[o] for o in os)
+        xs = tuple(map(self.H.objects.__getitem__, os))
         if not ls:
             return xs, ()
         legs = self.legs(q).legs
-        return xs, tuple(legs[os[k]][os[k + 1]][leg] for k, leg in enumerate(ls))
+        return xs, tuple([legs[x][y][leg] for x, y, leg in zip(os, os[1:], ls)])
 
 
 _SUB, _MERGE, _END = range(3)  # how a face term finds its row (_CodedTop._plan)
@@ -457,7 +436,7 @@ class _CodedTop:
     the boundary out of it (see extend).
 
     Its generators come in blocks (p, q) of paths with p legs of degree q,
-    each block in _tuple_generators' order (_Coder.last_legs). A face term
+    each block as _Coder.last_legs lists it. A face term
     (j, i, sign) of a block is v-face j of every leg (j < 0: none), then
     h-face i (None: none), as _v_face_gen and _h_face_gen make them:
       diag  degree D of the diagonal: one block (D, D) whose face i is
@@ -468,6 +447,9 @@ class _CodedTop:
             row_normalize, a generator in the image of an h-degeneracy is
             left out, and so is a face term whose row the chains below
             leave out.
+    The rows, the generators of degree D - 1, are the same blocks one
+    degree down, listed by the same coder under the same rule (_rows), so
+    they come in the order the tabulated chains give them.
     Everything a face reads from a path's first p - 1 legs is worked out
     once per such prefix and last object (_plan). The tables do not depend
     on the grading, so one _CodedTop serves every slice.
@@ -480,9 +462,13 @@ class _CodedTop:
         self.tagged = route == "tot"  # labels (p, q, path), as total_complex's
         self.drop = normalize_rows
         if self.tagged:
-            self.blocks = tuple((p, D - p, _tot_terms(p, D - p)) for p in range(D + 1))
+            self.blocks = tuple((p, q, _tot_terms(p, q)) for p, q in self._bidegrees(D))
         else:
             self.blocks = ((D, D, tuple((i, i, (-1) ** i) for i in range(D + 1))),)
+
+    def _bidegrees(self, n: int) -> tuple:
+        """The blocks (p, q) of degree n, in the order of the route's chains."""
+        return tuple((p, n - p) for p in range(n + 1)) if self.tagged else ((n, n),)
 
     def _objects(self, ell) -> range:
         """The object codes, the paths with no legs, which grading 0 alone has."""
@@ -530,12 +516,6 @@ class _CodedTop:
             return self.coder.label(self.D, os, ls)
         q = self.D - len(ls)
         return (len(ls), q, self.coder.label(q, os, ls))
-
-    def _row_key(self, label) -> tuple:
-        if self.tagged:
-            _, q, label = label
-            return self.coder.key(q, label)
-        return self.coder.key(self.D - 1, label)
 
     def _plan(self, p, q, terms, os, ls, pre, y, rows) -> list:
         """How each face term of the codes (os + (y,), ls + (leg,)) of block
@@ -647,17 +627,36 @@ class _CodedTop:
         total = sum(sign for *_, sign in terms)
         return {rows[()][x]: total} if total else {}
 
+    def _rows(self, ell) -> tuple:
+        """(rows, count): the row of each generator of degree D - 1 of
+        grading ell, by all but the last code of its key os + ls, then by
+        the last; and how many there are."""
+        rows: dict = {}
+        n = 0
+        for p, q in self._bidegrees(self.D - 1):
+            if p == 0:
+                objects = self._objects(ell)
+                rows[()] = dict(zip(objects, range(n, n + len(objects))))
+                n += len(objects)
+                continue
+            for os, ls, y, legs in self._gens(p, q, ell):
+                rows[os + (y,) + ls] = dict(zip(legs, range(n, n + len(legs))))
+                n += len(legs)
+        return rows, n
+
     def extend(self, C: BasedChainComplex, ell) -> BasedChainComplex:
         """C, the route's chains through degree D - 1 in grading ell, with
         degree D on top. Its generators are decoded from their codes
         whenever they are read, and its boundary is a ColumnStream over C's
-        top boundary, so no degree-D table is built."""
+        top boundary, so no degree-D table is built. C's degree-D - 1
+        generators must be the ones _rows lists, in its order; only their
+        number is checked."""
         if len(C.basis) != self.D:
             raise ValueError(f"expected chains through degree {self.D - 1}")
-        rows: dict = {}
-        for r, label in enumerate(C.basis[-1]):
-            key = self._row_key(label)
-            rows.setdefault(key[:-1], {})[key[-1]] = r
+        rows, count = self._rows(ell)
+        if count != len(C.basis[-1]):
+            raise ValueError(f"expected {count} generators in degree {self.D - 1}, "
+                             f"not {len(C.basis[-1])}")
         top = ColumnStream(C.boundary[-1], self.count(ell), partial(self._columns, rows, ell))
         return BasedChainComplex(
             C.basis + (_CodedLabels(self, ell, top.ncols),), C.boundary + (top,), self.D - 1
@@ -732,14 +731,9 @@ def _route_chains(route: str, normalize_rows: bool):
     (double_nerve), whose double chains, rows normalized or not, give the
     total complex (tot). top is None when the nerve holds every degree,
     or else a function that puts the streamed top degree on those chains
-    (_CodedTop.extend).
-
-    On the tot route the double complex is checked (h*h, v*v and
-    commutation) only where it is tabulated. On a streamed Tot column of
-    bidegree (p, q), the three components of Tot's d*d lie in disjoint
-    row blocks: h*h in (p - 2, q), v*v in (p, q - 2) and +-(hv - vh) in
-    (p - 1, q - 1). So the stream's check of each column is exactly
-    validate_double_complex's check on the top bidegrees.
+    (_CodedTop.extend). On the tot route the double complex is checked
+    only where it is tabulated; complexes.validate_complex says why the
+    stream's per-column check covers the top bidegrees.
     """
     if route not in ("diag", "tot"):
         raise ValidationError(f"unknown route {route!r}")

@@ -194,6 +194,24 @@ def test_all_pairs_up_to_order_8_validate():
             validate_cat_group(two_group_from_normal_subgroup(G, N))
 
 
+def _reference_hmul(G, N) -> dict:
+    """Horizontal products as built before the conjugates were tabulated:
+    one conjugation per pair of arrows."""
+    arrows = [(k, g) for k in sorted(N, key=repr) for g in G.elements]
+    return {((k, g), (k2, g2)): (G.mul(k, G.conjugate(g, k2)), G.mul(g, g2))
+            for (k, g) in arrows for (k2, g2) in arrows}
+
+
+def test_horizontal_products_match_one_conjugation_per_pair_of_arrows():
+    cases = 0
+    for G in all_groups_up_to_order_8():
+        for N in G.normal_subgroups():
+            got = two_group_from_normal_subgroup(G, N).hmul
+            assert list(got.items()) == list(_reference_hmul(G, N).items()), (G, N)
+            cases += 1
+    assert cases == 64
+
+
 def test_component_group():
     C = two_group_from_normal_subgroup(S3, A3)
     con = component_group(C)
