@@ -473,6 +473,105 @@ def test_bottommost_pivot_matches_topmost_on_acceptance_complexes(monkeypatch):
             )
 
 
+# --- reduced unit pivots against the cascade they replace ---------------------
+
+
+def _reduce_columns_cascade(columns, stop_rank=None):
+    """_reduce_columns as it was before its unit pivots were kept reduced:
+    each column cascades through the pivots, bottommost row first."""
+    basis = {}
+    nonunit = 0
+    for col in columns:
+        v = {r: w for r, w in col.items() if w}
+        while v:
+            r = max(v)
+            b = basis.get(r)
+            if b is None:
+                if v[r] < 0:
+                    v = {k: -w for k, w in v.items()}
+                basis[r] = v
+                if v[r] != 1:
+                    nonunit += 1
+                break
+            a, c = b[r], v[r]
+            if c % a == 0:
+                _sub_scaled(v, b, c // a)
+            else:
+                g, x, y = _ext_gcd(a, c)
+                basis[r] = _combine(x, b, y, v)
+                if g == 1:
+                    nonunit -= 1
+                v = _combine(a // g, v, -(c // g), b)
+                v.pop(r, None)
+        if len(basis) == stop_rank and not nonunit:
+            break
+    return basis
+
+
+def _reduce_counting_reads(reduce, columns, stop_rank):
+    """(basis, (how many columns reduce pulled, whether it asked for one
+    more: then its early exit never fired and every column was read))."""
+    read, exhausted = 0, False
+
+    def pulled():
+        nonlocal read, exhausted
+        for col in columns:
+            read += 1
+            yield col
+        exhausted = True
+
+    basis = reduce(pulled(), stop_rank)
+    return basis, (read, exhausted)
+
+
+def _assert_unit_pivots_reduced(basis: dict) -> None:
+    """Every vector's pivot is its bottommost row, and no vector has an
+    entry on the pivot row of a unit-pivot vector other than its own."""
+    units = {r for r, v in basis.items() if v[r] == 1}
+    for r, v in basis.items():
+        assert max(v) == r
+        assert all(k == r or k not in units for k in v), (r, v)
+
+
+def _assert_reduced_like_the_cascade(columns, nrows: int, monkeypatch) -> None:
+    snapshot = [dict(col) for col in columns]
+    M = IntMatrix(nrows, len(columns), tuple(columns))
+    rank = len(_reduce_columns_cascade(columns))
+    for stop in (None, rank, rank - 1):
+        got, read = _reduce_counting_reads(_reduce_columns, columns, stop)
+        want, want_read = _reduce_counting_reads(_reduce_columns_cascade, columns, stop)
+        assert read == want_read, stop
+        assert {r: v[r] for r, v in got.items()} == {r: v[r] for r, v in want.items()}
+        _assert_unit_pivots_reduced(got)
+        factors = smith_normal_form(M, stop)
+        with monkeypatch.context() as m:
+            m.setattr(exact_linalg, "_reduce_columns", _reduce_columns_cascade)
+            assert smith_normal_form(M, stop) == factors
+    assert list(columns) == snapshot
+
+
+@pytest.mark.parametrize("entries", [
+    (1, -1), (1, -1, 2, -2), (1, -1, 2, 3, -4, 6, -9),
+])
+def test_reduced_unit_pivots_match_the_cascade_on_random_matrices(rnd, monkeypatch, entries):
+    for _ in range(300):
+        nrows, ncols = rnd.randint(1, 9), rnd.randint(1, 12)
+        density = rnd.random()
+        columns = [
+            {r: rnd.choice(entries) for r in range(nrows) if rnd.random() < density}
+            for _ in range(ncols)
+        ]
+        _assert_reduced_like_the_cascade(columns, nrows, monkeypatch)
+    # wider and sparser, so a new unit pivot is cleared from many vectors
+    for _ in range(20):
+        nrows = rnd.randint(20, 40)
+        columns = [
+            {r: rnd.choice(entries) for r in rnd.sample(range(nrows), rnd.randint(1, 4))}
+            for _ in range(rnd.randint(nrows, 2 * nrows))
+        ]
+        _assert_reduced_like_the_cascade(columns, nrows, monkeypatch)
+
+
 # --- the unit peel in _SparseSmith --------------------------------------------
 
 
