@@ -483,7 +483,8 @@ def two_group_from_normal_subgroup(G: FinGroup, N: Iterable) -> CatGroup:
             compose[((k2, kg), (k, g))] = (G.mul(k2, k), g)
     cells = make_category(G.elements, arrows, source, target, identity, compose)
     conj = {(g, k2): G.conjugate(g, k2) for g in G.elements for k2 in members}
-    hmul = {((k, g), (k2, g2)): (G.mul(k, conj[g, k2]), G.mul(g, g2))
+    mul = G.table
+    hmul = {((k, g), (k2, g2)): (mul[k, conj[g, k2]], mul[g, g2])
             for (k, g) in arrows for (k2, g2) in arrows}
     return CatGroup(cells, G, hmul)
 

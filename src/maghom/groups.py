@@ -49,16 +49,23 @@ class FinGroup:
             else:
                 raise ValidationError(f"element {a!r} has no inverse")
         self._inv = inv
+        mul = self._mul
         for a in self.elements:
             for b in self.elements:
+                ab = mul[a, b]
                 for c in self.elements:
-                    if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
+                    if mul[ab, c] != mul[a, mul[b, c]]:
                         raise ValidationError(
                             f"associativity fails on ({a!r}, {b!r}, {c!r})"
                         )
 
     def mul(self, a: Element, b: Element) -> Element:
         return self._mul[(a, b)]
+
+    @property
+    def table(self) -> Mapping:
+        """The multiplication table, {(a, b): a * b}; not to be modified."""
+        return self._mul
 
     def inv(self, a: Element) -> Element:
         return self._inv[a]

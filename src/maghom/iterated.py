@@ -130,8 +130,7 @@ class _TwoCatNerves(_HomNerves):
     def compose(self, x, y, z, q, a, b):
         if q == 0:
             return self.X.compose_obj[(x, y, z)][(a, b)]
-        cm = self.X.compose_mor[(x, y, z)]
-        return tuple(cm[(p1, p2)] for p1, p2 in zip(a, b))
+        return tuple(map(self.X.compose_mor[(x, y, z)].__getitem__, zip(a, b)))
 
     def identity_gen(self, x, q):
         one = self.X.id_onecell[x]
@@ -165,18 +164,24 @@ class _SuspensionNerves(_HomNerves):
 def _tuple_generators(H: _HomNerves, p: int, q: int, ell=0):
     """Generators at bidegree (p, q) in grading ell: object paths with a
     leg in each hom whose lengths sum to ell. _Coder.last_legs lists them
-    in codes; each prefix is decoded once, then each last leg."""
+    in codes; each leg of a prefix is decoded once, as the walk takes it,
+    then each last leg."""
     if p == 0:
         return tuple(((x,), ()) for x in H.objects) if ell == 0 else ()
     coder = _Coder(H)
     bases = coder.legs(q).legs
+    objects = H.objects
+
+    def start(x):
+        return (objects[x],), ()
+
+    def step(label, os, y, leg):
+        xs, legs = label
+        return xs + (objects[y],), legs + (bases[os[-1]][y][leg],)
+
     out: list = []
-    decoded = None
-    for os, ls, y, legs in coder.last_legs(p, q, ell):
-        if decoded is not os:
-            decoded = os
-            xs, prefix = coder.label(q, os, ls)
-        xy = xs + (H.objects[y],)
+    for os, _, (xs, prefix), y, legs in coder.last_legs(p, q, ell, start, step):
+        xy = xs + (objects[y],)
         out += [(xy, prefix + (leg,)) for leg in bases[os[-1]][y][legs.start:legs.stop]]
     return tuple(out)
 
@@ -342,21 +347,52 @@ class _Legs:
         return self._table(faces)
 
 
+def _walk(spans: list, p: int, ell, step, os: tuple, ls: tuple, used, state):
+    """_Coder.last_legs through the path (os, ls) of length used, with its
+    state; spans is the legs' _Legs.spans. A prefix of p - 1 legs is
+    completed where its last leg is taken, in the loop below, unless it
+    has no legs."""
+    if len(ls) == p - 1:
+        for y, last in enumerate(spans[os[-1]]):
+            last = last.get(ell - used) if last else None
+            if last:
+                yield os, ls, state, y, last
+        return
+    deeper = len(ls) < p - 2
+    for y, by_length in enumerate(spans[os[-1]]):
+        if by_length:
+            for n, legs in by_length.items():
+                if used + n > ell:
+                    break
+                for leg in legs:
+                    after = step(state, os, y, leg)
+                    if after is None:
+                        continue
+                    if deeper:
+                        yield from _walk(spans, p, ell, step, os + (y,), ls + (leg,),
+                                         used + n, after)
+                        continue
+                    rest = ell - used - n
+                    for z, last in enumerate(spans[y]):
+                        last = last.get(rest) if last else None
+                        if last:
+                            yield os + (y,), ls + (leg,), after, z, last
+
+
 class _Coder:
     """H's double nerve in integer codes, and the one enumerator of its
-    paths (paths, last_legs): _tuple_generators decodes what it lists, and
+    paths (last_legs): _tuple_generators decodes what it lists, and
     _CodedTop streams from it. An object is its index in H.objects and a
     leg of degree q its index in homs[x, y].basis[q]. A path of p legs is
-    the pair (os, ls) of its p + 1 object codes and p leg codes, and the
-    flat tuple os + ls is its key. The tables of each leg degree are built
-    when first asked for (legs), and an inner merge is composed once per
-    (q, x, y, z, a, b) (merged)."""
+    the pair (os, ls) of its p + 1 object codes and p leg codes. The
+    tables of each leg degree are built when first asked for (legs), and
+    an inner merge is composed once per (q, x, y, z, a, b) (merged)."""
 
     def __init__(self, H: _HomNerves):
         self.H = H
         self._homs = [[H.homs.get((x, y)) for y in H.objects] for x in H.objects]
         self._legs: dict = {}
-        self._merges: dict = {}  # (q, x, y, z, a) -> {b: code of the merge, -1 for zero}
+        self.merges: dict = {}  # (q, x, y, z, a) -> {b: code of the merge, -1 for zero}
 
     def legs(self, q: int) -> _Legs:
         T = self._legs.get(q)
@@ -364,13 +400,14 @@ class _Coder:
             T = self._legs[q] = _Legs(self._homs, q, self.H.lengths)
         return T
 
-    def memo(self, q: int, x: int, y: int, z: int, a: int) -> dict:
-        return self._merges.setdefault((q, x, y, z, a), {})
-
     def merged(self, q: int, x: int, y: int, z: int, a: int, b: int) -> int:
         """Code of the composite of legs a: x -> y and b: y -> z of degree
-        q (-1 for zero), composed once and then read from memo(q, x, y, z, a)."""
-        memo = self.memo(q, x, y, z, a)
+        q (-1 for zero), composed once and then read from
+        merges[q, x, y, z, a]."""
+        key = (q, x, y, z, a)
+        memo = self.merges.get(key)
+        if memo is None:
+            memo = self.merges[key] = {}
         m = memo.get(b)
         if m is None:
             objects, T = self.H.objects, self.legs(q)
@@ -378,37 +415,28 @@ class _Coder:
                                     T.legs[x][y][a], T.legs[y][z][b])
             if merged is None:
                 m = -1
-            elif merged in T.codes[x][z]:
-                m = T.codes[x][z][merged]
             else:
-                raise ValidationError(f"an h-face in leg degree {q} leaves the basis: {merged!r}")
+                m = T.codes[x][z].get(merged)
+                if m is None:
+                    raise ValidationError(
+                        f"an h-face in leg degree {q} leaves the basis: {merged!r}")
             memo[b] = m
         return m
 
-    def paths(self, p: int, q: int, ell) -> list:
-        """(os, ls, used): every path of p legs of degree q whose lengths
-        sum to used <= ell, in lexicographic order of their steps (next
-        object, then leg)."""
+    def last_legs(self, p: int, q: int, ell, start, step):
+        """(os, ls, state, y, legs), for p >= 1: the paths of bidegree
+        (p, q) in grading ell, as each path (os, ls) of p - 1 legs whose
+        lengths sum to at most ell, an object y after it, and the range of
+        last legs into y that complete it to grading ell. The paths are
+        walked depth first, in lexicographic order of their steps (next
+        object, then leg), and state is start(x) on the path (x,), and
+        step(state of (os, ls), os, y, leg) on the path one leg from os[-1]
+        to y longer: each leg of a prefix is taken once for all the paths
+        through it. A step that returns None leaves out its path and
+        every path through it."""
         spans = self.legs(q).spans
-        level = [((x,), (), 0) for x in range(len(self.H.objects))]
-        for _ in range(p):
-            level = [(os + (y,), ls + (leg,), used + n)
-                     for os, ls, used in level
-                     for y, by_length in enumerate(spans[os[-1]]) if by_length
-                     for n, legs in by_length.items() if used + n <= ell
-                     for leg in legs]
-        return level
-
-    def last_legs(self, p: int, q: int, ell):
-        """(os, ls, y, legs), for p >= 1: each path of p - 1 legs, an
-        object y after it, and the range of last legs into y that complete
-        it to grading ell: the paths of bidegree (p, q) in grading ell."""
-        spans = self.legs(q).spans
-        for os, ls, used in self.paths(p - 1, q, ell):
-            for y, by_length in enumerate(spans[os[-1]]):
-                legs = by_length.get(ell - used) if by_length else None
-                if legs:
-                    yield os, ls, y, legs
+        for x in range(len(self.H.objects)):
+            yield from _walk(spans, p, ell, step, (x,), (), 0, start(x))
 
     def label(self, q: int, os: tuple, ls: tuple) -> tuple:
         """The (objects, legs) label that _tuple_generators gives a path."""
@@ -419,7 +447,8 @@ class _Coder:
         return xs, tuple([legs[x][y][leg] for x, y, leg in zip(os, os[1:], ls)])
 
 
-_SUB, _MERGE, _END = range(3)  # how a face term finds its row (_CodedTop._plan)
+_SUB, _MERGE, _END = range(3)  # how a face term finds its row from the last leg
+_DOWN, _HOLD, _JOIN, _HEAD = range(4)  # how a face term takes a leg of the prefix
 _NO_ROWS: dict = {}
 
 
@@ -429,6 +458,10 @@ def _tot_terms(p: int, q: int) -> tuple:
     h = [(-1, i, (-1) ** i) for i in range(p + 1)] if p else []
     v = [(j, None, (-1) ** (p + j)) for j in range(q + 1)] if q else []
     return tuple(h + v)
+
+
+def _no_state(*args) -> tuple:
+    return ()
 
 
 class _CodedTop:
@@ -450,9 +483,10 @@ class _CodedTop:
     The rows, the generators of degree D - 1, are the same blocks one
     degree down, listed by the same coder under the same rule (_rows), so
     they come in the order the tabulated chains give them.
-    Everything a face reads from a path's first p - 1 legs is worked out
-    once per such prefix and last object (_plan). The tables do not depend
-    on the grading, so one _CodedTop serves every slice.
+    Each face term follows the walk of _Coder.last_legs down a path's first
+    p - 1 legs, one leg at a time (_columns), so what a face reads from a
+    prefix is worked out once for every path through it. The tables do not
+    depend on the grading, so one _CodedTop serves every slice.
     """
 
     def __init__(self, H: _HomNerves, D: int, route: str = "diag",
@@ -474,30 +508,58 @@ class _CodedTop:
         """The object codes, the paths with no legs, which grading 0 alone has."""
         return range(len(self.H.objects) if ell == 0 else 0)
 
-    def _gens(self, p: int, q: int, ell):
-        """(os, ls, y, legs) of block (p, q), p >= 1, as _Coder.last_legs
-        lists them, less the h-degenerate generators when rows are
-        normalized: leg k is the identity of x_k = x_{k+1}."""
-        gens = self.coder.last_legs(p, q, ell)
-        if not self.drop:
-            yield from gens
-            return
+    def _identities(self, q: int) -> list:
+        """Per object code, the code of its identity leg of degree q (-1
+        for none)."""
         codes = self.coder.legs(q).codes
-        ident = [-1 if (c := codes[x][x]) is None else c.get(self.H.identity_gen(obj, q), -1)
-                 for x, obj in enumerate(self.H.objects)]
-        for os, ls, y, legs in gens:
-            if any(os[k] == os[k + 1] and leg == ident[os[k]] for k, leg in enumerate(ls)):
-                continue
+        return [-1 if (c := codes[x][x]) is None else c.get(self.H.identity_gen(obj, q), -1)
+                for x, obj in enumerate(self.H.objects)]
+
+    def _gens(self, p: int, q: int, ell, start=_no_state, step=_no_state):
+        """(os, ls, state, y, legs) of block (p, q), p >= 1, as
+        _Coder.last_legs lists them, less the h-degenerate generators when
+        rows are normalized: leg k is the identity of x_k = x_{k+1}."""
+        if not self.drop:
+            return self.coder.last_legs(p, q, ell, start, step)
+        return self._nondegenerate(p, q, ell, start, step)
+
+    def _nondegenerate(self, p: int, q: int, ell, start, step):
+        """_gens with rows normalized."""
+        ident = self._identities(q)
+
+        def kept(state, os, y, leg):
+            x = os[-1]
+            return None if x == y and leg == ident[x] else step(state, os, y, leg)
+
+        for os, ls, state, y, legs in self.coder.last_legs(p, q, ell, start, kept):
             if os[-1] == y and ident[y] in legs:
                 legs = [leg for leg in legs if leg != ident[y]]
             if legs:
-                yield os, ls, y, legs
+                yield os, ls, state, y, legs
 
     def count(self, ell) -> int:
-        """How many degree-D generators grading ell has; none is built."""
-        return sum(len(self._objects(ell)) if p == 0 else
-                   sum(len(legs) for *_, legs in self._gens(p, q, ell))
-                   for p, q, _ in self.blocks)
+        """How many degree-D generators grading ell has, counted from the
+        number of legs of each length in each hom; no path is listed."""
+        total = 0
+        for p, q, _ in self.blocks:
+            if p == 0:
+                total += len(self._objects(ell))
+                continue
+            spans = self.coder.legs(q).spans
+            ident = self._identities(q) if self.drop else None
+            ends = {(x, 0): 1 for x in range(len(self.H.objects))}  # (last object, used) -> paths
+            for _ in range(p):
+                longer: dict = {}
+                for (x, used), n_paths in ends.items():
+                    for y, by_length in enumerate(spans[x]):
+                        for n, legs in by_length.items() if by_length else ():
+                            if used + n > ell:
+                                break
+                            k = len(legs) - (ident is not None and x == y and ident[x] in legs)
+                            longer[y, used + n] = longer.get((y, used + n), 0) + n_paths * k
+                ends = longer
+            total += sum(n_paths for (_, used), n_paths in ends.items() if used == ell)
+        return total
 
     def codes(self, ell):
         """The codes (os, ls) of the degree-D generators of grading ell."""
@@ -505,7 +567,7 @@ class _CodedTop:
             if p == 0:
                 yield from (((x,), ()) for x in self._objects(ell))
                 continue
-            for os, ls, y, legs in self._gens(p, q, ell):
+            for os, ls, _, y, legs in self._gens(p, q, ell):
                 for leg in legs:
                     yield os + (y,), ls + (leg,)
 
@@ -517,74 +579,108 @@ class _CodedTop:
         q = self.D - len(ls)
         return (len(ls), q, self.coder.label(q, os, ls))
 
-    def _plan(self, p, q, terms, os, ls, pre, y, rows) -> list:
-        """How each face term of the codes (os + (y,), ls + (leg,)) of block
-        (p, q) finds its row, given pre, the _Legs.faces entries of the
-        prefix's legs ls, and the rows of _columns. Returns (kind, j, sign,
-        target, aux) in term order, leaving out the terms that are zero on
-        every last leg:
-          _SUB    the face's last leg is the last leg's v-face j, whose code
-                  target maps to the row;
-          _MERGE  h-face p - 1 merges the prefix's last leg with the last
-                  leg (after v-face j); target maps the merge's code to the
-                  row, and aux is (memo, the arguments of _Coder.merged
-                  but b);
-          _END    the h-face drops the last leg, and is zero unless its
-                  v-face j has length 0, read from aux; target is the row.
-        """
-        coder = self.coder
-        x = os[-1]
-        path = os + (y,)
-        plan = []
+    def _terms(self, p: int, q: int, terms, rows: dict) -> list:
+        """The face terms of block (p, q) as the walk of _columns reads
+        them: per term, (spec, at_root), where spec = (j, steps, qq,
+        lengths, sign, kind, at_y, block) and
+          steps    how the term takes leg k of the prefix (k < p - 1), whose
+                   v-face j is f:
+                   _DOWN   the face takes f and the leg's end;
+                   _HOLD   holds f, the first leg of the inner merge of
+                           h-face k + 1, and drops the leg's end;
+                   _JOIN   the face takes the merge of the held leg and f,
+                           and the leg's end;
+                   _HEAD   h-face 0: zero unless f has length 0, else the
+                           face starts at the leg's end;
+          qq       the degree of the face's legs, lengths their lengths;
+          kind     how the last leg finds its row (_columns);
+          at_y     whether the face takes the last object (all but the
+                   h-face that drops the last leg);
+          block    the rows of the face's block (_rows).
+        A term's key is what the face has taken so far, in _rows's order;
+        it starts as the path's first object unless at_root (h-face 0
+        drops it)."""
+        out = []
         for j, i, sign in terms:
-            new = list(ls) if j < 0 else [faces[j] for faces in pre]
-            if -1 in new:
-                continue
             qq = q if j < 0 else q - 1
-            lengths = coder.legs(qq).lengths
             if i is None:
-                key = path + tuple(new)
-            elif i == p or i == 0 and p == 1:
-                key = (y,) if i == 0 else os + tuple(new)
-                row = rows.get(key[:-1], _NO_ROWS).get(key[-1])
-                plan.append((_END, j, sign, row, lengths[x][y]))
-                continue
+                steps, kind = (_DOWN,) * (p - 1), _SUB
             elif i == 0:
-                if lengths[os[0]][os[1]][new[0]]:
-                    continue
-                key = path[1:] + tuple(new[1:])
-            elif i < p - 1:
-                merged = coder.merged(qq, os[i - 1], os[i], os[i + 1], new[i - 1], new[i])
-                if merged < 0:
-                    continue
-                new[i - 1 : i + 1] = (merged,)
-                key = path[:i] + path[i + 1:] + tuple(new)
+                steps, kind = (_HEAD,) + (_DOWN,) * (p - 2), _SUB if p > 1 else _END
             else:
-                args = (qq, os[-2], x, y, new[-1])
-                key = os[:-1] + (y,) + tuple(new[:-1])
-                plan.append((_MERGE, j, sign, rows.get(key, _NO_ROWS),
-                             (coder.memo(*args), args)))
-                continue
-            plan.append((_SUB, j, sign, rows.get(key, _NO_ROWS), None))
-        return plan
+                steps = tuple(_HOLD if k == i - 1 else _JOIN if k == i else _DOWN
+                              for k in range(p - 1))
+                kind = _END if i == p else _MERGE if i == p - 1 else _SUB
+            spec = (j, steps, qq, self.coder.legs(qq).lengths, sign, kind, i != p,
+                    rows[p if i is None else p - 1, qq])
+            out.append((spec, i == 0))
+        return out
 
     def _columns(self, rows: dict, ell):
         """The boundary columns of the codes of grading ell, each with its
         entries in the order the tabulated column has them
-        (_alternating_matrix, then total_complex). rows holds the rows of
-        degree D - 1 by all but the last code of their key, then by the
-        last (extend)."""
-        drop, merged = self.drop, self.coder.merged
+        (_alternating_matrix, then total_complex). rows is _rows's index
+        of the rows of degree D - 1."""
+        drop, coder = self.drop, self.coder
+        merged, merges = coder.merged, coder.merges
         for p, q, terms in self.blocks:
             if p == 0:
                 for x in self._objects(ell):
-                    yield self._object_column(x, terms, rows)
+                    yield self._object_column(x, terms, rows[0, q - 1][()])
                 continue
-            faces = self.coder.legs(q).faces
-            for os, ls, y, legs in self._gens(p, q, ell):
-                pre = [faces[os[k]][os[k + 1]][leg] for k, leg in enumerate(ls)]
-                plan = self._plan(p, q, terms, os, ls, pre, y, rows)
-                last_faces = faces[os[-1]][y]
+            faces = coder.legs(q).faces
+            heads = self._terms(p, q, terms, rows)
+
+            def start(x):
+                return [(spec, () if at_root else (x,), None) for spec, at_root in heads]
+
+            def step(states, os, y, leg):
+                k = len(os) - 1
+                x = os[-1]
+                v_faces = faces[x][y][leg]
+                out = []
+                for spec, key, held in states:
+                    j = spec[0]
+                    f = leg if j < 0 else v_faces[j]
+                    if f < 0:
+                        continue
+                    act = spec[1][k]
+                    if act == _DOWN:
+                        key += (y, f)
+                    elif act == _HOLD:
+                        held = f
+                    elif act == _JOIN:
+                        m = merged(spec[2], os[-2], x, y, held, f)
+                        if m < 0:
+                            continue
+                        key += (y, m)
+                    elif spec[3][x][y][f]:
+                        continue
+                    else:
+                        key = (y,)
+                    out.append((spec, key, held))
+                return out
+
+            for os, ls, states, y, legs in self._gens(p, q, ell, start, step):
+                x = os[-1]
+                plan = []
+                for (j, _, qq, lengths, sign, kind, at_y, block), key, held in states:
+                    if at_y:
+                        key += (y,)
+                    if kind == _SUB:
+                        target, aux = block.get(key, _NO_ROWS), None
+                    elif kind == _MERGE:
+                        target = block.get(key, _NO_ROWS)
+                        memo_key = (qq, os[-2], x, y, held)
+                        memo = merges.get(memo_key)
+                        if memo is None:
+                            memo = merges[memo_key] = {}
+                        aux = (memo, memo_key)
+                    else:
+                        target = block.get(key[:-1], _NO_ROWS).get(key[-1])
+                        aux = lengths[x][y]
+                    plan.append((kind, j, sign, target, aux))
+                last_faces = faces[x][y]
                 for leg in legs:
                     steps = last_faces[leg]
                     col: dict[int, int] = {}
@@ -623,24 +719,29 @@ class _CodedTop:
     @staticmethod
     def _object_column(x: int, terms, rows: dict) -> dict:
         """The column of the path with no legs at object x: each v-face is
-        that path again, one degree down."""
+        that path again, one degree down, whose row rows[x] holds."""
         total = sum(sign for *_, sign in terms)
-        return {rows[()][x]: total} if total else {}
+        return {rows[x]: total} if total else {}
 
     def _rows(self, ell) -> tuple:
         """(rows, count): the row of each generator of degree D - 1 of
-        grading ell, by all but the last code of its key os + ls, then by
-        the last; and how many there are."""
+        grading ell, and how many there are. A path's codes, in the order
+        the walk takes them, are x_0, then x_{k+1} and l_k for each leg k;
+        rows[p, q][key][c] is the row of the path of block (p, q) whose
+        codes are key + (c,). So the walk of _columns extends a face's key
+        one leg at a time, and looks up each last leg's row by its code."""
         rows: dict = {}
         n = 0
         for p, q in self._bidegrees(self.D - 1):
+            block = rows[p, q] = {}
             if p == 0:
                 objects = self._objects(ell)
-                rows[()] = dict(zip(objects, range(n, n + len(objects))))
+                block[()] = dict(zip(objects, range(n, n + len(objects))))
                 n += len(objects)
                 continue
-            for os, ls, y, legs in self._gens(p, q, ell):
-                rows[os + (y,) + ls] = dict(zip(legs, range(n, n + len(legs))))
+            for _, _, key, y, legs in self._gens(p, q, ell, lambda x: (x,),
+                                                 lambda key, os, y, leg: key + (y, leg)):
+                block[key + (y,)] = dict(zip(legs, range(n, n + len(legs))))
                 n += len(legs)
         return rows, n
 

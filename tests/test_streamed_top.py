@@ -15,6 +15,7 @@ import pytest
 
 from maghom import (
     InvalidComplexError,
+    ValidationError,
     all_groups_up_to_order_8,
     diag_nerve_normed_group,
     homology_table,
@@ -24,6 +25,7 @@ from maghom import (
     two_group_from_normal_subgroup,
     unnormalized_chains,
 )
+from maghom.simplicial import degenerate_labels
 from maghom import exact_linalg, iterated
 from maghom.cli import builder_documents, parse_input
 from maghom.exact_linalg import ColumnStream
@@ -63,7 +65,9 @@ def _assert_streams_the_full_complex(streamed, full) -> None:
 def _two_category_cases():
     suspension = parse_input(DOCS["suspension-two-discrete"])
     cases = [(sphere_ncat(2), 3), (sphere_ncat(3), 3), (suspension, 3),
-             (sphere_ncat(2), 1), (sphere_ncat(2), 2), (suspension, 1)]
+             (sphere_ncat(2), 1), (sphere_ncat(2), 2), (suspension, 1),
+             # deep prefixes: D - 1 = 4 and 5 legs before the last one
+             (sphere_ncat(4), 5), (sphere_ncat(5), 6)]
     for G in all_groups_up_to_order_8():
         if len(G.elements) <= 4:
             for N in G.normal_subgroups():
@@ -85,7 +89,7 @@ def test_streamed_top_matches_the_tabulated_diagonal_on_two_categories(monkeypat
 
 @pytest.mark.parametrize("name, max_degree", [
     ("s3-word-norm", 2), ("z4-word-norm", 2), ("d4-word-norm", 2),
-    ("s3-word-norm", 1), ("z4-word-norm", 0),
+    ("s3-word-norm", 1), ("z4-word-norm", 0), ("z4-word-norm", 3),
 ])
 def test_streamed_top_matches_the_tabulated_normed_slices(monkeypatch, name, max_degree):
     N = parse_input(DOCS[name])
@@ -183,6 +187,50 @@ def test_a_broken_streamed_column_raises_on_a_two_category(monkeypatch):
     monkeypatch.setattr(iterated._CodedTop, "_columns", first_face_dropped)
     with pytest.raises(InvalidComplexError, match="nonzero on streamed column"):
         iterated_homology(sphere_ncat(2), 2, "diag")
+
+
+def _doctored(monkeypatch, H) -> None:
+    """Make iterated_homology build its hom nerves as H."""
+    monkeypatch.setattr(iterated, "_hom_nerves_for", lambda X, max_q: H)
+
+
+def test_a_top_face_that_leaves_the_basis_raises(monkeypatch):
+    """Give a leg of degree D - 1 length 1: the paths through it leave
+    grading 0, below the top and among its rows alike, but a top path in
+    grading 0 whose v-face is that leg still has it in a face. That face
+    is not a row, and the stream says which generator it came from."""
+    X, D = sphere_ncat(2), 2
+    H = _hom_nerves_for(X, D)
+    for S in H.homs.values():
+        leg = S.basis[D - 1][-1]  # the last leg, so the basis stays sorted by length
+        if leg not in degenerate_labels(S, D - 1) and any(
+                leg in face.values() for face in S.face[D]):
+            break
+    else:
+        raise AssertionError("no hom has such a leg")
+    H.lengths = {leg: 1}
+    _doctored(monkeypatch, H)
+    with pytest.raises(ValidationError, match=rf"^a face in degree {D} of \(\(.*\)\) "
+                                              "leaves the basis$"):
+        iterated_homology(X, D - 1, "diag")
+
+
+def test_an_inner_merge_that_leaves_the_basis_raises(monkeypatch):
+    """Composition that leaves the hom basis in leg degree D - 1 only,
+    where the diagonal's top alone composes."""
+    X, D = sphere_ncat(2), 3
+    H = _hom_nerves_for(X, D)
+    compose = H.compose
+
+    def leaving(x, y, z, q, a, b):
+        merged = compose(x, y, z, q, a, b)
+        return ("not a leg", merged) if q == D - 1 and merged is not None else merged
+
+    H.compose = leaving
+    _doctored(monkeypatch, H)
+    with pytest.raises(ValidationError, match=f"^an h-face in leg degree {D - 1} leaves "
+                                              r"the basis: \('not a leg', "):
+        iterated_homology(X, D - 1, "diag")
 
 
 def test_a_stream_of_the_wrong_length_raises():

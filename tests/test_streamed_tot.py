@@ -79,7 +79,9 @@ def _two_category_cases():
     cases = [(two_cat_from_category(parallel_arrows_category()), D) for D in (1, 2, 3)]
     cases += [(sphere_ncat(2), 3), (sphere_ncat(3), 3), (sphere_ncat(2), 1),
               (parse_input(DOCS["suspension-two-discrete"]), 3),
-              (parse_input(DOCS["suspension-two-discrete"]), 1)]
+              (parse_input(DOCS["suspension-two-discrete"]), 1),
+              # deep prefixes: up to D - 1 = 4 and 5 legs before the last one
+              (sphere_ncat(4), 5), (sphere_ncat(5), 6)]
     return cases
 
 
@@ -115,6 +117,7 @@ def test_streamed_tot_matches_on_every_cat_group_to_order_8(monkeypatch, normali
 
 @pytest.mark.parametrize("name, max_degree", [
     ("s3-word-norm", 2), ("z4-word-norm", 2), ("d4-word-norm", 2), ("z4-word-norm", 0),
+    ("z4-word-norm", 3),
 ])
 @pytest.mark.parametrize("normalize_rows", [False, True])
 def test_streamed_tot_matches_the_tabulated_normed_slices(monkeypatch, name, max_degree,
