@@ -297,9 +297,7 @@ def parse_input(doc):
     if kind == "ncat-suspension":
         _reject_unknown(doc, {"inner"}, kind)
         inner = parse_input(_need(doc, "inner", kind))
-        if isinstance(inner, FinCategory):
-            return suspension(inner)
-        if isinstance(inner, StrictNCat):
+        if isinstance(inner, (FinCategory, StrictNCat)):
             return suspension(inner)
         raise SchemaError("ncat-suspension: inner must be a category, sphere, or suspension")
 
@@ -804,6 +802,8 @@ def main(argv=None) -> int:
 
         # homology
         gradings = None
+        if args.grading and args.all_gradings:
+            raise ValidationError("--grading and --all-gradings exclude each other")
         if args.grading:
             gradings = [_exact_number(g, "--grading") for g in args.grading]
             if any(g is INF or g < 0 for g in gradings):

@@ -12,27 +12,29 @@ invariant norm get a grading-by-grading version: one object whose hom is
 the metric nerve of the group, every leg of integer length, and a face
 zero unless it preserves total length. That hom's columns are the tuples
 magnitude_core._enumerate_tuples lists for the group's metric, and its
-reachable gradings are the metric's reachable_gradings. Both kinds share
-one route body, _route_chains. Every builder here supplies only
-its generators and generator-level faces and degeneracies;
+reachable gradings are the metric's reachable_gradings. Both kinds are
+one _HomNerves, and take the same routes: the diagonal's unnormalized
+chains, or Tot of the double chains (_tot_chains). Every builder here
+supplies only its generators and generator-level faces and degeneracies;
 simplicial.assemble_simplicial and assemble_bisimplicial tabulate them.
 Every second-order path is listed by one enumerator on integer codes,
-_Coder.last_legs; _tuple_generators decodes its codes into labels for
-the tabulated nerves. The diagonal builders skip the bisimplicial maps:
-_diagonal_maps fuses each diagonal face into one pass over the legs,
-with every inner merge composed once per builder call.
+_HomNerves.last_legs; _tuple_generators decodes its codes into labels
+for the tabulated nerves. The diagonal builders skip the bisimplicial
+maps: _diagonal_maps fuses each diagonal face into one pass over the
+legs, with every inner merge composed once per builder call.
 
 Homology through degree D - 1 reads the boundary out of degree D, by far
 the largest, and usually only part of it before the column reduction's
 early exit. So iterated_homology and normed_group_homology tabulate each
 route's nerve only through total degree D - 1 and never build degree D:
 the diagonal's degree D or Tot_D, the bidegrees (p, D - p). Its boundary
-is streamed from integer codes of its generators (_CodedTop; _Coder
-holds the codes and tables of every leg degree, and one face rule on
-codes serves both routes), one column at a time, each checked for
-d*d = 0 as it is emitted (exact_linalg.ColumnStream), read by the
-reduction until it stops, then drawn and checked to the end. Its rows,
-the generators of degree D - 1, are indexed from the same coder's codes.
+is streamed from integer codes of its generators (_CodedTop; the hom
+nerves hold the codes and tables of every leg degree, each built once,
+and one face rule on codes serves both routes), one column at a time,
+each checked for d*d = 0 as it is emitted (exact_linalg.ColumnStream),
+read by the reduction until it stops, then drawn and checked to the end.
+Its rows, the generators of degree D - 1, are indexed from the same
+codes.
 On the tot route the double complex is checked (validate_double_complex)
 only where it is tabulated, which loses no check (see
 complexes.validate_complex). iterated_complex, mb_n and the nerve
@@ -42,7 +44,7 @@ builders stay fully tabulated.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from typing import Optional, Union
 
 from .complexes import (
@@ -104,6 +106,14 @@ class _HomNerves:
     Each hom basis lists its legs by nondecreasing length. A path's
     grading is the sum of its legs' lengths, and a face that changes it
     is zero.
+
+    The same double nerve in integer codes, and the one enumerator of its
+    paths (last_legs): _tuple_generators decodes what it lists, and
+    _CodedTop streams from it. An object is its index in objects and a leg
+    of degree q its index in homs[x, y].basis[q]. A path of p legs is the
+    pair (os, ls) of its p + 1 object codes and p leg codes. The tables of
+    each leg degree are built once, when first asked for (legs), and an
+    inner merge is composed once per (q, x, y, z, a, b) (merged).
     """
 
     objects: tuple
@@ -115,6 +125,66 @@ class _HomNerves:
 
     def identity_gen(self, x, q):
         raise NotImplementedError
+
+    @cached_property
+    def _legs(self) -> dict:  # q -> _Legs
+        return {}
+
+    @cached_property
+    def merges(self) -> dict:  # (q, x, y, z, a) -> {b: code of the merge, -1 for zero}
+        return {}
+
+    def legs(self, q: int) -> _Legs:
+        T = self._legs.get(q)
+        if T is None:
+            T = self._legs[q] = _Legs(self, q)
+        return T
+
+    def merged(self, q: int, x: int, y: int, z: int, a: int, b: int) -> int:
+        """Code of the composite of legs a: x -> y and b: y -> z of degree
+        q (-1 for zero), composed once and then read from
+        merges[q, x, y, z, a]."""
+        key = (q, x, y, z, a)
+        memo = self.merges.get(key)
+        if memo is None:
+            memo = self.merges[key] = {}
+        m = memo.get(b)
+        if m is None:
+            objects, T = self.objects, self.legs(q)
+            merged = self.compose(objects[x], objects[y], objects[z], q,
+                                  T.legs[x][y][a], T.legs[y][z][b])
+            if merged is None:
+                m = -1
+            else:
+                m = T.codes[x][z].get(merged)
+                if m is None:
+                    raise ValidationError(
+                        f"an h-face in leg degree {q} leaves the basis: {merged!r}")
+            memo[b] = m
+        return m
+
+    def last_legs(self, p: int, q: int, ell, start, step):
+        """(os, ls, state, y, legs), for p >= 1: the paths of bidegree
+        (p, q) in grading ell, as each path (os, ls) of p - 1 legs whose
+        lengths sum to at most ell, an object y after it, and the range of
+        last legs into y that complete it to grading ell. The paths are
+        walked depth first, in lexicographic order of their steps (next
+        object, then leg), and state is start(x) on the path (x,), and
+        step(state of (os, ls), os, y, leg) on the path one leg from os[-1]
+        to y longer: each leg of a prefix is taken once for all the paths
+        through it. A step that returns None leaves out its path and
+        every path through it."""
+        spans = self.legs(q).spans
+        for x in range(len(self.objects)):
+            yield from _walk(spans, p, ell, step, (x,), (), 0, start(x))
+
+    def label(self, q: int, os: tuple, ls: tuple) -> tuple:
+        """The (objects, legs) label that _tuple_generators gives a path."""
+        xs = tuple(map(self.objects.__getitem__, os))
+        if not ls:
+            return xs, ()
+        legs = self.legs(q).legs
+        return xs, tuple([legs[x][y][leg] for x, y, leg in zip(os, os[1:], ls)])
 
 
 class _TwoCatNerves(_HomNerves):
@@ -163,13 +233,12 @@ class _SuspensionNerves(_HomNerves):
 
 def _tuple_generators(H: _HomNerves, p: int, q: int, ell=0):
     """Generators at bidegree (p, q) in grading ell: object paths with a
-    leg in each hom whose lengths sum to ell. _Coder.last_legs lists them
-    in codes; each leg of a prefix is decoded once, as the walk takes it,
+    leg in each hom whose lengths sum to ell. H.last_legs lists them in
+    codes; each leg of a prefix is decoded once, as the walk takes it,
     then each last leg."""
     if p == 0:
         return tuple(((x,), ()) for x in H.objects) if ell == 0 else ()
-    coder = _Coder(H)
-    bases = coder.legs(q).legs
+    bases = H.legs(q).legs
     objects = H.objects
 
     def start(x):
@@ -180,7 +249,7 @@ def _tuple_generators(H: _HomNerves, p: int, q: int, ell=0):
         return xs + (objects[y],), legs + (bases[os[-1]][y][leg],)
 
     out: list = []
-    for os, _, (xs, prefix), y, legs in coder.last_legs(p, q, ell, start, step):
+    for os, _, (xs, prefix), y, legs in H.last_legs(p, q, ell, start, step):
         xy = xs + (objects[y],)
         out += [(xy, prefix + (leg,)) for leg in bases[os[-1]][y][legs.start:legs.stop]]
     return tuple(out)
@@ -294,20 +363,26 @@ def _diagonal_nerve(H: _HomNerves, D: int) -> BasedSimplicialObject:
 
 class _Legs:
     """The legs of degree q of every hom of H in integer codes. Each table
-    is indexed [x][y] by object codes, None where there is no hom, and is
-    built when first read:
-      legs     the hom's basis in degree q; a leg's code is its index here;
-      codes    leg -> code;
-      lengths  each code's length;
-      spans    length -> the range of codes of that length (a hom basis
-               lists its legs by nondecreasing length, so each length is
-               one range, and the dict keeps the lengths in order);
-      faces    per code, the codes of its v-faces 0..q in degree q - 1 (-1
-               for zero).
+    but identities is indexed [x][y] by object codes, None where there is
+    no hom, and each is built when first read:
+      legs        the hom's basis in degree q; a leg's code is its index
+                  here;
+      codes       leg -> code;
+      lengths     each code's length;
+      spans       length -> the range of codes of that length (a hom basis
+                  lists its legs by nondecreasing length, so each length
+                  is one range, and the dict keeps the lengths in order);
+      faces       per code, the codes of its v-faces 0..q in degree q - 1
+                  (-1 for zero);
+      identities  per object code x, the code of x's identity leg (-1 for
+                  none).
+    It keeps no reference to H, so H and its tables form no cycle.
     """
 
-    def __init__(self, homs: list, q: int, lengths: dict):
-        self._homs, self._q, self._lengths = homs, q, lengths
+    def __init__(self, H: _HomNerves, q: int):
+        self._q, self._lengths = q, H.lengths
+        self._homs = [[H.homs.get((x, y)) for y in H.objects] for x in H.objects]
+        self._units = [H.identity_gen(x, q) for x in H.objects]
 
     def _table(self, f) -> list:
         return [[None if S is None else f(S.basis[self._q], S) for S in row]
@@ -346,10 +421,16 @@ class _Legs:
 
         return self._table(faces)
 
+    @cached_property
+    def identities(self) -> list:
+        codes = self.codes
+        return [-1 if (c := codes[x][x]) is None else c.get(unit, -1)
+                for x, unit in enumerate(self._units)]
+
 
 def _walk(spans: list, p: int, ell, step, os: tuple, ls: tuple, used, state):
-    """_Coder.last_legs through the path (os, ls) of length used, with its
-    state; spans is the legs' _Legs.spans. A prefix of p - 1 legs is
+    """_HomNerves.last_legs through the path (os, ls) of length used, with
+    its state; spans is the legs' _Legs.spans. A prefix of p - 1 legs is
     completed where its last leg is taken, in the loop below, unless it
     has no legs."""
     if len(ls) == p - 1:
@@ -379,74 +460,6 @@ def _walk(spans: list, p: int, ell, step, os: tuple, ls: tuple, used, state):
                             yield os + (y,), ls + (leg,), after, z, last
 
 
-class _Coder:
-    """H's double nerve in integer codes, and the one enumerator of its
-    paths (last_legs): _tuple_generators decodes what it lists, and
-    _CodedTop streams from it. An object is its index in H.objects and a
-    leg of degree q its index in homs[x, y].basis[q]. A path of p legs is
-    the pair (os, ls) of its p + 1 object codes and p leg codes. The
-    tables of each leg degree are built when first asked for (legs), and
-    an inner merge is composed once per (q, x, y, z, a, b) (merged)."""
-
-    def __init__(self, H: _HomNerves):
-        self.H = H
-        self._homs = [[H.homs.get((x, y)) for y in H.objects] for x in H.objects]
-        self._legs: dict = {}
-        self.merges: dict = {}  # (q, x, y, z, a) -> {b: code of the merge, -1 for zero}
-
-    def legs(self, q: int) -> _Legs:
-        T = self._legs.get(q)
-        if T is None:
-            T = self._legs[q] = _Legs(self._homs, q, self.H.lengths)
-        return T
-
-    def merged(self, q: int, x: int, y: int, z: int, a: int, b: int) -> int:
-        """Code of the composite of legs a: x -> y and b: y -> z of degree
-        q (-1 for zero), composed once and then read from
-        merges[q, x, y, z, a]."""
-        key = (q, x, y, z, a)
-        memo = self.merges.get(key)
-        if memo is None:
-            memo = self.merges[key] = {}
-        m = memo.get(b)
-        if m is None:
-            objects, T = self.H.objects, self.legs(q)
-            merged = self.H.compose(objects[x], objects[y], objects[z], q,
-                                    T.legs[x][y][a], T.legs[y][z][b])
-            if merged is None:
-                m = -1
-            else:
-                m = T.codes[x][z].get(merged)
-                if m is None:
-                    raise ValidationError(
-                        f"an h-face in leg degree {q} leaves the basis: {merged!r}")
-            memo[b] = m
-        return m
-
-    def last_legs(self, p: int, q: int, ell, start, step):
-        """(os, ls, state, y, legs), for p >= 1: the paths of bidegree
-        (p, q) in grading ell, as each path (os, ls) of p - 1 legs whose
-        lengths sum to at most ell, an object y after it, and the range of
-        last legs into y that complete it to grading ell. The paths are
-        walked depth first, in lexicographic order of their steps (next
-        object, then leg), and state is start(x) on the path (x,), and
-        step(state of (os, ls), os, y, leg) on the path one leg from os[-1]
-        to y longer: each leg of a prefix is taken once for all the paths
-        through it. A step that returns None leaves out its path and
-        every path through it."""
-        spans = self.legs(q).spans
-        for x in range(len(self.H.objects)):
-            yield from _walk(spans, p, ell, step, (x,), (), 0, start(x))
-
-    def label(self, q: int, os: tuple, ls: tuple) -> tuple:
-        """The (objects, legs) label that _tuple_generators gives a path."""
-        xs = tuple(map(self.H.objects.__getitem__, os))
-        if not ls:
-            return xs, ()
-        legs = self.legs(q).legs
-        return xs, tuple([legs[x][y][leg] for x, y, leg in zip(os, os[1:], ls)])
-
-
 _SUB, _MERGE, _END = range(3)  # how a face term finds its row from the last leg
 _DOWN, _HOLD, _JOIN, _HEAD = range(4)  # how a face term takes a leg of the prefix
 _NO_ROWS: dict = {}
@@ -469,7 +482,7 @@ class _CodedTop:
     the boundary out of it (see extend).
 
     Its generators come in blocks (p, q) of paths with p legs of degree q,
-    each block as _Coder.last_legs lists it. A face term
+    each block as H.last_legs lists it. A face term
     (j, i, sign) of a block is v-face j of every leg (j < 0: none), then
     h-face i (None: none), as _v_face_gen and _h_face_gen make them:
       diag  degree D of the diagonal: one block (D, D) whose face i is
@@ -481,9 +494,9 @@ class _CodedTop:
             left out, and so is a face term whose row the chains below
             leave out.
     The rows, the generators of degree D - 1, are the same blocks one
-    degree down, listed by the same coder under the same rule (_rows), so
-    they come in the order the tabulated chains give them.
-    Each face term follows the walk of _Coder.last_legs down a path's first
+    degree down, listed by the same enumerator under the same rule (_rows),
+    so they come in the order the tabulated chains give them.
+    Each face term follows the walk of H.last_legs down a path's first
     p - 1 legs, one leg at a time (_columns), so what a face reads from a
     prefix is worked out once for every path through it. The tables do not
     depend on the grading, so one _CodedTop serves every slice.
@@ -492,7 +505,6 @@ class _CodedTop:
     def __init__(self, H: _HomNerves, D: int, route: str = "diag",
                  normalize_rows: bool = False):
         self.H, self.D = H, D
-        self.coder = _Coder(H)
         self.tagged = route == "tot"  # labels (p, q, path), as total_complex's
         self.drop = normalize_rows
         if self.tagged:
@@ -508,30 +520,23 @@ class _CodedTop:
         """The object codes, the paths with no legs, which grading 0 alone has."""
         return range(len(self.H.objects) if ell == 0 else 0)
 
-    def _identities(self, q: int) -> list:
-        """Per object code, the code of its identity leg of degree q (-1
-        for none)."""
-        codes = self.coder.legs(q).codes
-        return [-1 if (c := codes[x][x]) is None else c.get(self.H.identity_gen(obj, q), -1)
-                for x, obj in enumerate(self.H.objects)]
-
     def _gens(self, p: int, q: int, ell, start=_no_state, step=_no_state):
         """(os, ls, state, y, legs) of block (p, q), p >= 1, as
-        _Coder.last_legs lists them, less the h-degenerate generators when
-        rows are normalized: leg k is the identity of x_k = x_{k+1}."""
+        H.last_legs lists them, less the h-degenerate generators when rows
+        are normalized: leg k is the identity of x_k = x_{k+1}."""
         if not self.drop:
-            return self.coder.last_legs(p, q, ell, start, step)
+            return self.H.last_legs(p, q, ell, start, step)
         return self._nondegenerate(p, q, ell, start, step)
 
     def _nondegenerate(self, p: int, q: int, ell, start, step):
         """_gens with rows normalized."""
-        ident = self._identities(q)
+        ident = self.H.legs(q).identities
 
         def kept(state, os, y, leg):
             x = os[-1]
             return None if x == y and leg == ident[x] else step(state, os, y, leg)
 
-        for os, ls, state, y, legs in self.coder.last_legs(p, q, ell, start, kept):
+        for os, ls, state, y, legs in self.H.last_legs(p, q, ell, start, kept):
             if os[-1] == y and ident[y] in legs:
                 legs = [leg for leg in legs if leg != ident[y]]
             if legs:
@@ -545,8 +550,9 @@ class _CodedTop:
             if p == 0:
                 total += len(self._objects(ell))
                 continue
-            spans = self.coder.legs(q).spans
-            ident = self._identities(q) if self.drop else None
+            T = self.H.legs(q)
+            spans = T.spans
+            ident = T.identities if self.drop else None
             ends = {(x, 0): 1 for x in range(len(self.H.objects))}  # (last object, used) -> paths
             for _ in range(p):
                 longer: dict = {}
@@ -575,9 +581,9 @@ class _CodedTop:
         """The label the tabulated chains give a code."""
         os, ls = code
         if not self.tagged:
-            return self.coder.label(self.D, os, ls)
+            return self.H.label(self.D, os, ls)
         q = self.D - len(ls)
-        return (len(ls), q, self.coder.label(q, os, ls))
+        return (len(ls), q, self.H.label(q, os, ls))
 
     def _terms(self, p: int, q: int, terms, rows: dict) -> list:
         """The face terms of block (p, q) as the walk of _columns reads
@@ -611,7 +617,7 @@ class _CodedTop:
                 steps = tuple(_HOLD if k == i - 1 else _JOIN if k == i else _DOWN
                               for k in range(p - 1))
                 kind = _END if i == p else _MERGE if i == p - 1 else _SUB
-            spec = (j, steps, qq, self.coder.legs(qq).lengths, sign, kind, i != p,
+            spec = (j, steps, qq, self.H.legs(qq).lengths, sign, kind, i != p,
                     rows[p if i is None else p - 1, qq])
             out.append((spec, i == 0))
         return out
@@ -621,14 +627,14 @@ class _CodedTop:
         entries in the order the tabulated column has them
         (_alternating_matrix, then total_complex). rows is _rows's index
         of the rows of degree D - 1."""
-        drop, coder = self.drop, self.coder
-        merged, merges = coder.merged, coder.merges
+        drop, H = self.drop, self.H
+        merged, merges = H.merged, H.merges
         for p, q, terms in self.blocks:
             if p == 0:
                 for x in self._objects(ell):
                     yield self._object_column(x, terms, rows[0, q - 1][()])
                 continue
-            faces = coder.legs(q).faces
+            faces = H.legs(q).faces
             heads = self._terms(p, q, terms, rows)
 
             def start(x):
@@ -824,38 +830,26 @@ def mb_n(X: StrictNCat, max_degree: int) -> BasedSimplicialObject:
     return _diagonal_nerve(_hom_nerves_for(X, max_degree), max_degree)
 
 
-def _route_chains(route: str, normalize_rows: bool):
-    """Check the route flags; return chains(diag, double_nerve), which
-    builds only what its route reads (each argument builds it when
-    called). Each returns (nerve, top). The nerve is the diagonal nerve
-    (diag), whose unnormalized chains are taken, or the double nerve
-    (double_nerve), whose double chains, rows normalized or not, give the
-    total complex (tot). top is None when the nerve holds every degree,
-    or else a function that puts the streamed top degree on those chains
-    (_CodedTop.extend). On the tot route the double complex is checked
-    only where it is tabulated; complexes.validate_complex says why the
-    stream's per-column check covers the top bidegrees.
-    """
+def _check_route(route: str, normalize_rows: bool) -> None:
     if route not in ("diag", "tot"):
         raise ValidationError(f"unknown route {route!r}")
     if route == "diag" and normalize_rows:
         raise ValidationError("row normalization belongs to the tot route")
 
-    def chains(diag, double_nerve):
-        if route == "diag":
-            nerve, top = diag()
-            C = unnormalized_chains(nerve)
-        else:
-            nerve, top = double_nerve()
-            C = total_complex((row_normalize if normalize_rows else double_chains)(nerve))
-        return C if top is None else top(C)
 
-    return chains
+def _tot_chains(H: _HomNerves, D: int, normalize_rows: bool, ell=0) -> BasedChainComplex:
+    """The total complex of the double chains, rows normalized or not, of
+    H's double nerve in grading ell on p + q <= D. Its double complex is
+    checked only where it is tabulated; complexes.validate_complex says why
+    a streamed top's per-column check covers the bidegrees above."""
+    chains = row_normalize if normalize_rows else double_chains
+    return total_complex(chains(_double_nerve(H, D, D, total_bound=D, ell=ell)))
 
 
 def _truncated_double_nerve(X, max_degree: int) -> BasedBisimplicialObject:
-    """The double nerve on p + q <= max_degree. A leg sits at p >= 1, so no
-    leg or degeneracy reads a hom above max_degree - 1."""
+    """The double nerve on p + q <= max_degree, as iterated_complex's tot
+    route builds it. A leg sits at p >= 1, so no leg or degeneracy reads a
+    hom above max_degree - 1."""
     return _double_nerve(_hom_nerves_for(X, max(max_degree - 1, 0)),
                          max_degree, max_degree, total_bound=max_degree)
 
@@ -869,11 +863,11 @@ def iterated_complex(
 
     Both routes are faithful through max_degree - 1.
     """
-    chains = _route_chains(route, normalize_rows)
-    return chains(
-        lambda: (_diagonal_nerve(_hom_nerves_for(X, max_degree), max_degree), None),
-        lambda: (_truncated_double_nerve(X, max_degree), None),
-    )
+    _check_route(route, normalize_rows)
+    if route == "diag":
+        return unnormalized_chains(_diagonal_nerve(_hom_nerves_for(X, max_degree), max_degree))
+    # a leg sits at p >= 1, so no leg or degeneracy reads a hom above max_degree - 1
+    return _tot_chains(_hom_nerves_for(X, max(max_degree - 1, 0)), max_degree, normalize_rows)
 
 
 def iterated_homology(
@@ -883,22 +877,17 @@ def iterated_homology(
     0..max_degree. Either route tabulates its nerve through total degree
     max_degree only and streams the boundary out of degree max_degree + 1
     (_CodedTop)."""
-    chains = _route_chains(route, normalize_rows)
+    _check_route(route, normalize_rows)
     _check_max_degree(max_degree)
     D = max_degree + 1
-
-    def diag():
+    if route == "diag":
         H = _hom_nerves_for(X, D)
-        return _diagonal_nerve(H, max_degree), partial(_CodedTop(H, D).extend, ell=0)
-
-    def double_nerve():
+        C = unnormalized_chains(_diagonal_nerve(H, max_degree))
+    else:
         # a leg of Tot_D sits at p >= 1, so its degree is at most max_degree
         H = _hom_nerves_for(X, max_degree)
-        top = _CodedTop(H, D, "tot", normalize_rows)
-        return (_double_nerve(H, max_degree, max_degree, total_bound=max_degree),
-                partial(top.extend, ell=0))
-
-    return homology_table(chains(diag, double_nerve), max_degree)
+        C = _tot_chains(H, max_degree, normalize_rows)
+    return homology_table(_CodedTop(H, D, route, normalize_rows).extend(C, 0), max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -985,6 +974,8 @@ def diag_nerve_normed_group(
     of total length equal to the grading, with composite faces and
     degeneracies."""
     H, ell = _normed_slice(N, grading, max_degree)
+    # _diagonal_nerve's body, not a call to it: perfbench's trace counts the
+    # generators of both functions, so a call would count this nerve twice
     return assemble_simplicial(
         (_tuple_generators(H, n, n, ell) for n in range(max_degree + 1)),
         *_diagonal_maps(H),
@@ -1023,12 +1014,8 @@ def normed_group_homology(
     one _CodedTop, built once per call, whose hom nerves the tot route's
     slices share.
     """
-    chains = _route_chains(route, normalize_rows)
+    _check_route(route, normalize_rows)
     _check_max_degree(max_degree)
-    D = max_degree + 1
-    # the diagonal's legs reach degree D; Tot_D's, at p >= 1, reach D - 1
-    top = cache(lambda: _CodedTop(_NormedNerves(N, D if route == "diag" else max_degree),
-                                  D, route, normalize_rows))
     if isinstance(gradings, str):
         if gradings == "norm-values":
             ells = sorted({Fraction(0), *N.norm.values()})
@@ -1038,17 +1025,18 @@ def normed_group_homology(
             raise ValidationError(f"unknown grading request {gradings!r}")
     else:
         ells = grading_values(gradings)
+    D = max_degree + 1
+    # the diagonal's legs reach degree D; Tot_D's, at p >= 1, reach D - 1
+    H = _NormedNerves(N, D if route == "diag" else max_degree)
+    top = _CodedTop(H, D, route, normalize_rows)
     entries = {}
     for ell in ells:
-        def double_nerve():
-            H = top().H
-            return (_double_nerve(H, max_degree, max_degree, max_degree, H.units(ell)),
-                    partial(top().extend, ell=H.units(ell)))
-
-        C = chains(lambda: (diag_nerve_normed_group(N, ell, max_degree),
-                            partial(top().extend, ell=top().H.units(ell))),
-                   double_nerve)
-        table = homology_table(C, max_degree)
+        units = H.units(ell)
+        if route == "diag":
+            C = unnormalized_chains(diag_nerve_normed_group(N, ell, max_degree))
+        else:
+            C = _tot_chains(H, max_degree, normalize_rows, units)
+        table = homology_table(top.extend(C, units), max_degree)
         for k in range(max_degree + 1):
             entries[(k, ell)] = table.group(k)
     return HomologyTable(entries)

@@ -172,6 +172,13 @@ def test_normalize_rows_needs_tot(tmp_path):
     assert code == 2
 
 
+def test_grading_and_all_gradings_exclude_each_other(tmp_path):
+    path = doc_file(tmp_path, "z4-word-norm")
+    code, out, err = run_cli(["homology", path, "--grading", "1", "--all-gradings"])
+    _assert_one_line_error(code, out, err)
+    assert "--grading" in err and "--all-gradings" in err
+
+
 @pytest.mark.parametrize("name", ["product-parallel-arrows", "tensor-two-point"])
 def test_normalize_rows_is_rejected_without_double_nerve_rows(tmp_path, name):
     path = doc_file(tmp_path, name)

@@ -1,6 +1,6 @@
 """The second-order path enumerator, and the rows the streamed top reads.
 
-Every second-order path is listed by iterated._Coder.last_legs, in
+Every second-order path is listed by iterated._HomNerves.last_legs, in
 integer codes. The tabulated nerves decode what it lists
 (_tuple_generators), and the streamed top degree indexes its rows from it
 (_CodedTop.extend). Here _tuple_generators is compared, generator by

@@ -287,3 +287,36 @@ def test_streamed_tot_leaves_no_reference_cycles():
     normed_group_homology(N, [1], 1, route="tot", normalize_rows=True)
     iterated_homology(sphere_ncat(2), 2, "tot")
     assert gc.collect() == 0
+
+
+def _record_builds(monkeypatch, cls, arg: int) -> list:
+    """Record positional argument arg of every cls(...) built."""
+    built = []
+    init = cls.__init__
+
+    def recording(self, *args):
+        built.append(args[arg])
+        init(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", recording)
+    return built
+
+
+def test_one_tot_solve_builds_each_leg_degree_once(monkeypatch):
+    """The tables of a leg degree are built once per hom nerves, and serve
+    the tabulated bidegrees and the streamed top alike; a normed group's
+    gradings share one hom nerves."""
+    degrees = _record_builds(monkeypatch, iterated._Legs, 1)
+    made = []
+    hom_nerves_for = iterated._hom_nerves_for
+    monkeypatch.setattr(iterated, "_hom_nerves_for",
+                        lambda X, max_q: made.append(hom_nerves_for(X, max_q)) or made[-1])
+    iterated_homology(parse_input(DOCS["catgroup-s3-a3"]), 2, "tot")
+    assert len(made) == 1
+    assert sorted(degrees) == [0, 1, 2]
+
+    degrees.clear()
+    normed = _record_builds(monkeypatch, iterated._NormedNerves, 1)
+    normed_group_homology(parse_input(DOCS["s3-word-norm"]), "norm-values", 2, "tot")
+    assert normed == [2]
+    assert sorted(degrees) == [0, 1, 2]
