@@ -152,7 +152,21 @@ def _exact_number(v, where: str):
     )
 
 
+def _one_of(doc: dict, first: tuple, second: tuple, kind: str) -> None:
+    """Refuse a document that gives fields of both alternatives."""
+    if any(k in doc for k in first) and any(k in doc for k in second):
+        raise SchemaError(
+            f"{kind}: give either {' and '.join(first)} or {' and '.join(second)}, not both"
+        )
+
+
+_TABLE_FIELDS = ("elements", "table")
+_PERMUTATION_FIELDS = ("permutation_degree", "permutation_generators")
+_GROUP_FIELDS = {*_TABLE_FIELDS, *_PERMUTATION_FIELDS}
+
+
 def _parse_group(doc: dict, kind: str) -> FinGroup:
+    _one_of(doc, _TABLE_FIELDS, _PERMUTATION_FIELDS, kind)
     if "permutation_generators" in doc:
         degree = _need_natural(doc, "permutation_degree", kind)
         gens = [tuple(g) for g in _need_rows(
@@ -188,6 +202,7 @@ def _parse_group(doc: dict, kind: str) -> FinGroup:
 
 
 def _parse_norm(doc: dict, G: FinGroup, kind: str) -> NormedGroup:
+    _one_of(doc, ("norm",), ("word_norm_generators",), kind)
     if "word_norm_generators" in doc:
         return word_norm_group(G, _need_labels(doc, "word_norm_generators", kind))
     norm = _need(doc, "norm", kind)
@@ -264,33 +279,18 @@ def parse_input(doc):
         return metric_from_digraph(vertices, edges, weights)
 
     if kind == "normed-group":
-        _reject_unknown(
-            doc,
-            {"elements", "table", "norm", "word_norm_generators",
-             "permutation_degree", "permutation_generators"},
-            kind,
-        )
+        _reject_unknown(doc, _GROUP_FIELDS | {"norm", "word_norm_generators"}, kind)
         G = _parse_group(doc, kind)
         return _parse_norm(doc, G, kind)
 
     if kind == "cat-group":
-        _reject_unknown(
-            doc,
-            {"elements", "table", "normal_subgroup",
-             "permutation_degree", "permutation_generators"},
-            kind,
-        )
+        _reject_unknown(doc, _GROUP_FIELDS | {"normal_subgroup"}, kind)
         G = _parse_group(doc, kind)
         N = _need_labels(doc, "normal_subgroup", kind)
         return two_group_from_normal_subgroup(G, N)
 
     if kind == "preordered-group":
-        _reject_unknown(
-            doc,
-            {"elements", "table", "cone",
-             "permutation_degree", "permutation_generators"},
-            kind,
-        )
+        _reject_unknown(doc, _GROUP_FIELDS | {"cone"}, kind)
         G = _parse_group(doc, kind)
         return preordered_group_from_cone(G, _need_labels(doc, "cone", kind))
 
@@ -806,8 +806,6 @@ def main(argv=None) -> int:
             raise ValidationError("--grading and --all-gradings exclude each other")
         if args.grading:
             gradings = [_exact_number(g, "--grading") for g in args.grading]
-            if any(g is INF or g < 0 for g in gradings):
-                raise ValidationError("--grading must be a finite nonnegative rational")
         if args.all_gradings:
             gradings = "all-reachable"
         table = compute_homology(

@@ -6,11 +6,13 @@ lengths, total complexes, tensor products, and homology extraction.
 Every complex records the degree through which its homology is faithful;
 requests past that bound raise TruncationError instead of silently
 returning groups computed from incomplete data. A complex that is
-genuinely zero above its top degree may carry a large faithful_degree.
+genuinely zero above its top degree (unit_complex, the empty direct sum)
+is complete: its faithful_degree is math.inf.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Optional
@@ -19,8 +21,6 @@ from .errors import InvalidComplexError, TruncationError, ValidationError
 from .exact_linalg import ColumnStream, FgAbelianGroup, IntMatrix, homology_between
 
 Label = Hashable
-
-COMPLETE = 10**9  # faithful_degree for complexes with nothing above the top
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class BasedChainComplex:
 
     basis: tuple[tuple[Label, ...], ...]
     boundary: tuple[IntMatrix, ...]
-    faithful_degree: int
+    faithful_degree: float  # an int, or math.inf when complete
 
     @property
     def max_degree(self) -> int:
@@ -92,7 +92,7 @@ def validate_complex(C: BasedChainComplex) -> None:
 def make_chain_complex(
     basis: Iterable[Iterable[Label]],
     boundary: Iterable[IntMatrix],
-    faithful_degree: int,
+    faithful_degree: float,
 ) -> BasedChainComplex:
     C = BasedChainComplex(
         tuple(tuple(b) for b in basis), tuple(boundary), faithful_degree
@@ -107,7 +107,7 @@ def _check_max_degree(max_degree: int) -> None:
         raise ValidationError("max_degree must be nonnegative")
 
 
-def empty_complex(max_degree: int, faithful_degree: Optional[int] = None) -> BasedChainComplex:
+def empty_complex(max_degree: int, faithful_degree: Optional[float] = None) -> BasedChainComplex:
     _check_max_degree(max_degree)
     basis = tuple(() for _ in range(max_degree + 1))
     boundary = tuple(IntMatrix.zero(0, 0) for _ in range(max_degree + 1))
@@ -118,7 +118,7 @@ def empty_complex(max_degree: int, faithful_degree: Optional[int] = None) -> Bas
 
 def unit_complex() -> BasedChainComplex:
     """Z concentrated in degree 0."""
-    return make_chain_complex([["*"]], [IntMatrix.zero(0, 1)], COMPLETE)
+    return make_chain_complex([["*"]], [IntMatrix.zero(0, 1)], math.inf)
 
 
 def direct_sum_chain(
@@ -126,7 +126,7 @@ def direct_sum_chain(
 ) -> BasedChainComplex:
     """Block-diagonal direct sum; labels become (tag, original label)."""
     if not summands:
-        return empty_complex(0, COMPLETE)
+        return empty_complex(0, math.inf)
     max_degree = max(c.max_degree for _, c in summands)
     faithful = min(c.faithful_degree for _, c in summands)
     basis: list[tuple] = []
@@ -257,10 +257,12 @@ def tensor_complex(C: BasedChainComplex, D: BasedChainComplex) -> BasedChainComp
     """Tensor product of chain complexes with the usual Koszul sign.
 
     d(c x d) = dc x d + (-1)^deg(c) c x dd. Basis labels are pairs
-    ((j, c), (k, d)) recording the bidegree split.
+    ((j, c), (k, d)) recording the bidegree split. The product is faithful
+    through the lesser of the factors' faithful degrees, and homology there
+    reads nothing above the next degree, so no degree past it is built.
     """
-    max_degree = C.max_degree + D.max_degree
     faithful = min(C.faithful_degree, D.faithful_degree)
+    max_degree = min(C.max_degree + D.max_degree, max(faithful + 1, 0))
     c_index = [C.index_of(j) for j in range(C.max_degree + 1)]
     d_index = [D.index_of(k) for k in range(D.max_degree + 1)]
 

@@ -87,6 +87,9 @@ def validate_category(X: FinCategory) -> None:
         i = X.identity.get(x)
         if i not in mors or X.source[i] != x or X.target[i] != x:
             raise ValidationError(f"identity of {x!r} is not an endomorphism")
+    extra = set(X.identity) - objs
+    if extra:
+        raise ValidationError(f"identities given for non-objects {sorted(map(repr, extra))}")
     into: dict = {x: [] for x in X.objects}  # morphisms by target, in order
     for m in X.morphisms:
         into[X.target[m]].append(m)
@@ -929,7 +932,6 @@ def two_cat_of_cat_group(C: CatGroup) -> Explicit2Cat:
         (obj,),
         {(obj, obj): C.cells},
         {obj: C.group.identity},
-        {(obj, obj, obj): {(a, b): C.group.mul(a, b)
-                           for a in C.cells.objects for b in C.cells.objects}},
-        {(obj, obj, obj): dict(C.hmul)},
+        {(obj, obj, obj): C.group.table},
+        {(obj, obj, obj): C.hmul},
     )

@@ -178,14 +178,6 @@ class _HomNerves:
         for x in range(len(self.objects)):
             yield from _walk(spans, p, ell, step, (x,), (), 0, start(x))
 
-    def label(self, q: int, os: tuple, ls: tuple) -> tuple:
-        """The (objects, legs) label that _tuple_generators gives a path."""
-        xs = tuple(map(self.objects.__getitem__, os))
-        if not ls:
-            return xs, ()
-        legs = self.legs(q).legs
-        return xs, tuple([legs[x][y][leg] for x, y, leg in zip(os, os[1:], ls)])
-
 
 class _TwoCatNerves(_HomNerves):
     def __init__(self, X: Explicit2Cat, max_q: int):
@@ -349,16 +341,19 @@ def _diagonal_maps(H: _HomNerves) -> tuple:
     return face, degen
 
 
-def _diagonal_nerve(H: _HomNerves, D: int) -> BasedSimplicialObject:
-    """Only the (n, n) bidegrees, with the faces and degeneracies of
-    _diagonal_maps.
-
-    Equal to diagonal(_double_nerve(H, D, D)) but never materializes the
-    off-diagonal bidegrees.
-    """
+def _assemble_diagonal(H: _HomNerves, D: int, ell=0) -> BasedSimplicialObject:
+    """Only the (n, n) bidegrees in grading ell, with the faces and
+    degeneracies of _diagonal_maps: diagonal(_double_nerve(H, D, D, ell=ell))
+    without the off-diagonal bidegrees. Both diagonal builders call it, so
+    neither nests in the other."""
     return assemble_simplicial(
-        (_tuple_generators(H, n, n) for n in range(D + 1)), *_diagonal_maps(H)
+        (_tuple_generators(H, n, n, ell) for n in range(D + 1)), *_diagonal_maps(H)
     )
+
+
+def _diagonal_nerve(H: _HomNerves, D: int) -> BasedSimplicialObject:
+    """The diagonal of H's double nerve in grading 0, through degree D."""
+    return _assemble_diagonal(H, D)
 
 
 class _Legs:
@@ -578,12 +573,16 @@ class _CodedTop:
                     yield os + (y,), ls + (leg,)
 
     def label(self, code) -> tuple:
-        """The label the tabulated chains give a code."""
+        """The label the tabulated chains give a code: the (objects, legs)
+        label of _tuple_generators, tagged (p, q, label) on the tot route."""
         os, ls = code
-        if not self.tagged:
-            return self.H.label(self.D, os, ls)
-        q = self.D - len(ls)
-        return (len(ls), q, self.H.label(q, os, ls))
+        q = self.D - len(ls) if self.tagged else self.D
+        legs = ()
+        if ls:  # a path with no legs may sit at a leg degree H lacks
+            T = self.H.legs(q).legs
+            legs = tuple([T[x][y][leg] for x, y, leg in zip(os, os[1:], ls)])
+        label = tuple(map(self.H.objects.__getitem__, os)), legs
+        return (len(ls), q, label) if self.tagged else label
 
     def _terms(self, p: int, q: int, terms, rows: dict) -> list:
         """The face terms of block (p, q) as the walk of _columns reads
@@ -906,7 +905,7 @@ class _NormedNerves(_HomNerves):
         X = metric_of_normed_group(N)
         self.scale = _scaled_distances(X)[1]
         self.between = _betweenness(X)
-        self.mul = {(x, y): G.mul(x, y) for x in G.elements for y in G.elements}
+        self.mul = G.table
         self.unit = G.identity
         self.lengths = {}
         columns = [[] for _ in range(max_q + 1)]
@@ -974,12 +973,7 @@ def diag_nerve_normed_group(
     of total length equal to the grading, with composite faces and
     degeneracies."""
     H, ell = _normed_slice(N, grading, max_degree)
-    # _diagonal_nerve's body, not a call to it: perfbench's trace counts the
-    # generators of both functions, so a call would count this nerve twice
-    return assemble_simplicial(
-        (_tuple_generators(H, n, n, ell) for n in range(max_degree + 1)),
-        *_diagonal_maps(H),
-    )
+    return _assemble_diagonal(H, max_degree, ell)
 
 
 def reachable_normed_gradings(N: NormedGroup, max_degree: int,

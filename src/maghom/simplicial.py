@@ -195,14 +195,14 @@ def unnormalized_chains(S: BasedSimplicialObject) -> BasedChainComplex:
     return BasedChainComplex(S.basis, tuple(boundary), D - 1)
 
 
+def _images(degeneracies) -> set:
+    """The generators in the image of some map among degeneracies."""
+    return {y for sm in degeneracies for y in sm.values()}
+
+
 def degenerate_labels(S: BasedSimplicialObject, n: int) -> set:
     """Generators of degree n in the image of some degeneracy."""
-    if n == 0:
-        return set()
-    out: set = set()
-    for sm in S.degeneracy[n - 1]:
-        out.update(sm.values())
-    return out
+    return _images(S.degeneracy[n - 1]) if n else set()
 
 
 def normalized_chains(S: BasedSimplicialObject) -> BasedChainComplex:
@@ -435,16 +435,6 @@ def double_chains(B: BasedBisimplicialObject) -> BasedDoubleComplex:
     return _double_complex(B, dict(B.basis), drop=False)
 
 
-def h_degenerate_labels(B: BasedBisimplicialObject, p: int, q: int) -> set:
-    if p == 0:
-        return set()
-    out: set = set()
-    source = (p - 1, q)
-    for sm in B.h_degen.get(source, ()):
-        out.update(sm.values())
-    return out
-
-
 def row_normalize(B: BasedBisimplicialObject) -> BasedDoubleComplex:
     """Normalize every row (horizontal direction), keep columns unnormalized.
 
@@ -452,7 +442,7 @@ def row_normalize(B: BasedBisimplicialObject) -> BasedDoubleComplex:
     """
     nondeg = {}
     for (p, q), labels in B.basis.items():
-        degenerate = h_degenerate_labels(B, p, q)
+        degenerate = _images(B.h_degen.get((p - 1, q), ()))
         nondeg[(p, q)] = tuple(lab for lab in labels if lab not in degenerate)
     return _double_complex(B, nondeg, drop=True)
 

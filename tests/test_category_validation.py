@@ -178,3 +178,12 @@ def test_a_broken_associativity_law_is_rejected_by_both():
                 assert "associativity" in new and "associativity" in old
                 broken += 1
     assert broken >= 5
+
+
+def test_identities_are_keyed_by_exactly_the_objects():
+    X = parallel_arrows_category()
+    with pytest.raises(ValidationError, match="non-objects"):
+        validate_category(replace(X, identity={**X.identity, "Z": "q"}))
+    with pytest.raises(ValidationError, match="non-objects"):
+        make_category(X.objects, X.morphisms, X.source, X.target,
+                      {**X.identity, "Z": X.identity["A"]}, X.compose)

@@ -481,3 +481,71 @@ def test_a_second_main_call_leaves_no_argparse_garbage(tmp_path):
         gc.set_debug(0)
         gc.garbage.clear()
     assert from_argparse == []
+
+
+def _run_doc(tmp_path, doc, *flags):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return run_cli(["homology", str(path), *flags])
+
+
+def test_a_group_given_both_by_table_and_by_permutations_is_rejected(tmp_path):
+    # a 2-element table and a 3-cycle: the group would be read as either
+    doc = {
+        "kind": "cat-group", "elements": [0, 1], "table": [[0, 1], [1, 0]],
+        "permutation_degree": 3, "permutation_generators": [[1, 2, 0]],
+        "normal_subgroup": ["012"],
+    }
+    code, out, err = _run_doc(tmp_path, doc, "--max-degree", "1")
+    _assert_one_line_error(code, out, err)
+    assert "either" in err
+    del doc["elements"], doc["table"]
+    assert _run_doc(tmp_path, doc, "--max-degree", "1")[0] == 0
+
+
+def test_a_norm_given_both_by_values_and_by_word_generators_is_rejected(tmp_path):
+    doc = {
+        "kind": "normed-group", "elements": [0, 1], "table": [[0, 1], [1, 0]],
+        "norm": {"0": 0, "1": 2}, "word_norm_generators": [1],
+    }
+    code, out, err = _run_doc(tmp_path, doc, "--max-degree", "1")
+    _assert_one_line_error(code, out, err)
+    assert "either" in err
+    for field in ("norm", "word_norm_generators"):
+        assert _run_doc(tmp_path, {k: v for k, v in doc.items() if k != field},
+                        "--max-degree", "1")[0] == 0
+
+
+def test_an_identity_keyed_by_a_non_object_is_rejected(tmp_path):
+    doc = {
+        "kind": "category", "objects": ["A"], "morphisms": [["idA", "A", "A"]],
+        "identities": {"A": "idA", "Z": "q"}, "compose": [],
+    }
+    code, out, err = _run_doc(tmp_path, doc)
+    _assert_one_line_error(code, out, err)
+    assert "'Z'" in err
+    doc["identities"] = {"A": "idA"}
+    assert _run_doc(tmp_path, doc)[0] == 0
+
+
+def test_tensor_tot_route_matches_diag_and_builds_no_degree_past_the_next(monkeypatch):
+    """Homology through degree 3 reads no tensor degree above 4, so the tot
+    route builds none; at degree 3 the tensor of two 5-cycles agrees with
+    the diagonal route."""
+    from maghom import complexes, cycle_graph
+    from maghom.cli import compute_homology
+
+    C5 = cycle_graph(5)
+    want = compute_homology(("tensor", C5, C5), 3, "diag")
+    built = []
+    tensor = complexes.tensor_complex
+
+    def recording(C, D):
+        T = tensor(C, D)
+        built.append(T.max_degree)
+        assert T.max_degree <= 4
+        return T
+
+    monkeypatch.setattr(complexes, "tensor_complex", recording)
+    assert compute_homology(("tensor", C5, C5), 3, "tot") == want
+    assert max(built) == 4

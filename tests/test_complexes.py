@@ -252,3 +252,23 @@ def test_homology_table_rejects_a_hand_built_non_complex():
         homology_table(_broken_complex(), 1)
     with pytest.raises(InvalidComplexError):
         graded_homology_table(GradedChainComplex({Fraction(1): _broken_complex()}), 1)
+
+
+def test_tensor_stops_one_degree_past_its_faithful_degree():
+    # homology through the faithful degree reads nothing above the next one
+    C, D = s1_complex(3), s1_complex(2)
+    T = tensor_complex(C, D)
+    assert T.faithful_degree == min(C.faithful_degree, D.faithful_degree) == 1
+    assert T.max_degree == T.faithful_degree + 1 == 2
+    assert homology_table(T, 1) == homology_table(
+        tensor_complex(s1_complex(2), s1_complex(2)), 1
+    )
+    # a hand-built complex faithful through no degree still keeps degree 0
+    Z = make_chain_complex([("a",)], [IntMatrix.zero(0, 1)], -2)
+    assert tensor_complex(Z, Z).max_degree == 0
+
+
+def test_unit_complex_is_complete():
+    assert unit_complex().faithful_degree == INF == float("inf")
+    T = tensor_complex(unit_complex(), unit_complex())
+    assert T.max_degree == 0 and T.faithful_degree == INF
