@@ -59,9 +59,9 @@ def validate_complex(C: BasedChainComplex) -> None:
     """Raise InvalidComplexError at the first failing degree.
 
     A top boundary may be a ColumnStream over the boundary below it. Its
-    d*d is not checked here: the stream checks each column as it is read
+    d*d is not checked here, but on every column when its homology is read
     (see homology_between). When the complex is the total complex of a
-    double complex, that per-column check is the whole of the double
+    double complex, d*d = 0 on each top column is the whole of the double
     complex's check on the top bidegrees: on a Tot column of bidegree
     (p, q), d*d has its h*h part in block (p - 2, q), its v*v part in
     (p, q - 2) and +-(hv - vh) in (p - 1, q - 1), disjoint row blocks, so
@@ -404,7 +404,10 @@ class HomologyTable:
 def _homology_groups(C: BasedChainComplex, max_degree: int) -> list[FgAbelianGroup]:
     """H_0..H_max_degree; the one place where d*d = 0 is checked before
     homology is read, so the builders of complexes do not check it. A
-    streamed top boundary is checked column by column as it is read."""
+    streamed top boundary is checked as smith_normal_form reads it: the
+    columns the reduction reads through the basis it returns, which spans
+    exactly their lattice, and the columns drawn after its early exit one
+    by one."""
     _check_max_degree(max_degree)
     if max_degree > C.faithful_degree:
         raise TruncationError(max_degree, C.faithful_degree)

@@ -30,9 +30,13 @@ route's nerve only through total degree D - 1 and never build degree D:
 the diagonal's degree D or Tot_D, the bidegrees (p, D - p). Its boundary
 is streamed from integer codes of its generators (_CodedTop; the hom
 nerves hold the codes and tables of every leg degree, each built once,
-and one face rule on codes serves both routes), one column at a time,
-each checked for d*d = 0 as it is emitted (exact_linalg.ColumnStream),
-read by the reduction until it stops, then drawn and checked to the end.
+and one face rule on codes serves both routes), one column at a time
+(exact_linalg.ColumnStream), read by the reduction until it stops, then
+drawn to the end. d*d = 0 is checked on each column drawn after the
+stop, and on the columns read through the basis the reduction returns:
+its steps are unimodular, so the basis spans exactly the lattice of the
+columns read, and that lattice lies in the kernel below if and only if
+each basis vector does.
 Its rows, the generators of degree D - 1, are indexed from the same
 codes.
 On the tot route the double complex is checked (validate_double_complex)

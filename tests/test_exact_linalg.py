@@ -18,6 +18,7 @@ from maghom import (
 )
 from maghom import exact_linalg
 from maghom.exact_linalg import (
+    ColumnStream,
     _combine,
     _ext_gcd,
     _invariant_chain,
@@ -651,3 +652,154 @@ def test_smith_diagonal_matches_minor_gcds_on_echelon_bases(rnd):
     for _ in range(60):
         n = rnd.randint(1, 5)
         _assert_minors_agree(_echelon_basis(rnd, n, (1, -1, 2, 3, -4, 6)), 2 * n)
+
+
+# --- streamed columns, checked through the reduction's basis -------------------
+
+
+def _stream(below: IntMatrix, cols: list) -> ColumnStream:
+    return ColumnStream(below, len(cols), lambda: iter(cols))
+
+
+def _smith_checking_each_column(M: ColumnStream, stop_rank):
+    """smith_normal_form on a stream as it was before the reduction's basis
+    checked the columns read: every column checked as it is emitted, the
+    reduction fed from the checked pass, then the rest drawn."""
+    cols = iter(M.cols)
+    basis = _reduce_columns(cols, stop_rank)
+    for _ in cols:
+        pass
+    if not basis:
+        return [], 0
+    factors = _invariant_chain(_SparseSmith(basis.values()).diagonal())
+    return factors, len(factors)
+
+
+def _random_stream_complex(rnd):
+    """(below, kernel, failing): below is an m x n matrix presented as
+    W * U^-1 for a random unimodular U, with W zero on its first k columns,
+    so the first k columns of U (kernel) are a basis of a saturated
+    sublattice of ker(below); failing holds the other columns of U that
+    below does not kill."""
+    m, n = rnd.randint(1, 5), rnd.randint(1, 6)
+    k = rnd.randint(0, n)
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    U_inv = [row[:] for row in U]
+    for _ in range(3 * n):
+        a, b = rnd.sample(range(n), 2) if n > 1 else (0, 0)
+        if a == b:
+            continue
+        c = rnd.choice((-2, -1, 1, 2))
+        for row in U:  # column a of U += c * column b
+            row[a] += c * row[b]
+        U_inv[b] = [x - c * y for x, y in zip(U_inv[b], U_inv[a])]
+    W = [[0] * k + [rnd.randint(-3, 3) for _ in range(n - k)] for _ in range(m)]
+    below = [[sum(W[i][t] * U_inv[t][j] for t in range(n)) for j in range(n)]
+             for i in range(m)]
+    columns_of_U = [{i: U[i][j] for i in range(n) if U[i][j]} for j in range(n)]
+    failing = [u for j, u in enumerate(columns_of_U)
+               if j >= k and any(W[i][j] for i in range(m))]
+    return IntMatrix.from_rows(below), columns_of_U[:k], failing
+
+
+def _random_top(rnd, kernel: list, n: int) -> list:
+    """Columns in the span of kernel: some of its vectors alone, so the
+    early exit can fire partway, the rest integer combinations; a few
+    carry explicit zero entries, on rows in range and out of it."""
+    cols = []
+    for _ in range(rnd.randint(0, 10)):
+        if kernel and rnd.random() < 0.3:
+            col = dict(rnd.choice(kernel))
+        else:
+            col = {}
+            for u in kernel:
+                c = rnd.randint(-2, 2)
+                for r, v in u.items():
+                    col[r] = col.get(r, 0) + c * v
+            col = {r: v for r, v in col.items() if v}
+        if rnd.random() < 0.2:
+            col.setdefault(rnd.choice((-1, 0, n - 1, n, n + 3)), 0)
+        cols.append(col)
+    return cols
+
+
+def _columns_read(cols: list, stop_rank) -> int:
+    _, (read, _) = _reduce_counting_reads(_reduce_columns, iter(cols), stop_rank)
+    return read
+
+
+def _error(compute):
+    with pytest.raises(InvalidComplexError) as err:
+        compute()
+    return str(err.value)
+
+
+def test_the_basis_check_agrees_with_a_check_per_column(rnd):
+    """Clean streams give the per-column path's factors and count every
+    column as checked; a stream with one bad column, read before the
+    early exit or drawn after it, raises the per-column path's error."""
+    positions = {"read": 0, "drawn": 0}
+    for _ in range(400):
+        below, kernel, failing = _random_stream_complex(rnd)
+        n = below.ncols
+        stop = n - column_rank(below)
+        cols = _random_top(rnd, kernel, n)
+        top = _stream(below, cols)
+        want = _smith_checking_each_column(_stream(below, cols), stop)
+        assert smith_normal_form(top, stop) == want
+        assert top.checked == top.ncols
+        if not cols:
+            continue
+        read = _columns_read(cols, stop)
+        j = rnd.randrange(len(cols))
+        positions["read" if j < read else "drawn"] += 1
+        bad = dict(cols[j])
+        extra = rnd.choice(failing + [{-1: 1}, {n: -2}, {n + 5: 1}])
+        for r, v in extra.items():
+            bad[r] = bad.get(r, 0) + v
+        broken = cols[:j] + [bad] + cols[j + 1:]
+        want = _error(lambda: _smith_checking_each_column(_stream(below, broken), stop))
+        assert f"streamed column {j}" in want
+        assert _error(lambda: smith_normal_form(_stream(below, broken), stop)) == want
+    assert min(positions.values()) >= 50, positions
+
+
+@pytest.mark.parametrize("row", [-1, 5])
+@pytest.mark.parametrize("position", [0, 1])
+def test_a_streamed_row_out_of_range_raises(row, position):
+    """below's kernel is spanned by e_1, so the reduction stops after the
+    first column: the bad column is read (position 0) or drawn after the
+    early exit (position 1). A row below 0 would wrap around to a real row,
+    and one past the end would be an IndexError."""
+    below = IntMatrix.from_rows([[1, 0]])
+    cols = [{1: 1}, {1: 1}]
+    cols[position] = {row: 1}
+    with pytest.raises(InvalidComplexError,
+                       match=rf"^streamed column {position} has an entry on row {row}, "
+                             r"outside 0\.\.1$"):
+        homology_between(below, _stream(below, cols))
+    with pytest.raises(InvalidComplexError, match=f"^streamed column {position} has"):
+        list(_stream(below, cols).cols)
+
+
+def test_explicit_zero_entries_in_a_stream_are_harmless():
+    below = IntMatrix.from_rows([[1, 0]])
+    top = _stream(below, [{0: 0, 1: 1, 9: 0}, {-3: 0, 1: 2}])
+    assert homology_between(below, top) == FgAbelianGroup(0)
+    assert top.checked == 2
+    assert list(top.cols) == [{1: 1}, {1: 2}]
+
+
+def test_homology_between_emits_a_stream_once():
+    """With check=True the stream checks itself, so it is not also
+    multiplied by the boundary below it."""
+    below = IntMatrix.from_rows([[1, 0, -1], [0, 1, 1]])
+    calls = []
+
+    def columns():
+        calls.append(1)
+        return iter([{0: 1, 1: -1, 2: 1}, {0: 2, 1: -2, 2: 2}])
+
+    top = ColumnStream(below, 2, columns)
+    assert homology_between(below, top) == FgAbelianGroup(0)
+    assert len(calls) == 1 and top.checked == 2
