@@ -127,6 +127,7 @@ from .magnitude_core import (
 )
 from .oracles import (
     abelianization,
+    oracle_catgroup,
     oracle_group_homology,
     oracle_kunneth,
     oracle_mh01_catgroup,

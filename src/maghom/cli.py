@@ -513,15 +513,18 @@ def _verify_category(X: FinCategory, max_degree: int, v: _Verifier):
 
 
 def _verify_cat_group(C: CatGroup, max_degree: int, v: _Verifier):
+    K = max(1, max_degree)
     h0, h1 = oracles.oracle_mh01_catgroup(C)
-    routes = _route_tables(C, 1)
+    routes = _route_tables(C, K)
     td = routes[0]
     v.check(
         "components-abelianization",
         td.group(0) == h0 and td.group(1) == h1,
         f"predicted MH_1 = {h1}",
     )
-    v.check("route-equivalence", _agree(routes), "degrees 0..1")
+    v.check("quotient-group-homology", td == oracles.oracle_catgroup(C, K),
+            f"degrees 0..{K}")
+    v.check("route-equivalence", _agree(routes), f"degrees 0..{K}")
 
 
 def _verify_normed(N: NormedGroup, max_degree: int, v: _Verifier):

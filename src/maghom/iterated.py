@@ -30,7 +30,8 @@ route's nerve only through total degree D - 1 and never build degree D:
 the diagonal's degree D or Tot_D, the bidegrees (p, D - p). Its boundary
 is streamed from integer codes of its generators (_CodedTop; the hom
 nerves hold the codes and tables of every leg degree, each built once,
-and one face rule on codes serves both routes), one column at a time
+and the inner merges, composed a length span at a time as the walk first
+reads one; one face rule on codes serves both routes), one column at a time
 (exact_linalg.ColumnStream), read by the reduction until it stops, then
 drawn to the end. d*d = 0 is checked on each column drawn after the
 stop, and on the columns read through the basis the reduction returns:
@@ -116,8 +117,10 @@ class _HomNerves:
     _CodedTop streams from it. An object is its index in objects and a leg
     of degree q its index in homs[x, y].basis[q]. A path of p legs is the
     pair (os, ls) of its p + 1 object codes and p leg codes. The tables of
-    each leg degree are built once, when first asked for (legs), and an
-    inner merge is composed once per (q, x, y, z, a, b) (merged).
+    each leg degree are built once, when first asked for (legs). The inner
+    merges of a leg a: x -> y with the legs y -> z of one length are
+    composed together, when the first of them is read, and each pair once
+    (merged).
     """
 
     objects: tuple
@@ -146,25 +149,30 @@ class _HomNerves:
 
     def merged(self, q: int, x: int, y: int, z: int, a: int, b: int) -> int:
         """Code of the composite of legs a: x -> y and b: y -> z of degree
-        q (-1 for zero), composed once and then read from
-        merges[q, x, y, z, a]."""
+        q (-1 for zero), read from merges[q, x, y, z, a]. A miss composes
+        a with every leg y -> z of b's length, the span a walk reads b
+        from, so a pair is composed once and the memo is filled a span at
+        a time."""
         key = (q, x, y, z, a)
         memo = self.merges.get(key)
         if memo is None:
             memo = self.merges[key] = {}
         m = memo.get(b)
         if m is None:
-            objects, T = self.objects, self.legs(q)
-            merged = self.compose(objects[x], objects[y], objects[z], q,
-                                  T.legs[x][y][a], T.legs[y][z][b])
-            if merged is None:
-                m = -1
-            else:
-                m = T.codes[x][z].get(merged)
-                if m is None:
-                    raise ValidationError(
-                        f"an h-face in leg degree {q} leaves the basis: {merged!r}")
-            memo[b] = m
+            objects, T, compose = self.objects, self.legs(q), self.compose
+            ox, oy, oz = objects[x], objects[y], objects[z]
+            first, legs_yz, codes = T.legs[x][y][a], T.legs[y][z], T.codes[x][z]
+            for c in T.spans[y][z][T.lengths[y][z][b]]:
+                merged = compose(ox, oy, oz, q, first, legs_yz[c])
+                if merged is None:
+                    m = -1
+                else:
+                    m = codes.get(merged)
+                    if m is None:
+                        raise ValidationError(
+                            f"an h-face in leg degree {q} leaves the basis: {merged!r}")
+                memo[c] = m
+            m = memo[b]
         return m
 
     def last_legs(self, p: int, q: int, ell, start, step):

@@ -90,6 +90,19 @@ def oracle_group_homology(G: FinGroup, max_degree: int) -> HomologyTable:
     return category_homology(category_from_group(G), max_degree)
 
 
+def oracle_catgroup(C: CatGroup, max_degree: int) -> HomologyTable:
+    """Iterated magnitude homology of a Cat-group whose unit has no
+    automorphism but its identity, as two_group_from_normal_subgroup makes
+    them: the homology of its classifying space, which is that of its group
+    of components, so the group homology of that quotient. It touches no
+    iterated code."""
+    e = C.group.identity
+    if len(C.cells.hom(e, e)) != 1:
+        raise ValidationError("the unit has automorphisms other than its identity, "
+                              "so the components alone do not give the homology")
+    return oracle_group_homology(component_group(C), max_degree)
+
+
 def oracle_suspension(table: HomologyTable, max_degree: int) -> HomologyTable:
     """Predicted homology of a suspension from the homology of the inside.
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maghom import FgAbelianGroup, GenMetricSpace, NormedGroup, SchemaError
+from maghom import FgAbelianGroup, GenMetricSpace, HomologyTable, NormedGroup, SchemaError
 from maghom.cli import builder_documents, main, parse_input
 
 
@@ -214,6 +214,49 @@ def test_verify_exit_status_is_nonzero_on_mismatch(tmp_path, monkeypatch):
     code, out, _ = run_cli(["verify", doc_file(tmp_path, "two-point-metric")])
     assert code == 1
     assert "FAIL" in out
+
+
+def _z4_doc(kind: str) -> dict:
+    """Z/4 with the subgroup {0, 2}, as a Cat-group or as the cone of a
+    preordered group (the same Cat-group)."""
+    field = "normal_subgroup" if kind == "cat-group" else "cone"
+    return {"kind": kind, "elements": ["0", "1", "2", "3"],
+            "table": [[str((i + j) % 4) for j in range(4)] for i in range(4)],
+            field: ["0", "2"]}
+
+
+@pytest.mark.parametrize("kind", ["cat-group", "preordered-group"])
+def test_verify_reads_cat_groups_through_max_degree(tmp_path, monkeypatch, kind):
+    import maghom.cli as cli_module
+
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps(_z4_doc(kind)))
+    args = ["verify", str(path), "--max-degree", "2"]
+    code, out, _ = run_cli(args)
+    assert code == 0, out
+    assert "quotient-group-homology: PASS (degrees 0..2)" in out
+    assert "route-equivalence: PASS (degrees 0..2)" in out
+
+    original = cli_module.compute_homology
+
+    def wrong_on_tot_at_2(obj, max_degree, route="diag", normalize_rows=False,
+                          gradings=None):
+        table = original(obj, max_degree, route, normalize_rows, gradings)
+        if route != "tot" or max_degree < 2:
+            return table
+        return HomologyTable({**dict(table.items()), (2, None): FgAbelianGroup(7)})
+
+    monkeypatch.setattr(cli_module, "compute_homology", wrong_on_tot_at_2)
+    code, out, _ = run_cli(args)
+    assert code == 1
+    assert "route-equivalence: FAIL (degrees 0..2)" in out
+    assert "quotient-group-homology: PASS" in out
+
+    monkeypatch.setattr(cli_module.oracles, "oracle_catgroup",
+                        lambda C, max_degree: HomologyTable({}))
+    code, out, _ = run_cli(args)
+    assert code == 1
+    assert "quotient-group-homology: FAIL (degrees 0..2)" in out
 
 
 # --- builders and info -------------------------------------------------------

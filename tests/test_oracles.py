@@ -4,18 +4,25 @@ import pytest
 
 from maghom import (
     INF,
+    CatGroup,
     FgAbelianGroup,
+    FinGroup,
     HomologyTable,
     ValidationError,
     abelianization,
+    all_groups_up_to_order_8,
+    cat_group_from_preordered,
+    category_from_group,
     codiscrete_cat_group,
     cycle_digraph,
     cyclic_group,
     dihedral_group,
     discrete_cat_group,
     discrete_space,
+    iterated_homology,
     make_metric_space,
     make_normed_group,
+    oracle_catgroup,
     oracle_group_homology,
     oracle_kunneth,
     oracle_mh01_catgroup,
@@ -24,8 +31,10 @@ from maghom import (
     oracle_suspension,
     symmetric_group,
     two_group_from_normal_subgroup,
+    validate_cat_group,
     word_norm_group,
 )
+from maghom.cli import builder_documents, parse_input
 
 S3 = symmetric_group(3)
 A3 = frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)})
@@ -132,3 +141,44 @@ def test_kunneth_oracle_graded():
     assert out.group(2, 2) == FgAbelianGroup(4)
     with pytest.raises(ValidationError):
         oracle_kunneth(H2, HomologyTable({(0, None): FgAbelianGroup(1)}), 1)
+
+
+# --- the quotient oracle of Cat-groups ----------------------------------------
+
+
+def _cat_groups_to_order_8() -> list:
+    cases = [two_group_from_normal_subgroup(G, N)
+             for G in all_groups_up_to_order_8() for N in G.normal_subgroups()]
+    assert len(cases) == 64
+    return cases
+
+
+def test_quotient_oracle_matches_the_tot_route_on_every_cat_group_to_order_8():
+    for C in _cat_groups_to_order_8():
+        assert iterated_homology(C, 2, "tot") == oracle_catgroup(C, 2), C.group.name
+
+
+def test_quotient_oracle_matches_the_diag_route_on_every_cat_group_to_order_8():
+    for C in _cat_groups_to_order_8():
+        assert iterated_homology(C, 1, "diag") == oracle_catgroup(C, 1), C.group.name
+
+
+def test_quotient_oracle_matches_preordered_s3_a3():
+    C = cat_group_from_preordered(parse_input(builder_documents()["preordered-s3-a3"]))
+    want = HomologyTable({(0, None): FgAbelianGroup(1), (1, None): FgAbelianGroup(0, (2,))})
+    assert oracle_catgroup(C, 2) == want
+    assert iterated_homology(C, 2, "tot") == want
+    assert iterated_homology(C, 1, "diag") == oracle_catgroup(C, 1)
+
+
+def test_quotient_oracle_refuses_a_unit_with_automorphisms():
+    """One object whose automorphisms are Z/2: a second classifying
+    space, whose degree 2 the trivial group of components cannot see."""
+    Z2 = cyclic_group(2)
+    one = FinGroup(("*",), {("*", "*"): "*"})
+    C = CatGroup(category_from_group(Z2), one,
+                 {(a, b): Z2.mul(a, b) for a in Z2.elements for b in Z2.elements})
+    validate_cat_group(C)
+    assert iterated_homology(C, 2, "tot").group(2) == FgAbelianGroup(0, (2,))
+    with pytest.raises(ValidationError, match="automorphisms"):
+        oracle_catgroup(C, 2)
