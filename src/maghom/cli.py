@@ -44,6 +44,7 @@ from .enriched_data import (
     make_normed_group,
     metric_from_digraph,
     metric_of_normed_group,
+    ncat_is_nonempty,
     preordered_group_from_cone,
     product_category,
     sphere_ncat,
@@ -392,14 +393,15 @@ def compute_homology(obj, max_degree: int, route: str = "diag",
     """Homology table for any parsed structure."""
     if normalize_rows and route != "tot":
         raise ValidationError("--normalize-rows requires --route tot")
-    if isinstance(obj, StrictNCat) and obj.level <= 1:
-        obj = as_category(obj)
     kind = _structure_kind(obj)
     if gradings and kind not in ("metric", "normed-group", "tensor"):
+        documents = "sphere and ncat-suspension" if kind == "ncat" else kind
         raise ValidationError(
-            f"{kind} documents have no length gradings; --grading and "
+            f"{documents} documents have no length gradings; --grading and "
             "--all-gradings apply only to metric, normed-group and tensor documents"
         )
+    if kind == "ncat" and obj.level <= 1:
+        obj, kind = as_category(obj), "category"
 
     if kind == "category":
         if route == "tot":
@@ -576,7 +578,10 @@ def _verify_ncat(X: StrictNCat, max_degree: int, v: _Verifier):
         v.check("suspension-shift", True, "not a suspension; skipped")
     else:
         K = max(2, max_degree)
-        pred = oracles.oracle_suspension(compute_homology(inner, K), K)
+        if ncat_is_nonempty(inner):
+            pred = oracles.oracle_suspension(compute_homology(inner, K), K)
+        else:  # two objects with nothing between them: S^0
+            pred = HomologyTable({(0, None): FgAbelianGroup(2)})
         got = compute_homology(X, K)
         v.check("suspension-shift", got == pred, f"degrees 0..{K}")
     v.check("route-equivalence", _agree(_route_tables(X, max_degree)),

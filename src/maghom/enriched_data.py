@@ -468,9 +468,7 @@ def two_group_from_normal_subgroup(G: FinGroup, N: Iterable) -> CatGroup:
     (k2, g2) is (k * g k2 g^-1, g g2).
     """
     Nset = G.subset(N, "normal subgroup member")
-    if G.identity not in Nset or not all(
-        G.mul(a, b) in Nset and G.inv(a) in Nset for a in Nset for b in Nset
-    ):
+    if G.subgroup_closure(Nset) != Nset:
         raise ValidationError("not a subgroup")
     if not G.is_normal(Nset):
         raise ValidationError("subgroup is not normal")
@@ -529,20 +527,15 @@ def preordered_group_from_cone(G: FinGroup, cone: Iterable) -> PreorderedGroup:
     """g <= h iff h g^-1 lies in the cone.
 
     The cone must contain the identity and be closed under multiplication
-    and conjugation. In a finite group such a cone is automatically a
-    subgroup, so the resulting preorder is symmetric.
+    and conjugation. In a finite group such a cone is a normal subgroup,
+    so the resulting preorder is symmetric.
     """
     P = G.subset(cone, "cone member")
-    if G.identity not in P:
-        raise ValidationError("cone must contain the identity")
-    for a in P:
-        for b in P:
-            if G.mul(a, b) not in P:
-                raise ValidationError("cone is not closed under multiplication")
-    for g in G.elements:
-        for a in P:
-            if G.conjugate(g, a) not in P:
-                raise ValidationError("cone is not closed under conjugation")
+    if G.subgroup_closure(P) != P:
+        raise ValidationError(
+            "cone must contain the identity and be closed under multiplication")
+    if not G.is_normal(P):
+        raise ValidationError("cone is not closed under conjugation")
     leq = frozenset(
         (g, h) for g in G.elements for h in G.elements
         if G.mul(h, G.inv(g)) in P
@@ -572,8 +565,10 @@ def cat_group_from_preordered(P: PreorderedGroup) -> CatGroup:
 # connected components
 
 
-def connected_components_category(X: FinCategory) -> list[frozenset]:
-    parent = {x: x for x in X.objects}
+def _components(objects: Iterable, edges: Iterable[tuple]) -> list[frozenset]:
+    """The classes of the equivalence relation on objects that the edges,
+    pairs of objects, generate (union-find)."""
+    parent = {x: x for x in objects}
 
     def find(x):
         while parent[x] != x:
@@ -581,14 +576,18 @@ def connected_components_category(X: FinCategory) -> list[frozenset]:
             x = parent[x]
         return x
 
-    for m in X.morphisms:
-        a, b = find(X.source[m]), find(X.target[m])
+    for a, b in edges:
+        a, b = find(a), find(b)
         if a != b:
             parent[a] = b
     classes: dict = {}
-    for x in X.objects:
+    for x in parent:
         classes.setdefault(find(x), set()).add(x)
     return sorted((frozenset(v) for v in classes.values()), key=repr)
+
+
+def connected_components_category(X: FinCategory) -> list[frozenset]:
+    return _components(X.objects, ((X.source[m], X.target[m]) for m in X.morphisms))
 
 
 def component_of_identity(C: CatGroup) -> frozenset:
@@ -875,14 +874,8 @@ def connected_components_ncat(X: StrictNCat) -> list[frozenset]:
     if isinstance(X, NCatCategory):
         return connected_components_category(X.category)
     if isinstance(X, Explicit2Cat):
-        edges = [
-            (x, y)
-            for x in X.objects
-            for y in X.objects
-            if X.hom[(x, y)].objects
-        ]
-        fake = category_from_preorder(X.objects, edges)
-        return connected_components_category(fake)
+        return _components(X.objects, (xy for xy in product(X.objects, repeat=2)
+                                       if X.hom[xy].objects))
     if isinstance(X, NCatSuspension):
         if ncat_is_nonempty(X.inner):
             return [frozenset(["A", "B"])]

@@ -121,16 +121,17 @@ class ColumnStream:
 
     below is the boundary one degree down, so nrows is below.ncols. A
     column passes when below * column = 0 and every row holding a nonzero
-    entry lies in 0..nrows-1; an explicit zero entry is harmless, whatever
-    its row: it adds nothing to below * column, and the reduction drops
-    it. Each read of cols computes the columns again and checks each one
-    as it is emitted, in one dense accumulator per pass (below's columns
-    are read as tuples of entries, copied once per pass); checked counts
-    the columns that passed, and a pass that ends after a number of
-    columns other than ncols raises.
+    entry lies in 0..nrows-1. An explicit zero entry is harmless on any
+    row: it adds nothing to below * column, and the reduction drops it.
+    One kernel checks columns (_checked_columns), in one dense accumulator
+    per pass; below's columns are read as tuples of entries, copied once
+    per pass. Each read of cols computes the columns again and checks each
+    one as it is emitted. checked counts the columns that passed. A pass
+    that ends after a number of columns other than ncols raises.
 
-    smith_normal_form checks the columns its reduction reads through the
-    basis it returns instead (see reduce), and the rest one by one.
+    smith_normal_form reads the stream through reduce instead. The columns
+    the reduction reads are checked through the basis it returns, and the
+    rest one by one.
     """
 
     __slots__ = ("below", "nrows", "ncols", "_columns", "checked")
@@ -145,7 +146,15 @@ class ColumnStream:
 
     @property
     def cols(self) -> Iterator[Mapping[int, int]]:
-        return self._checked_columns(self._rows_below(), self._columns(), 0)
+        n = 0
+        for n, col in enumerate(self._checked_columns(self._rows_below(), self._columns(), 0), 1):
+            self.checked += 1
+            yield col
+        self._check_length(n)
+
+    def _check_length(self, n: int) -> None:
+        if n != self.ncols:
+            raise InvalidComplexError(f"stream emitted {n} columns, expected {self.ncols}")
 
     def _rows_below(self) -> dict[int, tuple]:
         """below's columns as tuples of entries, keyed by this stream's rows,
@@ -154,10 +163,9 @@ class ColumnStream:
 
     def _checked_columns(self, below: dict[int, tuple],
                          columns: Iterable[Mapping[int, int]], start: int):
-        """Yield columns, numbered from start, each checked as it is emitted;
-        the pass must end at ncols."""
+        """Yield columns, numbered from start, each checked as it is
+        emitted; the first that fails raises, naming its number."""
         acc = [0] * self.below.nrows
-        j = start - 1
         for j, col in enumerate(columns, start):
             try:
                 for r, v in col.items():
@@ -177,12 +185,7 @@ class ColumnStream:
                         raise InvalidComplexError(
                             f"composite of consecutive boundaries is nonzero on streamed column {j}"
                         )
-            self.checked += 1
             yield col
-        if j + 1 != self.ncols:
-            raise InvalidComplexError(
-                f"stream emitted {j + 1} columns, expected {self.ncols}"
-            )
 
     def _nonzero_in_range(self, col: Mapping[int, int], j: int) -> dict:
         """Column j without its zero entries, or an error naming its first
@@ -202,47 +205,35 @@ class ColumnStream:
         The reduction's steps are unimodular, so its basis spans exactly
         the lattice of the columns it read, and ker(below) is a subgroup:
         every column read lies in it if and only if every basis vector
-        does. So d*d is checked on the basis vectors instead of the
-        columns read (2,663 vectors for 38,142 columns in one pass of the
-        benchmark's normed-diag workload, seed 7). A row holding a nonzero
-        entry of a column read holds one of some basis vector too, so
-        checking the basis vectors' rows checks the columns' rows. The
+        does. So the basis vectors go through the column check instead of
+        the columns read (2,663 vectors for 38,142 columns in one pass of
+        the benchmark's normed-diag workload, seed 7). A row holding a
+        nonzero entry of a column read holds one of some basis vector too,
+        so checking the basis vectors' rows checks the columns' rows. The
         columns left unread are drawn and checked one by one. If a basis
-        vector fails, the stream is read again from the start and checked
-        column by column, so the error names the first bad column, as a
-        pass through cols would.
+        vector fails, the stream is read again from the start through cols,
+        so the error names the first bad column.
         """
         columns = iter(self._columns())
         read = count()  # zip pulls a column first, so read stops at the number read
         basis = _reduce_columns(map(itemgetter(0), zip(columns, read)), stop_rank)
-        start = next(read)
+        n = next(read)
         below = self._rows_below()
-        if self._annihilates(below, basis.values()):
-            self.checked += start
-            for _ in self._checked_columns(below, columns, start):
+        try:
+            for _ in self._checked_columns(below, basis.values(), 0):
                 pass
-            return basis
-        for _ in self._checked_columns(below, self._columns(), 0):
-            pass
-        raise InvalidComplexError(
-            "composite of consecutive boundaries is nonzero on the span of the "
-            "streamed columns read, but on none of them when read again"
-        )
-
-    def _annihilates(self, below: dict[int, tuple], vectors: Iterable[dict]) -> bool:
-        """Whether every vector has its rows in 0..nrows-1 and below * vector
-        = 0; the vectors hold no zero entry."""
-        acc = [0] * self.below.nrows
-        for vec in vectors:
-            try:
-                for r, v in vec.items():
-                    for i, w in below[r]:
-                        acc[i] += v * w
-            except KeyError:
-                return False
-            if any(acc[i] for r in vec for i, _ in below[r]):
-                return False
-        return True
+        except InvalidComplexError:
+            for _ in self.cols:
+                pass
+            raise InvalidComplexError(
+                "composite of consecutive boundaries is nonzero on the span of the "
+                "streamed columns read, but on none of them when read again"
+            ) from None
+        self.checked += n
+        for n, _ in enumerate(self._checked_columns(below, columns, n), n + 1):
+            self.checked += 1
+        self._check_length(n)
+        return basis
 
 
 def _sub_scaled(v: dict, b: dict, q: int) -> None:

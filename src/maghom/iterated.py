@@ -1,49 +1,45 @@
 """Double and iterated magnitude nerves.
 
-A second-order enrichment hands every hom a simplicial object of its own;
-the nerve construction then runs again on top, producing a bisimplicial
-object. Its homology can be reached two ways: restrict to the diagonal
-and take chains, or take the total complex of the double chains. The two
-routes agree, and the test suite leans on that agreement hard.
+A second-order enrichment hands every hom a simplicial object of its own.
+The nerve construction then runs again on top, and gives a bisimplicial
+object. Its homology is reached two ways: the chains of the diagonal, or
+the total complex (Tot) of the double chains, with rows normalized or
+not. The routes agree, and the tests lean on that hard.
 
-Horizontal structure composes along the outer tuple (1-cells), vertical
-structure runs inside each hom (2-cells). Groups with a conjugation-
-invariant norm get a grading-by-grading version: one object whose hom is
-the metric nerve of the group, every leg of integer length, and a face
-zero unless it preserves total length. That hom's columns are the tuples
-magnitude_core._enumerate_tuples lists for the group's metric, and its
-reachable gradings are the metric's reachable_gradings. Both kinds are
-one _HomNerves, and take the same routes: the diagonal's unnormalized
-chains, or Tot of the double chains (_tot_chains). Every builder here
-supplies only its generators and generator-level faces and degeneracies;
+Horizontal structure composes along the outer tuple (1-cells). Vertical
+structure runs inside each hom (2-cells). A group with a conjugation-
+invariant norm is graded: its one object's hom is the metric nerve of the
+group, every leg has an integer length, and a face that changes the total
+length is zero. That hom's columns are the tuples
+magnitude_core._enumerate_tuples lists for the group's metric.
+
+Every second-order enrichment is one _HomNerves. Its builders supply only
+generators and generator-level faces and degeneracies;
 simplicial.assemble_simplicial and assemble_bisimplicial tabulate them.
-Every second-order path is listed by one enumerator on integer codes,
-_HomNerves.last_legs; _tuple_generators decodes its codes into labels
-for the tabulated nerves. The diagonal builders skip the bisimplicial
-maps: _diagonal_maps fuses each diagonal face into one pass over the
-legs, with every inner merge composed once per builder call.
+One enumerator on integer codes lists every second-order path
+(_HomNerves.last_legs), from one span table of the legs (_Legs). The
+diagonal fuses each face into one pass over the legs (_diagonal_maps).
+One rule says which leg degree each route reads (_leg_degree).
 
 Homology through degree D - 1 reads the boundary out of degree D, by far
-the largest, and usually only part of it before the column reduction's
-early exit. So iterated_homology and normed_group_homology tabulate each
-route's nerve only through total degree D - 1 and never build degree D:
-the diagonal's degree D or Tot_D, the bidegrees (p, D - p). Its boundary
-is streamed from integer codes of its generators (_CodedTop; the hom
-nerves hold the codes and tables of every leg degree, each built once,
-and the inner merges, composed a length span at a time as the walk first
-reads one; one face rule on codes serves both routes), one column at a time
-(exact_linalg.ColumnStream), read by the reduction until it stops, then
-drawn to the end. d*d = 0 is checked on each column drawn after the
-stop, and on the columns read through the basis the reduction returns:
-its steps are unimodular, so the basis spans exactly the lattice of the
-columns read, and that lattice lies in the kernel below if and only if
-each basis vector does.
-Its rows, the generators of degree D - 1, are indexed from the same
-codes.
-On the tot route the double complex is checked (validate_double_complex)
-only where it is tabulated, which loses no check (see
-complexes.validate_complex). iterated_complex, mb_n and the nerve
-builders stay fully tabulated.
+the largest, and usually only part of it before the reduction's early
+exit. So iterated_homology and normed_group_homology tabulate each route
+only through degree D - 1. Degree D is streamed from integer codes
+(_CodedTop): the diagonal's degree D, or Tot_D. Its rows, the generators
+of degree D - 1, are indexed from the same codes. Its boundary is an
+exact_linalg.ColumnStream: the reduction reads columns until it stops,
+and the rest are drawn to the end. Row normalization is a span table too
+(_Legs.kept). Inner merges are composed a length span at a time, as the
+walk first reads one.
+
+d*d = 0 is checked by one column kernel. The columns drawn after the stop
+are checked one by one. The columns read are checked through the basis
+the reduction returns: its steps are unimodular, so the basis spans the
+lattice of the columns read, and that lattice lies in the kernel below if
+and only if each basis vector does. On the tot route the double complex
+is checked (validate_double_complex) only where it is tabulated, which
+loses no check (see complexes.validate_complex). iterated_complex, mb_n
+and the nerve builders stay fully tabulated.
 """
 
 from __future__ import annotations
@@ -175,18 +171,17 @@ class _HomNerves:
             m = memo[b]
         return m
 
-    def last_legs(self, p: int, q: int, ell, start, step):
-        """(os, ls, state, y, legs), for p >= 1: the paths of bidegree
-        (p, q) in grading ell, as each path (os, ls) of p - 1 legs whose
-        lengths sum to at most ell, an object y after it, and the range of
-        last legs into y that complete it to grading ell. The paths are
-        walked depth first, in lexicographic order of their steps (next
-        object, then leg), and state is start(x) on the path (x,), and
-        step(state of (os, ls), os, y, leg) on the path one leg from os[-1]
-        to y longer: each leg of a prefix is taken once for all the paths
-        through it. A step that returns None leaves out its path and
-        every path through it."""
-        spans = self.legs(q).spans
+    def last_legs(self, spans: list, p: int, ell, start, step):
+        """(os, ls, state, y, legs), for p >= 1: the paths of p legs taken
+        from spans (a _Legs table of one leg degree: spans, or kept) in
+        grading ell, as each path (os, ls) of p - 1 legs whose lengths sum
+        to at most ell, an object y after it, and the legs into y that
+        complete it to grading ell. The paths are walked depth first, in
+        lexicographic order of their steps (next object, then leg), and
+        state is start(x) on the path (x,), and step(state of (os, ls), os,
+        y, leg) on the path one leg from os[-1] to y longer: each leg of a
+        prefix is taken once for all the paths through it. A step that
+        returns None leaves out its path and every path through it."""
         for x in range(len(self.objects)):
             yield from _walk(spans, p, ell, step, (x,), (), 0, start(x))
 
@@ -242,8 +237,8 @@ def _tuple_generators(H: _HomNerves, p: int, q: int, ell=0):
     then each last leg."""
     if p == 0:
         return tuple(((x,), ()) for x in H.objects) if ell == 0 else ()
-    bases = H.legs(q).legs
-    objects = H.objects
+    T = H.legs(q)
+    bases, objects = T.legs, H.objects
 
     def start(x):
         return (objects[x],), ()
@@ -253,7 +248,7 @@ def _tuple_generators(H: _HomNerves, p: int, q: int, ell=0):
         return xs + (objects[y],), legs + (bases[os[-1]][y][leg],)
 
     out: list = []
-    for os, _, (xs, prefix), y, legs in H.last_legs(p, q, ell, start, step):
+    for os, _, (xs, prefix), y, legs in H.last_legs(T.spans, p, ell, start, step):
         xy = xs + (objects[y],)
         out += [(xy, prefix + (leg,)) for leg in bases[os[-1]][y][legs.start:legs.stop]]
     return tuple(out)
@@ -370,8 +365,8 @@ def _diagonal_nerve(H: _HomNerves, D: int) -> BasedSimplicialObject:
 
 class _Legs:
     """The legs of degree q of every hom of H in integer codes. Each table
-    but identities is indexed [x][y] by object codes, None where there is
-    no hom, and each is built when first read:
+    is indexed [x][y] by object codes, None where there is no hom, and each
+    is built when first read:
       legs        the hom's basis in degree q; a leg's code is its index
                   here;
       codes       leg -> code;
@@ -381,8 +376,10 @@ class _Legs:
                   is one range, and the dict keeps the lengths in order);
       faces       per code, the codes of its v-faces 0..q in degree q - 1
                   (-1 for zero);
-      identities  per object code x, the code of x's identity leg (-1 for
-                  none).
+      kept        spans less each object's identity leg in its endo-hom:
+                  the legs of the paths row normalization keeps, since a
+                  path is h-degenerate exactly where leg k is the identity
+                  of x_k = x_{k+1}.
     It keeps no reference to H, so H and its tables form no cycle.
     """
 
@@ -429,15 +426,19 @@ class _Legs:
         return self._table(faces)
 
     @cached_property
-    def identities(self) -> list:
-        codes = self.codes
-        return [-1 if (c := codes[x][x]) is None else c.get(unit, -1)
-                for x, unit in enumerate(self._units)]
+    def kept(self) -> list:
+        kept = [list(row) for row in self.spans]
+        for x, unit in enumerate(self._units):
+            ident = (self.codes[x][x] or {}).get(unit)
+            if ident is not None:
+                kept[x][x] = {n: legs for n, span in kept[x][x].items()
+                              if (legs := [c for c in span if c != ident])}
+        return kept
 
 
 def _walk(spans: list, p: int, ell, step, os: tuple, ls: tuple, used, state):
     """_HomNerves.last_legs through the path (os, ls) of length used, with
-    its state; spans is the legs' _Legs.spans. A prefix of p - 1 legs is
+    its state, on the span table spans. A prefix of p - 1 legs is
     completed where its last leg is taken, in the loop below, unless it
     has no legs."""
     if len(ls) == p - 1:
@@ -489,17 +490,18 @@ class _CodedTop:
     the boundary out of it (see extend).
 
     Its generators come in blocks (p, q) of paths with p legs of degree q,
-    each block as H.last_legs lists it. A face term
-    (j, i, sign) of a block is v-face j of every leg (j < 0: none), then
-    h-face i (None: none), as _v_face_gen and _h_face_gen make them:
+    each block as H.last_legs lists it from one span table of the legs
+    (_spans). A face term (j, i, sign) of a block is v-face j of every leg
+    (j < 0: none), then h-face i (None: none), as _v_face_gen and
+    _h_face_gen make them:
       diag  degree D of the diagonal: one block (D, D) whose face i is
             v-face i then h-face i, with sign (-1)^i, as in _diagonal_maps;
       tot   Tot_D: blocks (p, D - p), p = 0..D, in total_complex's order,
             whose terms are h-faces i = 0..p with sign (-1)^i, then v-faces
-            j = 0..q with sign (-1)^(p + j). With normalize_rows, as in
-            row_normalize, a generator in the image of an h-degeneracy is
-            left out, and so is a face term whose row the chains below
-            leave out.
+            j = 0..q with sign (-1)^(p + j).
+    With normalize_rows, as in row_normalize, the paths take their legs
+    from _Legs.kept, so the generators in the image of an h-degeneracy are
+    left out, and so is a face term whose row the chains below leave out.
     The rows, the generators of degree D - 1, are the same blocks one
     degree down, listed by the same enumerator under the same rule (_rows),
     so they come in the order the tabulated chains give them.
@@ -527,27 +529,16 @@ class _CodedTop:
         """The object codes, the paths with no legs, which grading 0 alone has."""
         return range(len(self.H.objects) if ell == 0 else 0)
 
+    def _spans(self, q: int) -> list:
+        """The span table of the legs of degree q that the route's
+        generators take: all of them, or kept when rows are normalized."""
+        T = self.H.legs(q)
+        return T.kept if self.drop else T.spans
+
     def _gens(self, p: int, q: int, ell, start=_no_state, step=_no_state):
         """(os, ls, state, y, legs) of block (p, q), p >= 1, as
-        H.last_legs lists them, less the h-degenerate generators when rows
-        are normalized: leg k is the identity of x_k = x_{k+1}."""
-        if not self.drop:
-            return self.H.last_legs(p, q, ell, start, step)
-        return self._nondegenerate(p, q, ell, start, step)
-
-    def _nondegenerate(self, p: int, q: int, ell, start, step):
-        """_gens with rows normalized."""
-        ident = self.H.legs(q).identities
-
-        def kept(state, os, y, leg):
-            x = os[-1]
-            return None if x == y and leg == ident[x] else step(state, os, y, leg)
-
-        for os, ls, state, y, legs in self.H.last_legs(p, q, ell, start, kept):
-            if os[-1] == y and ident[y] in legs:
-                legs = [leg for leg in legs if leg != ident[y]]
-            if legs:
-                yield os, ls, state, y, legs
+        H.last_legs lists them from _spans(q)."""
+        return self.H.last_legs(self._spans(q), p, ell, start, step)
 
     def count(self, ell) -> int:
         """How many degree-D generators grading ell has, counted from the
@@ -557,9 +548,7 @@ class _CodedTop:
             if p == 0:
                 total += len(self._objects(ell))
                 continue
-            T = self.H.legs(q)
-            spans = T.spans
-            ident = T.identities if self.drop else None
+            spans = self._spans(q)
             ends = {(x, 0): 1 for x in range(len(self.H.objects))}  # (last object, used) -> paths
             for _ in range(p):
                 longer: dict = {}
@@ -568,8 +557,8 @@ class _CodedTop:
                         for n, legs in by_length.items() if by_length else ():
                             if used + n > ell:
                                 break
-                            k = len(legs) - (ident is not None and x == y and ident[x] in legs)
-                            longer[y, used + n] = longer.get((y, used + n), 0) + n_paths * k
+                            key = y, used + n
+                            longer[key] = longer.get(key, 0) + n_paths * len(legs)
                 ends = longer
             total += sum(n_paths for (_, used), n_paths in ends.items() if used == ell)
         return total
@@ -857,11 +846,19 @@ def _tot_chains(H: _HomNerves, D: int, normalize_rows: bool, ell=0) -> BasedChai
     return total_complex(chains(_double_nerve(H, D, D, total_bound=D, ell=ell)))
 
 
+def _leg_degree(route: str, n: int) -> int:
+    """The highest leg degree the route's chains read through degree n.
+    Degree n of the diagonal is paths of n legs of degree n. A generator of
+    Tot_n at bidegree (p, n - p) has legs only when p >= 1, so its legs
+    have degree at most n - 1, and no leg or degeneracy reads a hom above
+    that."""
+    return n if route == "diag" else max(n - 1, 0)
+
+
 def _truncated_double_nerve(X, max_degree: int) -> BasedBisimplicialObject:
     """The double nerve on p + q <= max_degree, as iterated_complex's tot
-    route builds it. A leg sits at p >= 1, so no leg or degeneracy reads a
-    hom above max_degree - 1."""
-    return _double_nerve(_hom_nerves_for(X, max(max_degree - 1, 0)),
+    route builds it."""
+    return _double_nerve(_hom_nerves_for(X, _leg_degree("tot", max_degree)),
                          max_degree, max_degree, total_bound=max_degree)
 
 
@@ -875,10 +872,10 @@ def iterated_complex(
     Both routes are faithful through max_degree - 1.
     """
     _check_route(route, normalize_rows)
+    H = _hom_nerves_for(X, _leg_degree(route, max_degree))
     if route == "diag":
-        return unnormalized_chains(_diagonal_nerve(_hom_nerves_for(X, max_degree), max_degree))
-    # a leg sits at p >= 1, so no leg or degeneracy reads a hom above max_degree - 1
-    return _tot_chains(_hom_nerves_for(X, max(max_degree - 1, 0)), max_degree, normalize_rows)
+        return unnormalized_chains(_diagonal_nerve(H, max_degree))
+    return _tot_chains(H, max_degree, normalize_rows)
 
 
 def iterated_homology(
@@ -891,13 +888,9 @@ def iterated_homology(
     _check_route(route, normalize_rows)
     _check_max_degree(max_degree)
     D = max_degree + 1
-    if route == "diag":
-        H = _hom_nerves_for(X, D)
-        C = unnormalized_chains(_diagonal_nerve(H, max_degree))
-    else:
-        # a leg of Tot_D sits at p >= 1, so its degree is at most max_degree
-        H = _hom_nerves_for(X, max_degree)
-        C = _tot_chains(H, max_degree, normalize_rows)
+    H = _hom_nerves_for(X, _leg_degree(route, D))
+    C = (unnormalized_chains(_diagonal_nerve(H, max_degree)) if route == "diag"
+         else _tot_chains(H, max_degree, normalize_rows))
     return homology_table(_CodedTop(H, D, route, normalize_rows).extend(C, 0), max_degree)
 
 
@@ -970,11 +963,10 @@ def double_nerve_normed_group(
     Bidegree (p, q) is spanned by the paths (("*",) * (p + 1), columns):
     p columns, each q+1 group elements, whose lengths sum to the grading.
     The path with no columns spans (0, q) in grading 0 only. Bases cover
-    p + q <= max_total_degree + 1, so a column has degree at most
-    max_total_degree.
+    p + q <= max_total_degree + 1.
     """
     T = max_total_degree + 1
-    H, ell = _normed_slice(N, grading, T - 1)
+    H, ell = _normed_slice(N, grading, _leg_degree("tot", T))
     return _double_nerve(H, T, T, T, ell)
 
 
@@ -1032,8 +1024,7 @@ def normed_group_homology(
     else:
         ells = grading_values(gradings)
     D = max_degree + 1
-    # the diagonal's legs reach degree D; Tot_D's, at p >= 1, reach D - 1
-    H = _NormedNerves(N, D if route == "diag" else max_degree)
+    H = _NormedNerves(N, _leg_degree(route, D))
     top = _CodedTop(H, D, route, normalize_rows)
     entries = {}
     for ell in ells:

@@ -141,6 +141,21 @@ def test_grading_is_rejected_on_kinds_without_length_gradings(tmp_path):
             assert kind in err, (name, flags)
 
 
+@pytest.mark.parametrize("name", ["sphere-1", "sphere-2", "suspension-two-discrete"])
+def test_the_grading_error_names_document_kinds(tmp_path, name):
+    """A sphere or suspension document is parsed to an n-category (or, at
+    level 1, a category); the error names the document kinds, and the
+    JSON "kind" field keeps the structure's name."""
+    doc = {"kind": "sphere", "n": 1} if name == "sphere-1" else builder_documents()[name]
+    for flags in (["--grading", "1"], ["--all-gradings"]):
+        code, out, err = _run_doc(tmp_path, doc, *flags)
+        _assert_one_line_error(code, out, err)
+        assert "sphere and ncat-suspension documents have no length gradings" in err
+    if name != "sphere-1":
+        code, out, _ = _run_doc(tmp_path, doc, "--output", "json")
+        assert code == 0 and json.loads(out)["kind"] == "ncat"
+
+
 def test_tensor_tot_grading_filter_keeps_the_unfiltered_rows(tmp_path):
     docs = builder_documents()
     path = tmp_path / "tensor.json"
@@ -214,6 +229,24 @@ def test_verify_exit_status_is_nonzero_on_mismatch(tmp_path, monkeypatch):
     code, out, _ = run_cli(["verify", doc_file(tmp_path, "two-point-metric")])
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_passes_on_the_suspension_of_nothing(tmp_path):
+    """The suspension of a category with no objects is two objects with
+    nothing between them, S^0: H_0 = Z^2 and nothing above, on every
+    route. The suspension oracle needs a 0-cell inside, so verify checks
+    this answer directly."""
+    empty = {"kind": "category", "objects": [], "morphisms": [],
+             "identities": {}, "compose": []}
+    path = tmp_path / "s0.json"
+    path.write_text(json.dumps({"kind": "ncat-suspension", "inner": empty}))
+    code, out, err = run_cli(["verify", str(path)])
+    assert code == 0, (out, err)
+    assert "suspension-shift: PASS (degrees 0..2)" in out
+    assert "route-equivalence: PASS" in out
+    code, out, _ = run_cli(["homology", str(path), "--max-degree", "3"])
+    assert code == 0
+    assert out.splitlines() == ["MH_0 = Z^2", "MH_1 = 0", "MH_2 = 0", "MH_3 = 0"]
 
 
 def _z4_doc(kind: str) -> dict:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -251,6 +252,41 @@ def test_cone_rejects_non_submonoid():
         preordered_group_from_cone(S3, [TRANSPOSITION])
 
 
+def test_two_group_refuses_a_non_subgroup_and_an_empty_member_list():
+    with pytest.raises(ValidationError, match="not a subgroup"):
+        two_group_from_normal_subgroup(S3, [TRANSPOSITION, (1, 2, 0)])
+    with pytest.raises(ValidationError, match="not a subgroup"):
+        two_group_from_normal_subgroup(S3, [])
+
+
+def test_cone_refuses_a_subgroup_that_is_not_normal():
+    with pytest.raises(ValidationError, match="conjugation"):
+        preordered_group_from_cone(S3, [(0, 1, 2), TRANSPOSITION])
+
+
+def _normal_subgroup_by_hand(G, S: set) -> bool:
+    closed = G.identity in S and all(
+        G.mul(a, b) in S and G.inv(a) in S for a in S for b in S)
+    return closed and all(G.conjugate(g, a) in S for g in G.elements for a in S)
+
+
+@pytest.mark.parametrize("G", [cyclic_group(4), S3], ids=["Z4", "S3"])
+def test_group_constructors_accept_exactly_the_normal_subgroups(G):
+    """Every subset of G: the Cat-group and the cone constructors accept it
+    exactly when it is a normal subgroup, checked element by element."""
+    accepted = 0
+    for r in range(len(G) + 1):
+        for S in combinations(G.elements, r):
+            for build in (two_group_from_normal_subgroup, preordered_group_from_cone):
+                if _normal_subgroup_by_hand(G, set(S)):
+                    build(G, S)
+                    accepted += 1
+                else:
+                    with pytest.raises(ValidationError):
+                        build(G, S)
+    assert accepted == 2 * len(G.normal_subgroups())
+
+
 def test_cat_group_from_preordered():
     P = preordered_group_from_cone(S3, A3)
     C = cat_group_from_preordered(P)
@@ -289,6 +325,11 @@ def test_connected_components():
     assert len(connected_components(NCatSuspension(NCatSet(())))) == 2
     for n in (1, 2, 3):
         assert len(connected_components(sphere_ncat(n))) == 1
+
+
+def test_connected_components_of_a_two_category():
+    assert len(connected_components(two_cat_from_category(discrete_category(["a", "b"])))) == 2
+    assert len(connected_components(two_cat_from_category(parallel_arrows_category()))) == 1
 
 
 def test_validate_ncat_families():
