@@ -404,10 +404,12 @@ class HomologyTable:
 def _homology_groups(C: BasedChainComplex, max_degree: int) -> list[FgAbelianGroup]:
     """H_0..H_max_degree; the one place where d*d = 0 is checked before
     homology is read, so the builders of complexes do not check it. A
-    streamed top boundary is checked as smith_normal_form reads it: the
-    columns the reduction reads through the basis it returns, which spans
-    exactly their lattice, and the columns drawn after its early exit one
-    by one."""
+    streamed top boundary (the iterated routes' _CodedTop and
+    metric_homology's _TupleCodes stream theirs) is checked as
+    smith_normal_form reads it: the columns the reduction reads through
+    the basis it returns, which spans exactly their lattice, and the
+    columns drawn after its early exit one by one. The tabulated degrees
+    below it are checked by matrix products (validate_complex)."""
     _check_max_degree(max_degree)
     if max_degree > C.faithful_degree:
         raise TruncationError(max_degree, C.faithful_degree)

@@ -178,23 +178,29 @@ def category_from_group(G: FinGroup) -> FinCategory:
 
 
 def category_from_preorder(elements: Iterable, leq: Iterable[tuple]) -> FinCategory:
-    """Category of a preorder; one morphism (x, y) whenever x <= y."""
+    """Category of a preorder; one morphism (x, y) whenever x <= y.
+
+    The relation is closed transitively through one intermediate element
+    at a time (Warshall), and each morphism g composes with the morphisms
+    into its source, so both cost the cube of the elements at most.
+    """
     elements = tuple(elements)
-    rel = set(leq) | {(x, x) for x in elements}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rel):
-            for (c, d) in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-    mors = sorted(rel)
+    above: dict = {x: {x} for x in elements}
+    for a, b in leq:
+        above.setdefault(a, set()).add(b)
+    for k in above:
+        for ups in above.values():
+            if k in ups:
+                ups |= above[k]
+    mors = sorted((a, b) for a, ups in above.items() for b in ups)
+    into: dict = {}
+    for f in mors:
+        into.setdefault(f[1], []).append(f)
     return make_category(
         elements, mors,
         {m: m[0] for m in mors}, {m: m[1] for m in mors},
         {x: (x, x) for x in elements},
-        {(g, f): (f[0], g[1]) for g in mors for f in mors if f[1] == g[0]},
+        {(g, f): (f[0], g[1]) for g in mors for f in into.get(g[0], ())},
     )
 
 

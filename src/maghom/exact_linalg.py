@@ -236,6 +236,23 @@ class ColumnStream:
         return basis
 
 
+class CodedLabels:
+    """The labels of a streamed degree's generators: a sized iterable that
+    decodes them from their codes each time it is iterated, so no list of
+    them is kept. codes() lists the codes in column order."""
+
+    __slots__ = ("count", "codes", "label")
+
+    def __init__(self, count: int, codes: Callable[[], Iterable], label: Callable):
+        self.count, self.codes, self.label = count, codes, label
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return map(self.label, self.codes())
+
+
 def _sub_scaled(v: dict, b: dict, q: int) -> None:
     """v -= q * b, in place."""
     if q == 0:

@@ -66,7 +66,7 @@ from .enriched_data import (
     two_cat_of_cat_group,
 )
 from .errors import ValidationError
-from .exact_linalg import ColumnStream
+from .exact_linalg import CodedLabels, ColumnStream
 from .magnitude_core import (
     _betweenness,
     _enumerate_tuples,
@@ -765,25 +765,8 @@ class _CodedTop:
             raise ValueError(f"expected {count} generators in degree {self.D - 1}, "
                              f"not {len(C.basis[-1])}")
         top = ColumnStream(C.boundary[-1], self.count(ell), partial(self._columns, rows, ell))
-        return BasedChainComplex(
-            C.basis + (_CodedLabels(self, ell, top.ncols),), C.boundary + (top,), self.D - 1
-        )
-
-
-class _CodedLabels:
-    """The labels of the degree-D generators of one grading, decoded from
-    their codes each time they are iterated."""
-
-    __slots__ = ("top", "ell", "count")
-
-    def __init__(self, top: _CodedTop, ell, count: int):
-        self.top, self.ell, self.count = top, ell, count
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        return map(self.top.label, self.top.codes(self.ell))
+        labels = CodedLabels(top.ncols, partial(self.codes, ell), self.label)
+        return BasedChainComplex(C.basis + (labels,), C.boundary + (top,), self.D - 1)
 
 
 def _hom_nerves_for(X, max_q: int) -> _HomNerves:

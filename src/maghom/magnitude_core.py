@@ -19,12 +19,18 @@ before its homology is read. Two points share an orbit only after a map
 between them has been checked against the whole distance table; a
 search that runs out of its step budget counts as failed, which only
 splits an orbit and leaves the answer unchanged.
+
+Homology through degree D reads the boundary out of degree D + 1, by far
+the largest, and usually only part of it before the reduction's early
+exit. So metric_homology tabulates each complex through degree D and
+streams degree D + 1 from integer codes (_TupleCodes), whose one face
+rule also gives magnitude_complex_metric its columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import lcm
 from typing import Iterable, Optional, Union
 
@@ -39,7 +45,7 @@ from .complexes import (
 )
 from .enriched_data import INF, FinCategory, GenMetricSpace, d_add
 from .errors import ValidationError
-from .exact_linalg import FgAbelianGroup, IntMatrix
+from .exact_linalg import CodedLabels, ColumnStream, FgAbelianGroup, IntMatrix
 from .simplicial import BasedSimplicialObject, assemble_simplicial
 
 GradingSpec = Union[str, Iterable]
@@ -195,6 +201,171 @@ def adjacency(X: GenMetricSpace, x, y):
     return None
 
 
+class _TupleCodes:
+    """The nondegenerate tuples of X through degree D that begin at the
+    start points, in integer codes, each with its inner faces.
+
+    A tuple's code is its index in its degree, in the level order of
+    _enumerate_tuples: degree n lists the children of each tuple of degree
+    n - 1 in turn, one per finite step out of its last point, in point
+    order. So the children of code c are the codes first[n][c] + k, k the
+    rank of the step among the steps out of c's last point. Points are
+    indices into X.points and lengths ints over the common denominator L;
+    pos[n][c] is the tuple's position in its length bucket, which is its
+    row or column in that grading's complex. A tuple is decoded only when
+    its label is read.
+
+    One rule gives every column (_plans, _columns): faces 1..n-1 of
+    t = s + (p,) are the faces of s with p appended, so each moves through
+    the child table from the column of s, and face n drops the last point
+    of s when it lies between its neighbours, one lookup in the
+    betweenness table. What a column reads from s is worked out once per
+    s. The columns of degrees 1..D are tabulated (cols), in codes; degree
+    D + 1 is streamed from them (extend) and never listed.
+    """
+
+    def __init__(self, X: GenMetricSpace, D: int, starts: Optional[Iterable] = None):
+        dist, self.L = _scaled_distances(X)
+        pts = self.points = tuple(X.points)
+        self.D = D
+        # the finite steps out of each point other than itself, in point order
+        self.ends = [[j for j, p in enumerate(pts) if p != x and dist[x, p] is not None]
+                     for x in pts]
+        self.dists = [[dist[x, pts[p]] for p in ends] for x, ends in zip(pts, self.ends)]
+        self.rank = [{p: k for k, p in enumerate(ends)} for ends in self.ends]
+        index = {p: i for i, p in enumerate(pts)}
+        # after[x][z]: the y with z strictly between x and y
+        self.after = [{} for _ in pts]
+        for z, x, y in _betweenness(X):
+            if z != x and z != y:
+                assert x != y, "face produced equal neighbours"
+                self.after[index[x]].setdefault(index[z], set()).add(index[y])
+        starts = None if starts is None else set(starts)
+        self.last = [[i for i, p in enumerate(pts) if starts is None or p in starts]]
+        self.length = [[0] * len(self.last[0])]
+        self.parent, self.first, self.cols = [[]], [], [[{}] * len(self.last[0])]
+        for n in range(1, D + 1):
+            last, parent, length, first = [], [], [], []
+            codes = range(len(self.last[n - 1]))
+            for s, x, used in zip(codes, self.last[n - 1], self.length[n - 1]):
+                first.append(len(last))
+                last += self.ends[x]
+                parent += [s] * len(self.ends[x])
+                length += map(used.__add__, self.dists[x])
+            prefixes = zip(codes, map(self.ends.__getitem__, self.last[n - 1]))
+            self.cols.append(list(self._columns(self._plans(n - 1), prefixes, codes)))
+            self.first.append(first)
+            self.last.append(last)
+            self.parent.append(parent)
+            self.length.append(length)
+        self.pos, self.buckets = [], []
+        for length in self.length:
+            pos, by_length = [], {}
+            for c, used in enumerate(length):
+                bucket = by_length.get(used)
+                if bucket is None:
+                    bucket = by_length[used] = []
+                pos.append(len(bucket))
+                bucket.append(c)
+            self.pos.append(pos)
+            self.buckets.append(by_length)
+
+    def _plans(self, n: int) -> list:
+        """What every column of a tuple s + (p,) reads from code s of degree
+        n, for each s: (inner, rank_z, rank_x, after, base, sign). Face
+        i < n of s + (p,) is the child at rank_z[p] of face i of s, whose
+        first child is b in inner's pair (b, v); face n, when p is in
+        after, is the child at rank_x[p] of s's parent, whose first child
+        is base, with sign (-1)^n."""
+        rank = self.rank
+        if n == 0:  # a tuple of two points has no inner face
+            return [((), rank[z], None, (), 0, 1) for z in self.last[0]]
+        first, above, after = self.first[n - 1], self.last[n - 1], self.after
+        sign = -1 if n % 2 else 1
+        return [(tuple([(first[r], v) for r, v in col.items()]), rank[z], rank[above[a]],
+                 after[above[a]].get(z, ()), first[a], sign)
+                for z, a, col in zip(self.last[n], self.parent[n], self.cols[n])]
+
+    @staticmethod
+    def _columns(plans, prefixes, rows):
+        """For each (s, ps) of prefixes and each p of ps, the column of
+        s + (p,), {rows[face code]: sign}, its entries in face order; rows
+        maps codes to themselves (a range) or to their bucket positions."""
+        for s, ps in prefixes:
+            inner, rank_z, rank_x, after, base, sign = plans[s]
+            for p in ps:
+                k = rank_z[p]
+                col = {}
+                for b, v in inner:
+                    col[rows[b + k]] = v
+                if p in after:
+                    col[rows[base + rank_x[p]]] = sign
+                yield col
+
+    def label(self, n: int, c: int) -> tuple:
+        """The tuple of points that code c of degree n stands for."""
+        out = []
+        for m in range(n, -1, -1):
+            out.append(self.points[self.last[m][c]])
+            if m:
+                c = self.parent[m][c]
+        return tuple(reversed(out))
+
+    def boundary(self, n: int, ell) -> IntMatrix:
+        """The boundary out of degree n, 1 <= n <= D, in grading ell."""
+        k = ell * self.L
+        pos, cols, codes = self.pos[n - 1], self.cols[n], self.buckets[n].get(k, ())
+        return IntMatrix(len(self.buckets[n - 1].get(k, ())), len(codes),
+                         tuple({pos[r]: v for r, v in cols[c].items()} for c in codes))
+
+    @cached_property
+    def _top_plans(self) -> list:
+        return self._plans(self.D)
+
+    @cached_property
+    def _tops(self) -> dict:
+        """grading (int over L) -> the prefixes (s, ps) of its tuples of
+        degree D + 1, in level order: code s of degree D, then the points p
+        of the steps out of its last point that reach the grading."""
+        by_step = [{} for _ in self.points]
+        for x, (ends, dists) in enumerate(zip(self.ends, self.dists)):
+            for p, d in zip(ends, dists):
+                by_step[x].setdefault(d, []).append(p)
+        tops: dict[int, list] = {}
+        for s, (x, used) in enumerate(zip(self.last[self.D], self.length[self.D])):
+            for d, ps in by_step[x].items():
+                tops.setdefault(used + d, []).append((s, ps))
+        return tops
+
+    def _top_codes(self, prefixes):
+        for s, ps in prefixes:
+            for p in ps:
+                yield s, p
+
+    def _top_label(self, code) -> tuple:
+        s, p = code
+        return self.label(self.D, s) + (self.points[p],)
+
+    def extend(self, C: BasedChainComplex, ell) -> BasedChainComplex:
+        """C, the complex of grading ell through degree D, with degree D + 1
+        on top: its labels are decoded whenever they are read, and its
+        boundary is a ColumnStream over C's top boundary, so no table of
+        degree D + 1 is built. C's generators must be the ones these codes
+        list, in their order; only their number in degree D is checked."""
+        if len(C.basis) != self.D + 1:
+            raise ValueError(f"expected a complex through degree {self.D}")
+        k = ell * self.L
+        count = len(self.buckets[self.D].get(k, ()))
+        if count != len(C.basis[-1]):
+            raise ValueError(f"expected {count} generators in degree {self.D}, "
+                             f"not {len(C.basis[-1])}")
+        prefixes = self._tops.get(k, ())
+        top = ColumnStream(C.boundary[-1], sum(len(ps) for _, ps in prefixes),
+                           partial(self._columns, self._top_plans, prefixes, self.pos[self.D]))
+        labels = CodedLabels(top.ncols, partial(self._top_codes, prefixes), self._top_label)
+        return BasedChainComplex(C.basis + (labels,), C.boundary + (top,), self.D)
+
+
 def magnitude_complex_metric(
     X: GenMetricSpace, max_degree: int, gradings: GradingSpec = "all-reachable",
     *, starts: Optional[Iterable] = None,
@@ -205,7 +376,9 @@ def magnitude_complex_metric(
     neighbours summing to that length; the differential only uses the
     inner faces (the outer ones change the grading and die). Two inner
     faces of a tuple with distinct neighbours never land on the same
-    tuple, so each column entry is set once, never summed.
+    tuple, so each column entry is set once, never summed. The columns
+    come from the coded rule of _TupleCodes, in the order of the tuples
+    _enumerate_tuples lists.
 
     With start points S, the complex is the direct summand, the sum of
     the blocks MC(a, .) over a in S, of the tuples that begin in S (inner
@@ -213,23 +386,13 @@ def magnitude_complex_metric(
     """
     wanted = _resolve_gradings(X, max_degree, gradings)
     buckets = _enumerate_tuples(X, max_degree, distinct=True, starts=starts)
-    between = _betweenness(X)
+    codes = _TupleCodes(X, max_degree, starts)
     pieces = {}
     for ell in wanted:
-        basis = [tuple(buckets.get((n, ell), ())) for n in range(max_degree + 1)]
-        boundary = [IntMatrix.zero(0, len(basis[0]))]
-        for n in range(1, max_degree + 1):
-            target = {t: i for i, t in enumerate(basis[n - 1])}
-            cols = []
-            for tup in basis[n]:
-                col: dict[int, int] = {}
-                for i in range(1, n):
-                    if (tup[i], tup[i - 1], tup[i + 1]) in between:
-                        assert tup[i - 1] != tup[i + 1], "face produced equal neighbours"
-                        col[target[tup[:i] + tup[i + 1:]]] = -1 if i % 2 else 1
-                cols.append(col)
-            boundary.append(IntMatrix(len(basis[n - 1]), len(cols), tuple(cols)))
-        pieces[ell] = BasedChainComplex(tuple(basis), tuple(boundary), max_degree - 1)
+        basis = tuple(tuple(buckets.get((n, ell), ())) for n in range(max_degree + 1))
+        boundary = (IntMatrix.zero(0, len(basis[0])),) + tuple(
+            codes.boundary(n, ell) for n in range(1, max_degree + 1))
+        pieces[ell] = BasedChainComplex(basis, boundary, max_degree - 1)
     return GradedChainComplex(pieces)
 
 
@@ -369,9 +532,18 @@ def metric_homology(
     representative's block. The representatives of the classes of one
     size k are built and reduced together, as one complex with those
     start points, whose homology counts k times; with no isometry besides
-    the identity that is the whole complex, as before the split. Every
-    complex built gets its own d*d check. The wanted gradings are resolved
-    once on the whole space, so every complex has a piece for each.
+    the identity that is the whole complex, as before the split. The
+    wanted gradings are resolved once on the whole space, so every complex
+    has a piece for each.
+
+    Each complex is tabulated through max_degree by
+    magnitude_complex_metric, and degree max_degree + 1 goes on top as a
+    ColumnStream from the codes of _TupleCodes, so no table, IntMatrix or
+    product is built for it. d*d is checked once per complex when its
+    homology is read: on the tabulated degrees by matrix products, and on
+    the streamed top column by column, the columns the reduction reads
+    through the basis it returns and the rest as they are drawn after its
+    early exit (see exact_linalg.ColumnStream.reduce).
     """
     wanted = _resolve_gradings(X, max_degree + 1, gradings)
     _check_max_degree(max_degree)
@@ -380,7 +552,9 @@ def metric_homology(
         reps_by_size.setdefault(len(orbit), []).append(orbit[0])
     table: dict = {}
     for size, reps in reps_by_size.items():
-        G = magnitude_complex_metric(X, max_degree + 1, wanted, starts=reps)
+        G = magnitude_complex_metric(X, max_degree, wanted, starts=reps)
+        codes = _TupleCodes(X, max_degree, reps)
+        G = GradedChainComplex({ell: codes.extend(C, ell) for ell, C in G.pieces.items()})
         for key, grp in graded_homology_table(G, max_degree).items():
             if size > 1:
                 grp = FgAbelianGroup.from_parts(size * grp.free_rank, grp.torsion * size)

@@ -12,6 +12,7 @@ from maghom import (
     ValidationError,
     all_groups_up_to_order_8,
     as_category,
+    category_from_preorder,
     cat_group_from_preordered,
     codiscrete_cat_group,
     complete_graph,
@@ -395,3 +396,36 @@ def test_group_subsets_must_be_elements():
         two_group_from_normal_subgroup(Z2, [0, 7])
     with pytest.raises(ValidationError, match="cone member 7"):
         preordered_group_from_cone(Z2, [0, 7])
+
+
+def _old_preorder_category(elements, leq):
+    """category_from_preorder as it was: a fixpoint closure over pairs of
+    related pairs and composites over all pairs of morphisms."""
+    elements = tuple(elements)
+    rel = set(leq) | {(x, x) for x in elements}
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(rel):
+            for (c, d) in list(rel):
+                if b == c and (a, d) not in rel:
+                    rel.add((a, d))
+                    changed = True
+    mors = sorted(rel)
+    return mors, {(g, f): (f[0], g[1]) for g in mors for f in mors if f[1] == g[0]}
+
+
+def test_preorder_category_matches_the_old_construction():
+    rnd = random.Random(29)
+    cases = [(range(n), [(i, i + 1) for i in range(n - 1)]) for n in (1, 2, 5, 9)]
+    cases += [("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]),  # a cycle
+              ("xyz", []), ("xyz", [("x", "x"), ("z", "y")])]
+    for _ in range(40):
+        n = rnd.randint(1, 7)
+        pairs = [(a, b) for a in range(n) for b in range(n) if rnd.random() < 0.3]
+        cases.append((range(n), pairs))
+    for elements, leq in cases:
+        X = category_from_preorder(elements, leq)
+        mors, compose = _old_preorder_category(elements, leq)
+        assert X.morphisms == tuple(mors)
+        assert list(X.compose.items()) == list(compose.items())
