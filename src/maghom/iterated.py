@@ -72,7 +72,6 @@ from .magnitude_core import (
     _enumerate_tuples,
     _metric_degen,
     _metric_face,
-    _scaled_distances,
     grading_values,
     nerve_category,
     reachable_gradings,
@@ -883,23 +882,23 @@ def iterated_homology(
 
 class _NormedNerves(_HomNerves):
     """One object, "*", whose hom is the unnormalized metric nerve of the
-    group: every column up to degree max_q, in _enumerate_tuples' buckets
-    of increasing length (within one, lexicographic in element order).
-    Lengths are integers over the common denominator scale of the
-    metric's distances."""
+    group: every column up to degree max_q, decoded from _enumerate_tuples'
+    walk, by increasing length (within one, lexicographic in element
+    order). Lengths are the walk's, integers over its common denominator
+    scale."""
 
     def __init__(self, N: NormedGroup, max_q: int):
         G = N.group
         X = metric_of_normed_group(N)
-        self.scale = _scaled_distances(X)[1]
+        walk = _enumerate_tuples(X, max_q, distinct=False)
+        self.scale = walk.L
         self.between = _betweenness(X)
         self.mul = G.table
         self.unit = G.identity
-        self.lengths = {}
-        columns = [[] for _ in range(max_q + 1)]
-        for (q, ell), cols in _enumerate_tuples(X, max_q, distinct=False).items():
-            columns[q] += cols
-            self.lengths.update(dict.fromkeys(cols, int(ell * self.scale)))
+        self.lengths, columns = {}, []
+        for q, length in enumerate(walk.length):
+            self.lengths.update(zip(walk.labels(q), length))
+            columns.append(sorted(walk.labels(q), key=self.lengths.__getitem__))
         self.objects = ("*",)
         self.homs = {("*", "*"): assemble_simplicial(
             columns, partial(_metric_face, self.between), _metric_degen

@@ -5,6 +5,8 @@ Generalized metric spaces get the length-graded theory: a generator in
 degree n is a tuple of points, its grading is the sum of its consecutive
 distances, and faces drop a point exactly when it sits between its
 neighbours. Tuples through an infinite distance are never generated.
+Every tuple comes from one walk in integer codes, _enumerate_tuples, and
+every metric nerve and complex decodes its bases from it.
 
 The differential of the normalized metric complex uses inner faces only,
 so it never moves the start point x_0: each grading piece is the direct
@@ -23,7 +25,7 @@ splits an orbit and leaves the answer unchanged.
 Homology through degree D reads the boundary out of degree D + 1, by far
 the largest, and usually only part of it before the reduction's early
 exit. So metric_homology tabulates each complex through degree D and
-streams degree D + 1 from integer codes (_TupleCodes), whose one face
+streams degree D + 1 from the walk's codes (_TupleCodes), whose one face
 rule also gives magnitude_complex_metric its columns.
 """
 
@@ -120,43 +122,86 @@ def _betweenness(X: GenMetricSpace) -> frozenset:
     return frozenset(out)
 
 
+class _TupleWalk:
+    """What _enumerate_tuples lists, in integer codes, degree by degree.
+
+    A tuple's code is its index in its degree. Degree n lists the children
+    of each code of degree n - 1 in turn, one per finite step out of its
+    last point (ends, dists), in point order, so every degree and every
+    length bucket in it is in lexicographic point order, and the children
+    of code c are first[n - 1][c] + k, k the rank of the step. Code c of
+    degree n ends at points[last[n][c]], drops that point to parent[n][c]
+    (degree 0 drops to the empty tuple, code 0), and has length[n][c], an
+    int over the common denominator L. buckets[n] maps a length to its
+    codes; pos[n][c] is the code's place in its bucket, its row or column
+    in that grading's complex. Labels are decoded a whole degree at a time
+    from the one below (labels).
+    """
+
+    def __init__(self, points: tuple, L: int, ends: list, dists: list):
+        self.points, self.L, self.ends, self.dists = points, L, ends, dists
+        self.last, self.parent, self.length, self.first = [], [], [], []
+        self.buckets, self.pos, self._labels = [], [], []
+
+    def labels(self, n: int) -> list:
+        """The tuples of degree n, in code order."""
+        labels, pts = self._labels, self.points
+        while len(labels) <= n:
+            m = len(labels)
+            below = labels[m - 1] if m else [()]
+            labels.append([below[s] + (pts[x],) for s, x in zip(self.parent[m], self.last[m])])
+        return labels[n]
+
+    def bucket(self, n: int, ell) -> tuple:
+        """The tuples of degree n in grading ell, in code order."""
+        return tuple(map(self.labels(n).__getitem__, self.buckets[n].get(ell * self.L, ())))
+
+    def by_grading(self) -> dict:
+        """{(degree, Fraction grading): [tuples]}, keys sorted."""
+        return {(n, ell): list(self.bucket(n, ell)) for n, buckets in enumerate(self.buckets)
+                for ell in [Fraction(k, self.L) for k in sorted(buckets)]}
+
+
 def _enumerate_tuples(X: GenMetricSpace, max_degree: int, distinct: bool, *,
-                      starts: Optional[Iterable] = None):
-    """All finite-length tuples, bucketed by (degree, grading).
+                      starts: Optional[Iterable] = None) -> _TupleWalk:
+    """The one walk over the finite-length tuples of X through max_degree.
 
     distinct=True skips tuples with equal adjacent entries (the
-    nondegenerate generators). Lengths are summed as ints over the common
-    denominator L of _scaled_distances; each bucket's Fraction grading is
-    made once. Only the tuples that begin at one of the points in starts
-    are listed; the default, None, starts at every point.
-
-    Degree n is built from degree n - 1 by appending one step to each
-    tuple. Degree 0 lists the points in order and each step list does too,
-    so every degree, and every bucket in it, is in lexicographic point
-    order. The keys are sorted by (degree, grading).
+    nondegenerate generators). Only the tuples that begin at one of the
+    points in starts are listed; the default, None, starts at every point.
     """
     _check_max_degree(max_degree)
     if starts is not None:
         starts = set(starts)
         for a in starts - set(X.points):
             raise ValidationError(f"start {a!r} is not a point of the space")
-    D, L = _scaled_distances(X)
-    steps = {
-        x: [(p, D[x, p]) for p in X.points
-            if D[x, p] is not None and not (distinct and p == x)]
-        for x in X.points
-    }
-    level = [((p,), 0) for p in X.points if starts is None or p in starts]
-    buckets: dict[tuple[int, Fraction], list] = {}
+    dist, L = _scaled_distances(X)
+    pts = tuple(X.points)
+    ends = [[j for j, p in enumerate(pts)
+             if dist[x, p] is not None and not (distinct and p == x)] for x in pts]
+    walk = _TupleWalk(pts, L, ends, [[dist[x, pts[p]] for p in e] for x, e in zip(pts, ends)])
+    last = [i for i, p in enumerate(pts) if starts is None or p in starts]
+    parent, length = [0] * len(last), [0] * len(last)
     for n in range(max_degree + 1):
         if n:
-            level = [(t + (p,), s + d) for t, s in level for p, d in steps[t[-1]]]
-        by_length: dict[int, list] = {}
-        for t, s in level:
-            by_length.setdefault(s, []).append(t)
-        for s in sorted(by_length):
-            buckets[(n, Fraction(s, L))] = by_length[s]
-    return buckets
+            last, parent, length, first = [], [], [], []
+            for s, (x, used) in enumerate(zip(walk.last[-1], walk.length[-1])):
+                first.append(len(last))
+                last += ends[x]
+                parent += [s] * len(ends[x])
+                length += map(used.__add__, walk.dists[x])
+            walk.first.append(first)
+        pos, buckets = [], {}
+        for c, used in enumerate(length):
+            bucket = buckets.setdefault(used, [])
+            pos.append(len(bucket))
+            bucket.append(c)
+        walk.last.append(last)
+        walk.parent.append(parent)
+        walk.length.append(length)
+        walk.buckets.append(buckets)
+        walk.pos.append(pos)
+    return walk
 
 
 def reachable_gradings(X: GenMetricSpace, max_degree: int) -> list[Fraction]:
@@ -202,73 +247,34 @@ def adjacency(X: GenMetricSpace, x, y):
 
 
 class _TupleCodes:
-    """The nondegenerate tuples of X through degree D that begin at the
-    start points, in integer codes, each with its inner faces.
-
-    A tuple's code is its index in its degree, in the level order of
-    _enumerate_tuples: degree n lists the children of each tuple of degree
-    n - 1 in turn, one per finite step out of its last point, in point
-    order. So the children of code c are the codes first[n][c] + k, k the
-    rank of the step among the steps out of c's last point. Points are
-    indices into X.points and lengths ints over the common denominator L;
-    pos[n][c] is the tuple's position in its length bucket, which is its
-    row or column in that grading's complex. A tuple is decoded only when
-    its label is read.
+    """The inner faces of the nondegenerate tuples of X through degree D
+    that begin at the start points, on the codes of their walk (walk).
 
     One rule gives every column (_plans, _columns): faces 1..n-1 of
     t = s + (p,) are the faces of s with p appended, so each moves through
-    the child table from the column of s, and face n drops the last point
-    of s when it lies between its neighbours, one lookup in the
-    betweenness table. What a column reads from s is worked out once per
-    s. The columns of degrees 1..D are tabulated (cols), in codes; degree
-    D + 1 is streamed from them (extend) and never listed.
+    the walk's child table from the column of s, and face n drops the last
+    point of s when it lies between its neighbours, one lookup in the
+    betweenness table (after). What a column reads from s is worked out
+    once per s. The columns of degrees 1..D are tabulated (cols), in
+    codes; degree D + 1 is streamed from them (extend) and never listed.
     """
 
     def __init__(self, X: GenMetricSpace, D: int, starts: Optional[Iterable] = None):
-        dist, self.L = _scaled_distances(X)
-        pts = self.points = tuple(X.points)
+        w = self.walk = _enumerate_tuples(X, D, True, starts=starts)
         self.D = D
-        # the finite steps out of each point other than itself, in point order
-        self.ends = [[j for j, p in enumerate(pts) if p != x and dist[x, p] is not None]
-                     for x in pts]
-        self.dists = [[dist[x, pts[p]] for p in ends] for x, ends in zip(pts, self.ends)]
-        self.rank = [{p: k for k, p in enumerate(ends)} for ends in self.ends]
-        index = {p: i for i, p in enumerate(pts)}
+        self.rank = [{p: k for k, p in enumerate(ends)} for ends in w.ends]
+        index = {p: i for i, p in enumerate(w.points)}
         # after[x][z]: the y with z strictly between x and y
-        self.after = [{} for _ in pts]
+        self.after = [{} for _ in w.points]
         for z, x, y in _betweenness(X):
             if z != x and z != y:
                 assert x != y, "face produced equal neighbours"
                 self.after[index[x]].setdefault(index[z], set()).add(index[y])
-        starts = None if starts is None else set(starts)
-        self.last = [[i for i, p in enumerate(pts) if starts is None or p in starts]]
-        self.length = [[0] * len(self.last[0])]
-        self.parent, self.first, self.cols = [[]], [], [[{}] * len(self.last[0])]
+        self.cols = [[{}] * len(w.last[0])]
         for n in range(1, D + 1):
-            last, parent, length, first = [], [], [], []
-            codes = range(len(self.last[n - 1]))
-            for s, x, used in zip(codes, self.last[n - 1], self.length[n - 1]):
-                first.append(len(last))
-                last += self.ends[x]
-                parent += [s] * len(self.ends[x])
-                length += map(used.__add__, self.dists[x])
-            prefixes = zip(codes, map(self.ends.__getitem__, self.last[n - 1]))
+            codes = range(len(w.last[n - 1]))
+            prefixes = zip(codes, map(w.ends.__getitem__, w.last[n - 1]))
             self.cols.append(list(self._columns(self._plans(n - 1), prefixes, codes)))
-            self.first.append(first)
-            self.last.append(last)
-            self.parent.append(parent)
-            self.length.append(length)
-        self.pos, self.buckets = [], []
-        for length in self.length:
-            pos, by_length = [], {}
-            for c, used in enumerate(length):
-                bucket = by_length.get(used)
-                if bucket is None:
-                    bucket = by_length[used] = []
-                pos.append(len(bucket))
-                bucket.append(c)
-            self.pos.append(pos)
-            self.buckets.append(by_length)
 
     def _plans(self, n: int) -> list:
         """What every column of a tuple s + (p,) reads from code s of degree
@@ -277,14 +283,14 @@ class _TupleCodes:
         first child is b in inner's pair (b, v); face n, when p is in
         after, is the child at rank_x[p] of s's parent, whose first child
         is base, with sign (-1)^n."""
-        rank = self.rank
+        w, rank = self.walk, self.rank
         if n == 0:  # a tuple of two points has no inner face
-            return [((), rank[z], None, (), 0, 1) for z in self.last[0]]
-        first, above, after = self.first[n - 1], self.last[n - 1], self.after
+            return [((), rank[z], None, (), 0, 1) for z in w.last[0]]
+        first, above, after = w.first[n - 1], w.last[n - 1], self.after
         sign = -1 if n % 2 else 1
         return [(tuple([(first[r], v) for r, v in col.items()]), rank[z], rank[above[a]],
                  after[above[a]].get(z, ()), first[a], sign)
-                for z, a, col in zip(self.last[n], self.parent[n], self.cols[n])]
+                for z, a, col in zip(w.last[n], w.parent[n], self.cols[n])]
 
     @staticmethod
     def _columns(plans, prefixes, rows):
@@ -302,20 +308,11 @@ class _TupleCodes:
                     col[rows[base + rank_x[p]]] = sign
                 yield col
 
-    def label(self, n: int, c: int) -> tuple:
-        """The tuple of points that code c of degree n stands for."""
-        out = []
-        for m in range(n, -1, -1):
-            out.append(self.points[self.last[m][c]])
-            if m:
-                c = self.parent[m][c]
-        return tuple(reversed(out))
-
     def boundary(self, n: int, ell) -> IntMatrix:
         """The boundary out of degree n, 1 <= n <= D, in grading ell."""
-        k = ell * self.L
-        pos, cols, codes = self.pos[n - 1], self.cols[n], self.buckets[n].get(k, ())
-        return IntMatrix(len(self.buckets[n - 1].get(k, ())), len(codes),
+        w, k = self.walk, ell * self.walk.L
+        pos, cols, codes = w.pos[n - 1], self.cols[n], w.buckets[n].get(k, ())
+        return IntMatrix(len(w.buckets[n - 1].get(k, ())), len(codes),
                          tuple({pos[r]: v for r, v in cols[c].items()} for c in codes))
 
     @cached_property
@@ -327,12 +324,13 @@ class _TupleCodes:
         """grading (int over L) -> the prefixes (s, ps) of its tuples of
         degree D + 1, in level order: code s of degree D, then the points p
         of the steps out of its last point that reach the grading."""
-        by_step = [{} for _ in self.points]
-        for x, (ends, dists) in enumerate(zip(self.ends, self.dists)):
+        w = self.walk
+        by_step = [{} for _ in w.points]
+        for x, (ends, dists) in enumerate(zip(w.ends, w.dists)):
             for p, d in zip(ends, dists):
                 by_step[x].setdefault(d, []).append(p)
         tops: dict[int, list] = {}
-        for s, (x, used) in enumerate(zip(self.last[self.D], self.length[self.D])):
+        for s, (x, used) in enumerate(zip(w.last[self.D], w.length[self.D])):
             for d, ps in by_step[x].items():
                 tops.setdefault(used + d, []).append((s, ps))
         return tops
@@ -344,7 +342,7 @@ class _TupleCodes:
 
     def _top_label(self, code) -> tuple:
         s, p = code
-        return self.label(self.D, s) + (self.points[p],)
+        return self.walk.labels(self.D)[s] + (self.walk.points[p],)
 
     def extend(self, C: BasedChainComplex, ell) -> BasedChainComplex:
         """C, the complex of grading ell through degree D, with degree D + 1
@@ -354,14 +352,14 @@ class _TupleCodes:
         list, in their order; only their number in degree D is checked."""
         if len(C.basis) != self.D + 1:
             raise ValueError(f"expected a complex through degree {self.D}")
-        k = ell * self.L
-        count = len(self.buckets[self.D].get(k, ()))
+        w, k = self.walk, ell * self.walk.L
+        count = len(w.buckets[self.D].get(k, ()))
         if count != len(C.basis[-1]):
             raise ValueError(f"expected {count} generators in degree {self.D}, "
                              f"not {len(C.basis[-1])}")
         prefixes = self._tops.get(k, ())
         top = ColumnStream(C.boundary[-1], sum(len(ps) for _, ps in prefixes),
-                           partial(self._columns, self._top_plans, prefixes, self.pos[self.D]))
+                           partial(self._columns, self._top_plans, prefixes, w.pos[self.D]))
         labels = CodedLabels(top.ncols, partial(self._top_codes, prefixes), self._top_label)
         return BasedChainComplex(C.basis + (labels,), C.boundary + (top,), self.D)
 
@@ -376,20 +374,19 @@ def magnitude_complex_metric(
     neighbours summing to that length; the differential only uses the
     inner faces (the outer ones change the grading and die). Two inner
     faces of a tuple with distinct neighbours never land on the same
-    tuple, so each column entry is set once, never summed. The columns
-    come from the coded rule of _TupleCodes, in the order of the tuples
-    _enumerate_tuples lists.
+    tuple, so each column entry is set once, never summed. The bases are
+    decoded from the walk of one _TupleCodes and the columns come from its
+    coded face rule, in the walk's order.
 
     With start points S, the complex is the direct summand, the sum of
     the blocks MC(a, .) over a in S, of the tuples that begin in S (inner
     faces keep the first point); the default, None, is the whole complex.
     """
     wanted = _resolve_gradings(X, max_degree, gradings)
-    buckets = _enumerate_tuples(X, max_degree, distinct=True, starts=starts)
     codes = _TupleCodes(X, max_degree, starts)
     pieces = {}
     for ell in wanted:
-        basis = tuple(tuple(buckets.get((n, ell), ())) for n in range(max_degree + 1))
+        basis = tuple(codes.walk.bucket(n, ell) for n in range(max_degree + 1))
         boundary = (IntMatrix.zero(0, len(basis[0])),) + tuple(
             codes.boundary(n, ell) for n in range(1, max_degree + 1))
         pieces[ell] = BasedChainComplex(basis, boundary, max_degree - 1)
@@ -425,11 +422,11 @@ def metric_nerve(
     a point.
     """
     wanted = _resolve_gradings(X, max_degree, gradings)
-    buckets = _enumerate_tuples(X, max_degree, distinct=False)
+    walk = _enumerate_tuples(X, max_degree, distinct=False)
     face = partial(_metric_face, _betweenness(X))
     out = {}
     for ell in wanted:
-        basis = [tuple(buckets.get((n, ell), ())) for n in range(max_degree + 1)]
+        basis = [walk.bucket(n, ell) for n in range(max_degree + 1)]
         out[ell] = assemble_simplicial(basis, face, _metric_degen)
     return out
 

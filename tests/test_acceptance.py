@@ -16,6 +16,7 @@ from maghom import (
     HomologyTable,
     IntMatrix,
     all_groups_up_to_order_8,
+    cat_group_from_preordered,
     category_homology,
     cycle_digraph,
     cycle_graph,
@@ -40,6 +41,7 @@ from maghom import (
     oracle_mh2_normed,
     oracle_suspension,
     oracle_mh01_catgroup,
+    oracle_catgroup,
     oracle_group_homology,
     parallel_arrows_category,
     product_category,
@@ -61,6 +63,8 @@ from maghom import (
     row_normalize,
     word_norm_group,
 )
+
+from maghom.cli import builder_documents, parse_input
 
 from conftest import random_metric_space
 from test_exact_linalg import snf_by_minors
@@ -183,6 +187,23 @@ def test_criterion_5_cat_group_low_degrees():
         count += 1
     report(5, "every order <= 8 two-group has MH_0 = Z and MH_1 its component "
               "abelianization", ok, f"{count} pairs")
+
+
+def test_criterion_5_s3_a3_through_degree_three():
+    """catgroup-s3-a3 and its preordered form on the tot route, rows
+    normalized or not, through degree 3, against the group homology of
+    the quotient S3/A3 = Z/2."""
+    docs = builder_documents()
+    z2 = [FgAbelianGroup(1), FgAbelianGroup(0, (2,)), FgAbelianGroup(), FgAbelianGroup(0, (2,))]
+    ok = True
+    for C in (parse_input(docs["catgroup-s3-a3"]),
+              cat_group_from_preordered(parse_input(docs["preordered-s3-a3"]))):
+        want = oracle_catgroup(C, 3)
+        ok = ok and [want.group(k) for k in range(4)] == z2
+        for rows in (False, True):
+            ok = ok and iterated_homology(C, 3, "tot", normalize_rows=rows) == want
+    report(5, "S3/A3 as a Cat-group and as a preordered group: tot through degree 3 "
+              "is the group homology of Z/2", ok)
 
 
 def test_criterion_6_normed_groups():

@@ -199,7 +199,7 @@ def test_integer_lengths_match_fraction_sums(rnd):
     cases += [random_metric_space(rnd, 4, complete=c) for c in (True, False, False)]
     for X in cases:
         for distinct in (True, False):
-            got = _enumerate_tuples(X, 3, distinct)
+            got = _enumerate_tuples(X, 3, distinct).by_grading()
             want = _fraction_buckets(X, 3, distinct)
             assert list(got) == sorted(want)
             assert got == want
@@ -214,7 +214,7 @@ def test_non_finite_metric_grading_is_rejected(grading):
 def test_reachable_gradings_are_the_bucket_gradings(rnd):
     for X in _enumeration_cases(rnd):
         for n in range(5):
-            buckets = _enumerate_tuples(X, n, True)
+            buckets = _enumerate_tuples(X, n, True).by_grading()
             assert reachable_gradings(X, n) == sorted({ell for _, ell in buckets})
 
 
@@ -222,7 +222,7 @@ def _accumulating_metric_boundaries(X, max_degree, ell):
     """The boundary matrices of one grading, summing each face into its
     column with cancellation, as the builder did before it wrote entries
     directly."""
-    buckets = _enumerate_tuples(X, max_degree, True)
+    buckets = _enumerate_tuples(X, max_degree, True).by_grading()
     basis = [buckets.get((n, ell), []) for n in range(max_degree + 1)]
     index = [{t: i for i, t in enumerate(level)} for level in basis]
     out = [IntMatrix.zero(0, len(basis[0]))]

@@ -238,12 +238,12 @@ def test_orbits_only_merge_through_checked_isometries(monkeypatch):
 
 def test_starts_restrict_to_their_blocks():
     for X in (LINE3, cycle_digraph(4), random_metric_space(random.Random(4), 4, False)):
-        full = _enumerate_tuples(X, 3, True)
+        full = _enumerate_tuples(X, 3, True).by_grading()
         G = magnitude_complex_metric(X, 3)
-        assert _enumerate_tuples(X, 3, True, starts=X.points) == full
+        assert _enumerate_tuples(X, 3, True, starts=X.points).by_grading() == full
         assert magnitude_complex_metric(X, 3, starts=X.points) == G
         for S in [{a} for a in X.points] + [set(X.points[:2])]:
-            part = _enumerate_tuples(X, 3, True, starts=S)
+            part = _enumerate_tuples(X, 3, True, starts=S).by_grading()
             assert part == {k: [t for t in v if t[0] in S]
                             for k, v in full.items() if any(t[0] in S for t in v)}
             block = magnitude_complex_metric(X, 3, starts=S)

@@ -110,7 +110,7 @@ def _gradings(X, D):
 
 
 def _check(X, D, starts):
-    buckets = _enumerate_tuples(X, D + 1, True, starts=starts)
+    buckets = _enumerate_tuples(X, D + 1, True, starts=starts).by_grading()
     for wanted in _gradings(X, D):
         streamed = _streamed(X, D, wanted, starts)
         full = magnitude_complex_metric(X, D + 1, wanted, starts=starts)
