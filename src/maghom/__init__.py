@@ -13,7 +13,6 @@ from .complexes import (
     BasedDoubleComplex,
     GradedChainComplex,
     HomologyTable,
-    direct_sum_chain,
     graded_homology_table,
     graded_tensor,
     homology_table,
@@ -30,7 +29,6 @@ from .enriched_data import (
     Explicit2Cat,
     FinCategory,
     GenMetricSpace,
-    NCatCategory,
     NCatSet,
     NCatSuspension,
     NormedGroup,

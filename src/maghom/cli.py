@@ -298,7 +298,7 @@ def parse_input(doc):
     if kind == "ncat-suspension":
         _reject_unknown(doc, {"inner"}, kind)
         inner = parse_input(_need(doc, "inner", kind))
-        if isinstance(inner, (FinCategory, StrictNCat)):
+        if isinstance(inner, StrictNCat):
             return suspension(inner)
         raise SchemaError("ncat-suspension: inner must be a category, sphere, or suspension")
 
@@ -458,7 +458,12 @@ def compute_homology(obj, max_degree: int, route: str = "diag",
         top = max(wanted)
         T = graded_tensor(_pieces(GL, lambda ell: ell <= top),
                           _pieces(GR, lambda ell: ell <= top))
-        return graded_homology_table(_pieces(T, wanted.__contains__), max_degree)
+        table = dict(graded_homology_table(_pieces(T, wanted.__contains__), max_degree).items())
+        # a wanted grading that no tensor piece reaches reads zero, as on diag
+        for ell in wanted:
+            for k in range(max_degree + 1):
+                table.setdefault((k, ell), FgAbelianGroup())
+        return HomologyTable(table)
 
     raise AssertionError("unreachable")
 

@@ -6,14 +6,14 @@ lengths, total complexes, tensor products, and homology extraction.
 Every complex records the degree through which its homology is faithful;
 requests past that bound raise TruncationError instead of silently
 returning groups computed from incomplete data. A complex that is
-genuinely zero above its top degree (unit_complex, the empty direct sum)
-is complete: its faithful_degree is math.inf.
+genuinely zero above its top degree (unit_complex, and a tensor of such
+complexes) is complete: its faithful_degree is math.inf.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Optional
 
@@ -43,9 +43,6 @@ class BasedChainComplex:
 
     def dim(self, k: int) -> int:
         return len(self.basis[k]) if 0 <= k <= self.max_degree else 0
-
-    def index_of(self, k: int) -> dict:
-        return {lab: i for i, lab in enumerate(self.basis[k])}
 
     def boundary_or_zero(self, k: int) -> IntMatrix:
         if 1 <= k <= self.max_degree:
@@ -107,49 +104,9 @@ def _check_max_degree(max_degree: int) -> None:
         raise ValidationError("max_degree must be nonnegative")
 
 
-def empty_complex(max_degree: int, faithful_degree: Optional[float] = None) -> BasedChainComplex:
-    _check_max_degree(max_degree)
-    basis = tuple(() for _ in range(max_degree + 1))
-    boundary = tuple(IntMatrix.zero(0, 0) for _ in range(max_degree + 1))
-    if faithful_degree is None:
-        faithful_degree = max_degree - 1
-    return BasedChainComplex(basis, boundary, faithful_degree)
-
-
 def unit_complex() -> BasedChainComplex:
     """Z concentrated in degree 0."""
     return make_chain_complex([["*"]], [IntMatrix.zero(0, 1)], math.inf)
-
-
-def direct_sum_chain(
-    summands: list[tuple[Hashable, BasedChainComplex]],
-) -> BasedChainComplex:
-    """Block-diagonal direct sum; labels become (tag, original label)."""
-    if not summands:
-        return empty_complex(0, math.inf)
-    max_degree = max(c.max_degree for _, c in summands)
-    faithful = min(c.faithful_degree for _, c in summands)
-    basis: list[tuple] = []
-    boundary: list[IntMatrix] = []
-    for n in range(max_degree + 1):
-        labels: list = []
-        cols: list[dict[int, int]] = []
-        offset = 0
-        prev_offsets = []
-        for _, c in summands:
-            prev_offsets.append(offset)
-            offset += c.dim(n - 1)
-        for (tag, c), off in zip(summands, prev_offsets):
-            labels.extend((tag, lab) for lab in (c.basis[n] if n <= c.max_degree else ()))
-            if n >= 1 and n <= c.max_degree:
-                for col in c.boundary[n].cols:
-                    cols.append({off + i: v for i, v in col.items()})
-        basis.append(tuple(labels))
-        if n == 0:
-            boundary.append(IntMatrix.zero(0, len(labels)))
-        else:
-            boundary.append(IntMatrix.from_columns(len(basis[n - 1]), cols))
-    return BasedChainComplex(tuple(basis), tuple(boundary), faithful)
 
 
 @dataclass(frozen=True)
@@ -253,55 +210,55 @@ def total_complex(B: BasedDoubleComplex) -> BasedChainComplex:
     return BasedChainComplex(tuple(basis), tuple(boundary), N - 1)
 
 
-def tensor_complex(C: BasedChainComplex, D: BasedChainComplex) -> BasedChainComplex:
-    """Tensor product of chain complexes with the usual Koszul sign.
+def _tensor_total(pairs: list) -> BasedChainComplex:
+    """Tot of the tensor double complex of the factor pairs (prefix, C, D).
 
-    d(c x d) = dc x d + (-1)^deg(c) c x dd. Basis labels are pairs
-    ((j, c), (k, d)) recording the bidegree split. The product is faithful
-    through the lesser of the factors' faithful degrees, and homology there
-    reads nothing above the next degree, so no degree past it is built.
+    Bidegree (j, k) holds, pair after pair, C_j x D_k, the generator c x d
+    labeled (*prefix, c, d); the horizontal map is d_C x 1 and the vertical
+    1 x d_D, their rows found by index arithmetic, and total_complex adds
+    the Koszul sign. The result is faithful through the lesser faithful
+    degree of the factors, and homology there reads nothing above the next
+    degree, so no degree past it is built.
     """
-    faithful = min(C.faithful_degree, D.faithful_degree)
-    max_degree = min(C.max_degree + D.max_degree, max(faithful + 1, 0))
-    c_index = [C.index_of(j) for j in range(C.max_degree + 1)]
-    d_index = [D.index_of(k) for k in range(D.max_degree + 1)]
+    faithful = min(min(C.faithful_degree, D.faithful_degree) for _, C, D in pairs)
+    top = min(max(C.max_degree + D.max_degree for _, C, D in pairs), max(faithful + 1, 0))
+    basis, offsets, horizontal, vertical = {}, {}, {}, {}
+    for j in range(top + 1):
+        for k in range(top + 1 - j):
+            labels, h, v = [], [], []
+            offsets[(j, k)] = []
+            for i, (prefix, C, D) in enumerate(pairs):
+                offsets[(j, k)].append(len(labels))
+                nc, nd = C.dim(j), D.dim(k)
+                if not (nc and nd):
+                    continue
+                labels.extend((*prefix, c, d) for c in C.basis[j] for d in D.basis[k])
+                if j:
+                    row = offsets[(j - 1, k)][i]
+                    h.extend({row + r * nd + b: x for r, x in col.items()}
+                             for col in C.boundary[j].cols for b in range(nd))
+                if k:
+                    row, below = offsets[(j, k - 1)][i], D.dim(k - 1)
+                    v.extend({row + a * below + r: x for r, x in col.items()}
+                             for a in range(nc) for col in D.boundary[k].cols)
+            basis[(j, k)] = tuple(labels)
+            if j:
+                horizontal[(j, k)] = IntMatrix.from_columns(len(basis[(j - 1, k)]), h)
+            if k:
+                vertical[(j, k)] = IntMatrix.from_columns(len(basis[(j, k - 1)]), v)
+    B = BasedDoubleComplex(top, top, basis, horizontal, vertical, top)
+    return replace(total_complex(B), faithful_degree=faithful)
 
-    basis: list[tuple] = []
-    index: list[dict] = []
-    for n in range(max_degree + 1):
-        labels = []
-        for j in range(n + 1):
-            k = n - j
-            if j <= C.max_degree and k <= D.max_degree:
-                labels.extend(
-                    ((j, cl), (k, dl)) for cl in C.basis[j] for dl in D.basis[k]
-                )
-        basis.append(tuple(labels))
-        index.append({lab: i for i, lab in enumerate(labels)})
 
-    boundary = [IntMatrix.zero(0, len(basis[0]))]
-    for n in range(1, max_degree + 1):
-        cols = []
-        target = index[n - 1]
-        for ((j, cl), (k, dl)) in basis[n]:
-            col: dict[int, int] = {}
-            if j >= 1:
-                for i, v in C.boundary[j].cols[c_index[j][cl]].items():
-                    lab = ((j - 1, C.basis[j - 1][i]), (k, dl))
-                    col[target[lab]] = v
-            if k >= 1:
-                sign = -1 if j % 2 else 1
-                for i, v in D.boundary[k].cols[d_index[k][dl]].items():
-                    lab = ((j, cl), (k - 1, D.basis[k - 1][i]))
-                    t = target[lab]
-                    nv = col.get(t, 0) + sign * v
-                    if nv:
-                        col[t] = nv
-                    else:
-                        col.pop(t, None)
-            cols.append(col)
-        boundary.append(IntMatrix.from_columns(len(basis[n - 1]), cols))
-    return BasedChainComplex(tuple(basis), tuple(boundary), faithful)
+def tensor_complex(C: BasedChainComplex, D: BasedChainComplex) -> BasedChainComplex:
+    """Tensor product of chain complexes: Tot of their tensor double complex.
+
+    d(c x d) = dc x d + (-1)^j c x dd for c in degree j. A generator is
+    labeled (j, k, (c, d)) for c in C_j and d in D_k. The product is
+    faithful through the lesser of the factors' faithful degrees, and is
+    built through one degree past it.
+    """
+    return _tensor_total([((), C, D)])
 
 
 def grading_values(gradings: Iterable) -> list[Fraction]:
@@ -343,18 +300,17 @@ class GradedChainComplex:
 
 
 def graded_tensor(C: GradedChainComplex, D: GradedChainComplex) -> GradedChainComplex:
-    """Convolution tensor: grading l collects all splittings r + s = l."""
-    splittings: dict[Fraction, list[tuple[Fraction, Fraction]]] = {}
-    for r in C.pieces:
-        for s in D.pieces:
-            splittings.setdefault(r + s, []).append((r, s))
-    pieces = {}
-    for ell, parts in sorted(splittings.items()):
-        summands = [
-            ((r, s), tensor_complex(C.pieces[r], D.pieces[s])) for (r, s) in sorted(parts)
-        ]
-        pieces[ell] = direct_sum_chain(summands)
-    return GradedChainComplex(pieces)
+    """Convolution tensor: grading l is Tot of one tensor double complex
+    over all splittings r + s = l, taken in order of r. Bidegree (j, k)
+    holds C^r_j x D^s_k for each splitting in turn, the generator c x d
+    labeled (j, k, (r, s, c, d))."""
+    splittings: dict[Fraction, list] = {}
+    for r in sorted(C.pieces):
+        for s in sorted(D.pieces):
+            splittings.setdefault(r + s, []).append(((r, s), C.pieces[r], D.pieces[s]))
+    return GradedChainComplex(
+        {ell: _tensor_total(pairs) for ell, pairs in sorted(splittings.items())}
+    )
 
 
 class HomologyTable:

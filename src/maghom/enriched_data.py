@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 from .errors import ValidationError
 from .groups import FinGroup
@@ -44,9 +44,18 @@ def as_fraction(x) -> Fraction:
 # ordinary categories
 
 
+class StrictNCat:
+    """Base for the presentable n-category families: a set (level 0), a
+    category (FinCategory, level 1), a suspension, and an explicit
+    2-category."""
+
+    level: int
+
+
 @dataclass(frozen=True)
-class FinCategory:
-    """A finite category: objects, morphism labels, identities, composites.
+class FinCategory(StrictNCat):
+    """A finite category, the level-1 strict n-category: objects, morphism
+    labels, identities, composites.
 
     Morphism labels are globally unique. compose maps (g, f) with
     f: x -> y, g: y -> z to the label of the composite x -> z.
@@ -58,6 +67,8 @@ class FinCategory:
     target: Mapping
     identity: Mapping
     compose: Mapping
+
+    level = 1
 
     def hom(self, x, y) -> tuple:
         return tuple(
@@ -628,12 +639,6 @@ def component_group(C: CatGroup) -> FinGroup:
 # strict n-categories, restricted to suspensions and explicit low levels
 
 
-class StrictNCat:
-    """Base for the presentable n-category families."""
-
-    level: int
-
-
 @dataclass(frozen=True)
 class NCatSet(StrictNCat):
     """Level 0: a finite set."""
@@ -641,15 +646,6 @@ class NCatSet(StrictNCat):
     elements: tuple
 
     level = 0
-
-
-@dataclass(frozen=True)
-class NCatCategory(StrictNCat):
-    """Level 1: an ordinary finite category."""
-
-    category: FinCategory
-
-    level = 1
 
 
 @dataclass(frozen=True)
@@ -687,8 +683,8 @@ def validate_ncat(X: StrictNCat) -> None:
         if len(set(X.elements)) != len(X.elements):
             raise ValidationError("duplicate elements")
         return
-    if isinstance(X, NCatCategory):
-        validate_category(X.category)
+    if isinstance(X, FinCategory):
+        validate_category(X)
         return
     if isinstance(X, NCatSuspension):
         validate_ncat(X.inner)
@@ -779,16 +775,10 @@ def _validate_two_cat(X: Explicit2Cat) -> None:
                                         raise ValidationError(f"{word} associativity fails")
 
 
-def as_ncat(X: Union[StrictNCat, FinCategory]) -> StrictNCat:
-    if isinstance(X, FinCategory):
-        return NCatCategory(X)
-    if isinstance(X, StrictNCat):
-        return X
-    raise ValidationError(f"not an n-category: {X!r}")
-
-
-def suspension(X: Union[StrictNCat, FinCategory]) -> NCatSuspension:
-    return NCatSuspension(as_ncat(X))
+def suspension(X: StrictNCat) -> NCatSuspension:
+    if not isinstance(X, StrictNCat):
+        raise ValidationError(f"not an n-category: {X!r}")
+    return NCatSuspension(X)
 
 
 def sphere_ncat(n: int) -> StrictNCat:
@@ -803,11 +793,9 @@ def sphere_ncat(n: int) -> StrictNCat:
 def ncat_is_nonempty(X: StrictNCat) -> bool:
     if isinstance(X, NCatSet):
         return bool(X.elements)
-    if isinstance(X, NCatCategory):
-        return bool(X.category.objects)
     if isinstance(X, NCatSuspension):
         return True
-    if isinstance(X, Explicit2Cat):
+    if isinstance(X, (FinCategory, Explicit2Cat)):
         return bool(X.objects)
     raise ValidationError("not a presentable n-category")
 
@@ -833,14 +821,12 @@ def suspension_category(X: NCatSuspension) -> FinCategory:
     )
 
 
-def as_category(X: Union[StrictNCat, FinCategory]) -> FinCategory:
+def as_category(X: StrictNCat) -> FinCategory:
     """Present a level <= 1 object as an ordinary category."""
     if isinstance(X, FinCategory):
         return X
     if isinstance(X, NCatSet):
         return discrete_category(X.elements)
-    if isinstance(X, NCatCategory):
-        return X.category
     if isinstance(X, NCatSuspension) and X.level == 1:
         return suspension_category(X)
     raise ValidationError(f"cannot present level {getattr(X, 'level', '?')} as a category")
@@ -851,17 +837,15 @@ def count_cells(X: StrictNCat, k: int) -> int:
     if k == 0:
         if isinstance(X, NCatSet):
             return len(X.elements)
-        if isinstance(X, NCatCategory):
-            return len(X.category.objects)
         if isinstance(X, NCatSuspension):
             return 2
-        if isinstance(X, Explicit2Cat):
+        if isinstance(X, (FinCategory, Explicit2Cat)):
             return len(X.objects)
         raise ValidationError("not a presentable n-category")
     if isinstance(X, NCatSet):
         return 0
-    if isinstance(X, NCatCategory):
-        return len(X.category.morphisms) if k == 1 else 0
+    if isinstance(X, FinCategory):
+        return len(X.morphisms) if k == 1 else 0
     if isinstance(X, Explicit2Cat):
         if k == 1:
             return sum(len(H.objects) for H in X.hom.values())
@@ -874,11 +858,12 @@ def count_cells(X: StrictNCat, k: int) -> int:
     raise ValidationError("not a presentable n-category")
 
 
-def connected_components_ncat(X: StrictNCat) -> list[frozenset]:
+def connected_components(X: StrictNCat) -> list[frozenset]:
+    """Partition of the objects under the zig-zag closure of hom-nonemptiness."""
     if isinstance(X, NCatSet):
         return [frozenset([e]) for e in X.elements]
-    if isinstance(X, NCatCategory):
-        return connected_components_category(X.category)
+    if isinstance(X, FinCategory):
+        return connected_components_category(X)
     if isinstance(X, Explicit2Cat):
         return _components(X.objects, (xy for xy in product(X.objects, repeat=2)
                                        if X.hom[xy].objects))
@@ -886,15 +871,6 @@ def connected_components_ncat(X: StrictNCat) -> list[frozenset]:
         if ncat_is_nonempty(X.inner):
             return [frozenset(["A", "B"])]
         return [frozenset(["A"]), frozenset(["B"])]
-    raise ValidationError("not a presentable n-category")
-
-
-def connected_components(X) -> list[frozenset]:
-    """Partition of the objects under the zig-zag closure of hom-nonemptiness."""
-    if isinstance(X, FinCategory):
-        return connected_components_category(X)
-    if isinstance(X, StrictNCat):
-        return connected_components_ncat(X)
     raise ValidationError(f"no notion of components for {X!r}")
 
 

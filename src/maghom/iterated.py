@@ -779,20 +779,17 @@ def _hom_nerves_for(X, max_q: int) -> _HomNerves:
 
 
 def double_nerve_2cat(
-    X: Union[CatGroup, Explicit2Cat], max_degree: int,
-    total_bound: Optional[int] = None,
+    X: Union[CatGroup, Explicit2Cat], max_degree: int
 ) -> BasedBisimplicialObject:
     """Bisimplicial object of a Cat-group or explicit 2-category.
 
     Bidegree (p, q): p-tuples of horizontally composable legs, each leg a
-    q-simplex of a hom-nerve. The optional total_bound keeps only the
-    bidegrees with p + q <= total_bound.
+    q-simplex of a hom-nerve.
     """
     if not isinstance(X, (CatGroup, Explicit2Cat)):
         raise ValidationError("expected a Cat-group or an explicit 2-category")
     _check_max_degree(max_degree)
-    return _double_nerve(_hom_nerves_for(X, max_degree), max_degree, max_degree,
-                         total_bound)
+    return _double_nerve(_hom_nerves_for(X, max_degree), max_degree, max_degree)
 
 
 def mb_n(X: StrictNCat, max_degree: int) -> BasedSimplicialObject:

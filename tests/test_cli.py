@@ -614,14 +614,37 @@ def test_tensor_tot_route_matches_diag_and_builds_no_degree_past_the_next(monkey
     C5 = cycle_graph(5)
     want = compute_homology(("tensor", C5, C5), 3, "diag")
     built = []
-    tensor = complexes.tensor_complex
+    total = complexes.total_complex
 
-    def recording(C, D):
-        T = tensor(C, D)
+    def recording(B):
+        T = total(B)
         built.append(T.max_degree)
         assert T.max_degree <= 4
         return T
 
-    monkeypatch.setattr(complexes, "tensor_complex", recording)
+    monkeypatch.setattr(complexes, "total_complex", recording)
     assert compute_homology(("tensor", C5, C5), 3, "tot") == want
     assert max(built) == 4
+
+
+def test_tensor_routes_print_a_row_for_every_requested_grading(tmp_path):
+    """A requested grading that no tensor piece reaches reads zero on the
+    tot route, as on diag: both routes print the same text, and the same
+    JSON apart from the route."""
+    path = doc_file(tmp_path, "tensor-two-point")
+    for wanted in (["1/2"], ["1", "5"]):
+        flags = [f for g in wanted for f in ("--grading", g)]
+        texts, payloads = [], []
+        for route in ("diag", "tot"):
+            args = ["homology", path, "--max-degree", "1", "--route", route, *flags]
+            code, out, _ = run_cli(args)
+            assert code == 0
+            texts.append(out)
+            code, out, _ = run_cli([*args, "--output", "json"])
+            assert code == 0
+            payload = json.loads(out)
+            assert payload.pop("route") == route
+            payloads.append(payload)
+        assert texts[0] == texts[1]
+        assert payloads[0] == payloads[1]
+        assert {row["grading"] for row in payloads[0]["homology"]} == set(wanted)

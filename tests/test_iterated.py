@@ -825,7 +825,7 @@ def test_kunneth_rows_match_the_two_branch_body():
 
 def test_negative_max_degree_is_rejected_at_every_entry_point():
     from maghom import HomologyTable, metric_homology, nerve_category, oracle_kunneth
-    from maghom.complexes import empty_complex, grading_values
+    from maghom.complexes import grading_values
 
     errors = []
     for route in ("diag", "tot"):
@@ -845,7 +845,6 @@ def test_negative_max_degree_is_rejected_at_every_entry_point():
         lambda: double_nerve_2cat(C, -1),
         lambda: kunneth_check(cycle_graph(3), cycle_graph(3), -1),
         lambda: reachable_normed_gradings(z2_normed(), -1, "diag"),
-        lambda: empty_complex(-1),
         lambda: oracle_suspension(category_homology(parallel_arrows_category(), 1), -1),
         lambda: oracle_kunneth(HomologyTable({}), HomologyTable({}), -1),
     ):
