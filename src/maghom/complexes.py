@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Optional
+from typing import Callable, Hashable, Iterable, Mapping, Optional
 
 from .errors import InvalidComplexError, TruncationError, ValidationError
-from .exact_linalg import ColumnStream, FgAbelianGroup, IntMatrix, homology_between
+from .exact_linalg import CodedLabels, ColumnStream, FgAbelianGroup, IntMatrix, homology_between
 
 Label = Hashable
 
@@ -96,6 +96,25 @@ def make_chain_complex(
     )
     validate_complex(C)
     return C
+
+
+def stream_top(C: BasedChainComplex, degree: int, nrows: int, ncols: int,
+               columns: Callable[[], Iterable], labels: Callable[[], Iterable]
+               ) -> BasedChainComplex:
+    """C, tabulated through degree - 1, with degree on top: its boundary a
+    ColumnStream of ncols columns over C's top boundary, columns() making
+    them, and its basis decoded by labels() whenever it is read, so no
+    table of the degree is built. C's top generators must be the nrows
+    rows the columns index, in their order; only their number is checked.
+    The result is faithful through degree - 1."""
+    if C.max_degree != degree - 1:
+        raise ValueError(f"expected a complex through degree {degree - 1}")
+    if nrows != len(C.basis[-1]):
+        raise ValueError(f"expected {nrows} generators in degree {degree - 1}, "
+                         f"not {len(C.basis[-1])}")
+    top = ColumnStream(C.boundary[-1], ncols, columns)
+    return BasedChainComplex(C.basis + (CodedLabels(ncols, labels),),
+                             C.boundary + (top,), degree - 1)
 
 
 def _check_max_degree(max_degree: int) -> None:
@@ -274,12 +293,22 @@ def grading_values(gradings: Iterable) -> list[Fraction]:
     for g in gradings:
         try:
             wanted.add(Fraction(g))
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             raise ValidationError(f"grading {g!r} is not a finite rational") from None
     out = sorted(wanted)
     if out and out[0] < 0:
         raise ValidationError("gradings are nonnegative")
     return out
+
+
+def resolve_gradings(gradings, named: Mapping[str, Callable[[], list]]) -> list[Fraction]:
+    """An explicit list of gradings, through grading_values, or the list
+    that named makes for a named request; any other name is refused."""
+    if not isinstance(gradings, str):
+        return grading_values(gradings)
+    if gradings not in named:
+        raise ValidationError(f"unknown grading request {gradings!r}")
+    return named[gradings]()
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,13 @@ def d_add(a, b):
 
 
 def as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    """A Fraction, an int, or a string that parses as a rational, as a
+    Fraction."""
+    if isinstance(x, (Fraction, int, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ValidationError(f"not an exact rational: {x!r}")
 
 
@@ -790,16 +791,6 @@ def sphere_ncat(n: int) -> StrictNCat:
     return suspension(sphere_ncat(n - 1))
 
 
-def ncat_is_nonempty(X: StrictNCat) -> bool:
-    if isinstance(X, NCatSet):
-        return bool(X.elements)
-    if isinstance(X, NCatSuspension):
-        return True
-    if isinstance(X, (FinCategory, Explicit2Cat)):
-        return bool(X.objects)
-    raise ValidationError("not a presentable n-category")
-
-
 def suspension_category(X: NCatSuspension) -> FinCategory:
     """Materialize a level-1 suspension as an ordinary category."""
     inner = X.inner
@@ -868,7 +859,7 @@ def connected_components(X: StrictNCat) -> list[frozenset]:
         return _components(X.objects, (xy for xy in product(X.objects, repeat=2)
                                        if X.hom[xy].objects))
     if isinstance(X, NCatSuspension):
-        if ncat_is_nonempty(X.inner):
+        if count_cells(X.inner, 0):
             return [frozenset(["A", "B"])]
         return [frozenset(["A"]), frozenset(["B"])]
     raise ValidationError(f"no notion of components for {X!r}")

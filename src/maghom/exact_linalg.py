@@ -238,19 +238,19 @@ class ColumnStream:
 
 class CodedLabels:
     """The labels of a streamed degree's generators: a sized iterable that
-    decodes them from their codes each time it is iterated, so no list of
-    them is kept. codes() lists the codes in column order."""
+    decodes them each time it is iterated, so no list of them is kept.
+    labels() decodes them in column order."""
 
-    __slots__ = ("count", "codes", "label")
+    __slots__ = ("count", "labels")
 
-    def __init__(self, count: int, codes: Callable[[], Iterable], label: Callable):
-        self.count, self.codes, self.label = count, codes, label
+    def __init__(self, count: int, labels: Callable[[], Iterable]):
+        self.count, self.labels = count, labels
 
     def __len__(self) -> int:
         return self.count
 
     def __iter__(self):
-        return map(self.label, self.codes())
+        return iter(self.labels())
 
 
 def _sub_scaled(v: dict, b: dict, q: int) -> None:

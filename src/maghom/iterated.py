@@ -26,11 +26,12 @@ the largest, and usually only part of it before the reduction's early
 exit. So iterated_homology and normed_group_homology tabulate each route
 only through degree D - 1. Degree D is streamed from integer codes
 (_CodedTop): the diagonal's degree D, or Tot_D. Its rows, the generators
-of degree D - 1, are indexed from the same codes. Its boundary is an
-exact_linalg.ColumnStream: the reduction reads columns until it stops,
-and the rest are drawn to the end. Row normalization is a span table too
-(_Legs.kept). Inner merges are composed a length span at a time, as the
-walk first reads one.
+of degree D - 1, are indexed from the same codes, and its labels are
+decoded by _tuple_generators. _CodedTop.extend joins it to the chains
+below (complexes.stream_top). Its boundary is an exact_linalg.ColumnStream:
+the reduction reads columns until it stops, and the rest are drawn to the
+end. Row normalization is a span table too (_Legs.kept). Inner merges
+are composed a length span at a time, as the walk first reads one.
 
 d*d = 0 is checked by one column kernel. The columns drawn after the stop
 are checked one by one. The columns read are checked through the basis
@@ -52,7 +53,10 @@ from .complexes import (
     BasedChainComplex,
     HomologyTable,
     _check_max_degree,
+    grading_values,
     homology_table,
+    resolve_gradings,
+    stream_top,
     total_complex,
 )
 from .enriched_data import (
@@ -66,13 +70,11 @@ from .enriched_data import (
     two_cat_of_cat_group,
 )
 from .errors import ValidationError
-from .exact_linalg import CodedLabels, ColumnStream
 from .magnitude_core import (
     _betweenness,
     _enumerate_tuples,
     _metric_degen,
     _metric_face,
-    grading_values,
     nerve_category,
     reachable_gradings,
 )
@@ -229,13 +231,16 @@ class _SuspensionNerves(_HomNerves):
         return UNIT
 
 
-def _tuple_generators(H: _HomNerves, p: int, q: int, ell=0):
-    """Generators at bidegree (p, q) in grading ell: object paths with a
-    leg in each hom whose lengths sum to ell. H.last_legs lists them in
-    codes; each leg of a prefix is decoded once, as the walk takes it,
-    then each last leg."""
+def _tuple_generators(H: _HomNerves, p: int, q: int, ell=0, spans=None):
+    """Generators at bidegree (p, q) in grading ell, made as they are
+    read: object paths with a leg in each hom whose lengths sum to ell,
+    the legs taken from spans, a span table of H.legs(q) (spans by
+    default, or kept, where a span less an identity leg is a list of
+    codes). H.last_legs lists them in codes; each leg of a prefix is
+    decoded once, as the walk takes it, then each last leg."""
     if p == 0:
-        return tuple(((x,), ()) for x in H.objects) if ell == 0 else ()
+        yield from (((x,), ()) for x in H.objects if ell == 0)
+        return
     T = H.legs(q)
     bases, objects = T.legs, H.objects
 
@@ -246,11 +251,10 @@ def _tuple_generators(H: _HomNerves, p: int, q: int, ell=0):
         xs, legs = label
         return xs + (objects[y],), legs + (bases[os[-1]][y][leg],)
 
-    out: list = []
-    for os, _, (xs, prefix), y, legs in H.last_legs(T.spans, p, ell, start, step):
-        xy = xs + (objects[y],)
-        out += [(xy, prefix + (leg,)) for leg in bases[os[-1]][y][legs.start:legs.stop]]
-    return tuple(out)
+    for os, _, (xs, prefix), y, legs in H.last_legs(spans or T.spans, p, ell, start, step):
+        xy, basis = xs + (objects[y],), bases[os[-1]][y]
+        legs = basis[legs.start:legs.stop] if type(legs) is range else map(basis.__getitem__, legs)
+        yield from [(xy, prefix + (leg,)) for leg in legs]
 
 
 def _h_face_gen(H: _HomNerves, p: int, q: int, i: int, gen):
@@ -562,19 +566,16 @@ class _CodedTop:
             total += sum(n_paths for (_, used), n_paths in ends.items() if used == ell)
         return total
 
-    def codes(self, ell):
-        """The codes (os, ls) of the degree-D generators of grading ell."""
+    def _labels(self, ell):
+        """The labels the route's tabulated chains give the degree-D
+        generators of grading ell: _tuple_generators', from _spans, tagged
+        (p, q, label) on the tot route."""
         for p, q, _ in self.blocks:
-            if p == 0:
-                yield from (((x,), ()) for x in self._objects(ell))
-                continue
-            for os, ls, _, y, legs in self._gens(p, q, ell):
-                for leg in legs:
-                    yield os + (y,), ls + (leg,)
+            gens = _tuple_generators(self.H, p, q, ell, self._spans(q) if p else None)
+            yield from ((p, q, gen) for gen in gens) if self.tagged else gens
 
     def label(self, code) -> tuple:
-        """The label the tabulated chains give a code: the (objects, legs)
-        label of _tuple_generators, tagged (p, q, label) on the tot route."""
+        """The label _labels gives the code (os, ls) of a path."""
         os, ls = code
         q = self.D - len(ls) if self.tagged else self.D
         legs = ()
@@ -752,20 +753,11 @@ class _CodedTop:
 
     def extend(self, C: BasedChainComplex, ell) -> BasedChainComplex:
         """C, the route's chains through degree D - 1 in grading ell, with
-        degree D on top. Its generators are decoded from their codes
-        whenever they are read, and its boundary is a ColumnStream over C's
-        top boundary, so no degree-D table is built. C's degree-D - 1
-        generators must be the ones _rows lists, in its order; only their
-        number is checked."""
-        if len(C.basis) != self.D:
-            raise ValueError(f"expected chains through degree {self.D - 1}")
+        degree D streamed on top (complexes.stream_top). C's degree-D - 1
+        generators must be the ones _rows lists, in its order."""
         rows, count = self._rows(ell)
-        if count != len(C.basis[-1]):
-            raise ValueError(f"expected {count} generators in degree {self.D - 1}, "
-                             f"not {len(C.basis[-1])}")
-        top = ColumnStream(C.boundary[-1], self.count(ell), partial(self._columns, rows, ell))
-        labels = CodedLabels(top.ncols, partial(self.codes, ell), self.label)
-        return BasedChainComplex(C.basis + (labels,), C.boundary + (top,), self.D - 1)
+        return stream_top(C, self.D, count, self.count(ell), partial(self._columns, rows, ell),
+                          partial(self._labels, ell))
 
 
 def _hom_nerves_for(X, max_q: int) -> _HomNerves:
@@ -993,15 +985,9 @@ def normed_group_homology(
     """
     _check_route(route, normalize_rows)
     _check_max_degree(max_degree)
-    if isinstance(gradings, str):
-        if gradings == "norm-values":
-            ells = sorted({Fraction(0), *N.norm.values()})
-        elif gradings == "all-reachable":
-            ells = reachable_normed_gradings(N, max_degree, route)
-        else:
-            raise ValidationError(f"unknown grading request {gradings!r}")
-    else:
-        ells = grading_values(gradings)
+    ells = resolve_gradings(gradings, {
+        "norm-values": lambda: sorted({Fraction(0), *N.norm.values()}),
+        "all-reachable": partial(reachable_normed_gradings, N, max_degree, route)})
     D = max_degree + 1
     H = _NormedNerves(N, _leg_degree(route, D))
     top = _CodedTop(H, D, route, normalize_rows)

@@ -26,7 +26,8 @@ Homology through degree D reads the boundary out of degree D + 1, by far
 the largest, and usually only part of it before the reduction's early
 exit. So metric_homology tabulates each complex through degree D and
 streams degree D + 1 from the walk's codes (_TupleCodes), whose one face
-rule also gives magnitude_complex_metric its columns.
+rule also gives magnitude_complex_metric its columns; extend joins that
+degree to the complex below (complexes.stream_top).
 """
 
 from __future__ import annotations
@@ -42,12 +43,13 @@ from .complexes import (
     HomologyTable,
     _check_max_degree,
     graded_homology_table,
-    grading_values,
     homology_table,
+    resolve_gradings,
+    stream_top,
 )
 from .enriched_data import INF, FinCategory, GenMetricSpace, d_add
 from .errors import ValidationError
-from .exact_linalg import CodedLabels, ColumnStream, FgAbelianGroup, IntMatrix
+from .exact_linalg import FgAbelianGroup, IntMatrix
 from .simplicial import BasedSimplicialObject, assemble_simplicial
 
 GradingSpec = Union[str, Iterable]
@@ -224,14 +226,6 @@ def reachable_gradings(X: GenMetricSpace, max_degree: int) -> list[Fraction]:
     return [Fraction(s, L) for s in sorted(seen)]
 
 
-def _resolve_gradings(X, max_degree, gradings: GradingSpec) -> list[Fraction]:
-    if isinstance(gradings, str):
-        if gradings != "all-reachable":
-            raise ValidationError(f"unknown grading request {gradings!r}")
-        return reachable_gradings(X, max_degree)
-    return grading_values(gradings)
-
-
 def is_between(X: GenMetricSpace, z, x, y) -> bool:
     return X.d(x, y) == d_add(X.d(x, z), X.d(z, y))
 
@@ -335,33 +329,23 @@ class _TupleCodes:
                 tops.setdefault(used + d, []).append((s, ps))
         return tops
 
-    def _top_codes(self, prefixes):
+    def _top_labels(self, prefixes):
+        """The tuples s + (p,) of prefixes, decoded from degree D's labels."""
+        below, points = self.walk.labels(self.D), self.walk.points
         for s, ps in prefixes:
             for p in ps:
-                yield s, p
-
-    def _top_label(self, code) -> tuple:
-        s, p = code
-        return self.walk.labels(self.D)[s] + (self.walk.points[p],)
+                yield below[s] + (points[p],)
 
     def extend(self, C: BasedChainComplex, ell) -> BasedChainComplex:
-        """C, the complex of grading ell through degree D, with degree D + 1
-        on top: its labels are decoded whenever they are read, and its
-        boundary is a ColumnStream over C's top boundary, so no table of
-        degree D + 1 is built. C's generators must be the ones these codes
-        list, in their order; only their number in degree D is checked."""
-        if len(C.basis) != self.D + 1:
-            raise ValueError(f"expected a complex through degree {self.D}")
+        """C, the complex of grading ell through degree D, with degree
+        D + 1 streamed on top (complexes.stream_top). C's generators must
+        be the ones these codes list, in their order."""
         w, k = self.walk, ell * self.walk.L
-        count = len(w.buckets[self.D].get(k, ()))
-        if count != len(C.basis[-1]):
-            raise ValueError(f"expected {count} generators in degree {self.D}, "
-                             f"not {len(C.basis[-1])}")
         prefixes = self._tops.get(k, ())
-        top = ColumnStream(C.boundary[-1], sum(len(ps) for _, ps in prefixes),
-                           partial(self._columns, self._top_plans, prefixes, w.pos[self.D]))
-        labels = CodedLabels(top.ncols, partial(self._top_codes, prefixes), self._top_label)
-        return BasedChainComplex(C.basis + (labels,), C.boundary + (top,), self.D)
+        return stream_top(C, self.D + 1, len(w.buckets[self.D].get(k, ())),
+                          sum(len(ps) for _, ps in prefixes),
+                          partial(self._columns, self._top_plans, prefixes, w.pos[self.D]),
+                          partial(self._top_labels, prefixes))
 
 
 def magnitude_complex_metric(
@@ -382,7 +366,8 @@ def magnitude_complex_metric(
     the blocks MC(a, .) over a in S, of the tuples that begin in S (inner
     faces keep the first point); the default, None, is the whole complex.
     """
-    wanted = _resolve_gradings(X, max_degree, gradings)
+    reachable = partial(reachable_gradings, X, max_degree)
+    wanted = resolve_gradings(gradings, {"all-reachable": reachable})
     codes = _TupleCodes(X, max_degree, starts)
     pieces = {}
     for ell in wanted:
@@ -421,7 +406,8 @@ def metric_nerve(
     step has length 0; inner faces test betweenness; degeneracies repeat
     a point.
     """
-    wanted = _resolve_gradings(X, max_degree, gradings)
+    reachable = partial(reachable_gradings, X, max_degree)
+    wanted = resolve_gradings(gradings, {"all-reachable": reachable})
     walk = _enumerate_tuples(X, max_degree, distinct=False)
     face = partial(_metric_face, _betweenness(X))
     out = {}
@@ -542,7 +528,8 @@ def metric_homology(
     through the basis it returns and the rest as they are drawn after its
     early exit (see exact_linalg.ColumnStream.reduce).
     """
-    wanted = _resolve_gradings(X, max_degree + 1, gradings)
+    reachable = partial(reachable_gradings, X, max_degree + 1)
+    wanted = resolve_gradings(gradings, {"all-reachable": reachable})
     _check_max_degree(max_degree)
     reps_by_size: dict[int, list] = {}
     for orbit in point_orbits(X):

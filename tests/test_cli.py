@@ -231,6 +231,26 @@ def test_verify_exit_status_is_nonzero_on_mismatch(tmp_path, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_fails_a_route_that_drops_a_zero_row(tmp_path, monkeypatch):
+    """Tables that differ only in a zero row are equal HomologyTables, so
+    the route comparison also compares which rows each table lists."""
+    import maghom.cli as cli_module
+
+    original = cli_module.compute_homology
+
+    def tot_drops_h1(obj, max_degree, route="diag", normalize_rows=False, gradings=None):
+        table = original(obj, max_degree, route, normalize_rows, gradings)
+        if route != "tot" or normalize_rows:
+            return table
+        assert table.group(1).is_trivial
+        return HomologyTable({key: grp for key, grp in table.items() if key != (1, None)})
+
+    monkeypatch.setattr(cli_module, "compute_homology", tot_drops_h1)
+    code, out, _ = run_cli(["verify", doc_file(tmp_path, "sphere-2")])
+    assert code == 1
+    assert "suspension-shift: PASS" in out and "route-equivalence: FAIL" in out
+
+
 def test_verify_passes_on_the_suspension_of_nothing(tmp_path):
     """The suspension of a category with no objects is two objects with
     nothing between them, S^0: H_0 = Z^2 and nothing above, on every

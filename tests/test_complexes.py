@@ -203,6 +203,13 @@ def test_grading_lookups_reject_what_is_not_a_finite_rational():
         C.piece(INF)
 
 
+def test_grading_values_refuse_a_zero_denominator():
+    from maghom.complexes import grading_values
+
+    with pytest.raises(ValidationError, match="grading '1/0' is not a finite rational"):
+        grading_values(["1/0"])
+
+
 # --- one d*d check per complex, where homology is read -------------------------
 
 

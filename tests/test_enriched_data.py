@@ -28,6 +28,7 @@ from maghom import (
     indecomposables,
     make_metric_space,
     make_normed_group,
+    metric_from_digraph,
     metric_of_normed_group,
     one_point_space,
     parallel_arrows_category,
@@ -50,6 +51,7 @@ from maghom import (
     validate_preordered_group,
     word_norm_group,
 )
+from maghom.enriched_data import as_fraction
 
 S3 = symmetric_group(3)
 TRANSPOSITION = (1, 0, 2)
@@ -57,6 +59,20 @@ A3 = frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)})
 
 
 # --- validators --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", ["x", "1/0"])
+@pytest.mark.parametrize("build", [
+    as_fraction,
+    lambda v: make_metric_space([0, 1], {(0, 0): 0, (0, 1): v, (1, 0): 1, (1, 1): 0}),
+    lambda v: make_normed_group(cyclic_group(2), {0: 0, 1: v}),
+    lambda v: metric_from_digraph([0, 1], [(0, 1)], weights={(0, 1): v}),
+    lambda v: discrete_space(2, v),
+], ids=["as_fraction", "make_metric_space", "make_normed_group", "metric_from_digraph",
+        "discrete_space"])
+def test_a_string_that_is_no_rational_is_a_validation_error(build, bad):
+    with pytest.raises(ValidationError, match=f"not an exact rational: {bad!r}"):
+        build(bad)
 
 
 def test_normed_group_validator_accepts_z2():

@@ -205,7 +205,7 @@ def test_integer_lengths_match_fraction_sums(rnd):
             assert got == want
 
 
-@pytest.mark.parametrize("grading", [INF, float("nan"), "x", None])
+@pytest.mark.parametrize("grading", [INF, float("nan"), "x", None, "1/0"])
 def test_non_finite_metric_grading_is_rejected(grading):
     with pytest.raises(ValidationError, match="not a finite rational"):
         metric_homology(LINE3, 1, [grading])

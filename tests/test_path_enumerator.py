@@ -61,7 +61,7 @@ def _assert_same_generators(H, ells, what) -> int:
     for ell in ells:
         for p, q in BIDEGREES:
             want = _reference_generators(H, p, q, ell)
-            assert _tuple_generators(H, p, q, ell) == want, (what, p, q, ell)
+            assert tuple(_tuple_generators(H, p, q, ell)) == want, (what, p, q, ell)
             seen += len(want)
     return seen
 

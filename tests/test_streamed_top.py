@@ -9,6 +9,7 @@ column in order with its entries in insertion order, and the homology.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import zip_longest
 
 import pytest
@@ -17,9 +18,13 @@ from maghom import (
     InvalidComplexError,
     ValidationError,
     all_groups_up_to_order_8,
+    cycle_graph,
+    cyclic_group,
     diag_nerve_normed_group,
     homology_table,
+    iterated_complex,
     iterated_homology,
+    magnitude_complex_metric,
     normed_group_homology,
     sphere_ncat,
     two_group_from_normal_subgroup,
@@ -29,7 +34,8 @@ from maghom.simplicial import degenerate_labels
 from maghom import exact_linalg, iterated
 from maghom.cli import builder_documents, parse_input
 from maghom.exact_linalg import ColumnStream
-from maghom.iterated import _CodedTop, _diagonal_nerve, _hom_nerves_for
+from maghom.iterated import _CodedTop, _diagonal_nerve, _hom_nerves_for, _leg_degree
+from maghom.magnitude_core import _TupleCodes
 
 DOCS = builder_documents()
 
@@ -110,7 +116,7 @@ def test_streamed_top_off_the_lattice_of_lengths_is_empty():
     T = _CodedTop(iterated._NormedNerves(N, 2), 2)
     assert T.count(T.H.units(1)) > 0
     half = T.H.units(Fraction(1, 2))
-    assert T.count(half) == 0 and list(T.codes(half)) == []
+    assert T.count(half) == 0 and list(T._labels(half)) == []
 
 
 def _s3_grading_2_top(monkeypatch):
@@ -248,3 +254,57 @@ def test_streamed_homology_leaves_no_reference_cycles():
     normed_group_homology(N, [1], 1, route="diag")
     iterated_homology(sphere_ncat(2), 2, "diag")
     assert gc.collect() == 0
+
+
+def _metric_join():
+    """The streamed metric top: cycle_graph(5) from the point 0, degree 3
+    of grading 3 over the complex through degree 2."""
+    X = cycle_graph(5)
+
+    def through(D, starts=(0,)):
+        return magnitude_complex_metric(X, D, [3], starts=starts).pieces[3]
+
+    codes = _TupleCodes(X, 2, [0])
+    return (partial(codes.extend, ell=3), 3, through(2), through(1), through(2, None),
+            through(3))
+
+
+def _route_join(X, other, route, normalize_rows):
+    """The streamed top degree 3 of a route of iterated_homology."""
+    D = 3
+    top = _CodedTop(_hom_nerves_for(X, _leg_degree(route, D)), D, route, normalize_rows)
+    chains = partial(iterated_complex, route=route, normalize_rows=normalize_rows)
+    return (partial(top.extend, ell=0), D, chains(X, D - 1), chains(X, D - 2),
+            chains(other, D - 1), chains(X, D))
+
+
+JOINS = {
+    "metric-cycle-5": _metric_join,
+    "sphere-2-diag": lambda: _route_join(sphere_ncat(2), sphere_ncat(3), "diag", False),
+    "catgroup-z4-tot-rows": lambda: _route_join(
+        two_group_from_normal_subgroup(cyclic_group(4), [0, 2]),
+        two_group_from_normal_subgroup(cyclic_group(4), [0]), "tot", True),
+}
+
+
+@pytest.mark.parametrize("case", JOINS)
+def test_both_engines_join_their_top_through_one_check(case):
+    """_TupleCodes.extend and _CodedTop.extend are one call to
+    complexes.stream_top: it refuses a complex through another degree and
+    one with another number of rows, one message each, and the streamed
+    basis decodes its labels again each time it is read."""
+    extend, D, C, shallow, other, full = JOINS[case]()
+    with pytest.raises(ValueError, match=f"^expected a complex through degree {D - 1}$"):
+        extend(shallow)
+    assert len(other.basis[D - 1]) != len(C.basis[D - 1])
+    with pytest.raises(ValueError, match=f"^expected {len(C.basis[D - 1])} generators in "
+                                         f"degree {D - 1}, not {len(other.basis[D - 1])}$"):
+        extend(other)
+    streamed = extend(C)
+    assert streamed.max_degree == D and streamed.faithful_degree == D - 1
+    labels = streamed.basis[D]
+    decode, reads = labels.labels, []
+    labels.labels = lambda: reads.append(1) or decode()
+    assert len(labels) == len(full.basis[D]) > 0
+    assert list(labels) == list(labels) == list(full.basis[D])
+    assert len(reads) == 2
