@@ -118,7 +118,10 @@ def stream_top(C: BasedChainComplex, degree: int, nrows: int, ncols: int,
 
 
 def _check_max_degree(max_degree: int) -> None:
-    """Every entry point that takes a max_degree refuses a negative one."""
+    """Every entry point that takes a max_degree refuses anything but a
+    nonnegative int; a bool is refused, not read as 0 or 1."""
+    if not isinstance(max_degree, int) or isinstance(max_degree, bool):
+        raise ValidationError(f"max_degree {max_degree!r} is not an integer")
     if max_degree < 0:
         raise ValidationError("max_degree must be nonnegative")
 
@@ -284,14 +287,16 @@ def grading_values(gradings: Iterable) -> list[Fraction]:
     """An explicit list of length gradings as sorted distinct Fractions.
 
     Every explicit grading list goes through here, so anything that is not
-    a finite nonnegative rational (INF, NaN, a non-numeric string) is a
-    ValidationError rather than an arithmetic error further in.
+    a finite nonnegative rational (INF, NaN, a non-numeric string, a bool)
+    is a ValidationError rather than an arithmetic error further in.
     """
     if not isinstance(gradings, Iterable):
         raise ValidationError(f"gradings {gradings!r} are not a list of rationals")
     wanted = set()
     for g in gradings:
         try:
+            if isinstance(g, bool):  # Fraction(True) would be 1
+                raise TypeError
             wanted.add(Fraction(g))
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             raise ValidationError(f"grading {g!r} is not a finite rational") from None

@@ -32,8 +32,8 @@ def d_add(a, b):
 
 def as_fraction(x) -> Fraction:
     """A Fraction, an int, or a string that parses as a rational, as a
-    Fraction."""
-    if isinstance(x, (Fraction, int, str)):
+    Fraction. A bool is refused, not read as 0 or 1."""
+    if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):

@@ -19,6 +19,17 @@ echelon basis whose pivots are all units is peeled away completely,
 without a single row or column operation. The few columns a peel leaves
 (at most 3 on every chain complex measured, see _SparseSmith) are
 diagonalized densely.
+
+A boundary too large to store is a ColumnStream: its columns are computed
+as they are read, and each is checked for d*d = 0 against the boundary
+below it by one of two kernels. When that boundary has few rows (rows
+times a 16-bit field width at most 4,096 bits), each of its columns is
+packed into one integer, one 16-bit field per row, and a column passes
+when its combination of packed integers is 0; this is exact while the
+column's absolute entries, summed and times the boundary's largest
+absolute entry, stay under 2**15. Every other column goes through a dense
+accumulator with one integer per row, whose memory does not grow with the
+boundary's width.
 """
 
 from __future__ import annotations
@@ -116,6 +127,46 @@ class IntMatrix:
         return f"IntMatrix({self.nrows}x{self.ncols}, nnz={sum(len(c) for c in self.cols)})"
 
 
+# The packed d*d check (ColumnStream): B, the bits of one field of a packed
+# row, and the widest below it packs, below.nrows * B bits. On random
+# boundaries with four +-1 entries per column of below, checking a
+# four-entry column took the packed kernel 0.7-0.9 us up to 1,024 bits,
+# 1.6 us at 4,096 and 2.7 us at 8,192, and the dense one 1.8-2.2 us at
+# every width (Python 3.11, one core of a shared 2-vCPU Xeon host). Wider
+# rows also cost memory: sphere 5's 2,730-row boundary would pack into
+# about 27 MB.
+_FIELD_BITS = 16
+_PACKED_BITS = 4096
+
+
+class _RowsBelow:
+    """below's columns, for one pass of ColumnStream._checked_columns.
+
+    dense maps each row of the stream to its column of below, a tuple of
+    entries; packed maps it to that column packed into one integer, or is
+    None when below is too wide to pack; limit is the packed kernel's
+    bound on the sum of |v| over a column's entries. A row outside
+    0..nrows-1 is a KeyError in both maps.
+    """
+
+    __slots__ = ("dense", "packed", "limit")
+
+    def __init__(self, below: IntMatrix):
+        self.dense = dict(enumerate(tuple(col.items()) for col in below.cols))
+        self.packed = self.limit = None
+        if below.nrows * _FIELD_BITS <= _PACKED_BITS:
+            shifts = [1 << (_FIELD_BITS * i) for i in range(below.nrows)]
+            self.packed = {r: sum(w * shifts[i] for i, w in col)
+                           for r, col in self.dense.items()}
+            widest = max((abs(w) for col in below.cols for w in col.values()), default=1)
+            self.limit = ((1 << (_FIELD_BITS - 1)) - 1) // widest
+
+
+def _nonzero_composite(j: int) -> InvalidComplexError:
+    return InvalidComplexError(
+        f"composite of consecutive boundaries is nonzero on streamed column {j}")
+
+
 class ColumnStream:
     """A boundary matrix whose columns are computed when read and never stored.
 
@@ -123,11 +174,29 @@ class ColumnStream:
     column passes when below * column = 0 and every row holding a nonzero
     entry lies in 0..nrows-1. An explicit zero entry is harmless on any
     row: it adds nothing to below * column, and the reduction drops it.
-    One kernel checks columns (_checked_columns), in one dense accumulator
-    per pass; below's columns are read as tuples of entries, copied once
-    per pass. Each read of cols computes the columns again and checks each
-    one as it is emitted. checked counts the columns that passed. A pass
-    that ends after a number of columns other than ncols raises.
+    Each read of cols computes the columns again and checks each one as
+    it is emitted. checked counts the columns that passed. A pass that
+    ends after a number of columns other than ncols raises.
+
+    Two kernels check columns (_checked_columns), on below's columns
+    copied once per pass (_RowsBelow):
+    - The packed kernel runs when below is narrow: below.nrows * B at
+      most _PACKED_BITS, with B = _FIELD_BITS. Row r of the stream is
+      packed into one integer, P[r] = sum of below[i, r] * 2**(B*i), and
+      a column v sums s = sum of v[r] * P[r]. Field i of s is then
+      (below * v)[i] as a balanced base-2**B digit, and balanced digits
+      are unique while each is less than 2**(B-1) in absolute value. The
+      sum of |v[r]| times below's largest |entry| bounds them all, so a
+      column within that bound passes exactly when s = 0. A nonzero s
+      fails a column at any bound: s is 0 whenever below * v is.
+    - The dense kernel adds the column into one accumulator of
+      below.nrows integers. A column that passes leaves it all zero
+      again, so a check costs the column's entries below, not a pass
+      over the rows. It checks what the packed kernel leaves: every
+      column of a wide below (it is the only kernel whose memory does
+      not grow with below's width), a column over the bound, and a
+      column with an entry on a row outside 0..nrows-1. So the errors,
+      column numbers and checked counts do not depend on the kernel.
 
     smith_normal_form reads the stream through reduce instead. The columns
     the reduction reads are checked through the basis it returns, and the
@@ -147,7 +216,8 @@ class ColumnStream:
     @property
     def cols(self) -> Iterator[Mapping[int, int]]:
         n = 0
-        for n, col in enumerate(self._checked_columns(self._rows_below(), self._columns(), 0), 1):
+        checked = self._checked_columns(_RowsBelow(self.below), self._columns(), 0)
+        for n, col in enumerate(checked, 1):
             self.checked += 1
             yield col
         self._check_length(n)
@@ -156,17 +226,27 @@ class ColumnStream:
         if n != self.ncols:
             raise InvalidComplexError(f"stream emitted {n} columns, expected {self.ncols}")
 
-    def _rows_below(self) -> dict[int, tuple]:
-        """below's columns as tuples of entries, keyed by this stream's rows,
-        so a row outside 0..nrows-1 is a KeyError."""
-        return dict(enumerate(tuple(col.items()) for col in self.below.cols))
-
-    def _checked_columns(self, below: dict[int, tuple],
+    def _checked_columns(self, rows: _RowsBelow,
                          columns: Iterable[Mapping[int, int]], start: int):
         """Yield columns, numbered from start, each checked as it is
         emitted; the first that fails raises, naming its number."""
+        below, packed, limit = rows.dense, rows.packed, rows.limit
         acc = [0] * self.below.nrows
         for j, col in enumerate(columns, start):
+            if packed is not None:
+                s = t = 0
+                try:
+                    for r, v in col.items():
+                        s += v * packed[r]
+                        t += abs(v)
+                except KeyError:  # a row outside 0..nrows-1: the dense kernel sorts it out
+                    pass
+                else:
+                    if s:
+                        raise _nonzero_composite(j)
+                    if t <= limit:
+                        yield col
+                        continue
             try:
                 for r, v in col.items():
                     for i, w in below[r]:
@@ -177,14 +257,10 @@ class ColumnStream:
                 for r, v in col.items():
                     for i, w in below[r]:
                         acc[i] += v * w
-            # a column that passes leaves acc all zero again, so a check
-            # costs the column's entries below, not a pass over the rows
             for r in col:
                 for i, _ in below[r]:
                     if acc[i]:
-                        raise InvalidComplexError(
-                            f"composite of consecutive boundaries is nonzero on streamed column {j}"
-                        )
+                        raise _nonzero_composite(j)
             yield col
 
     def _nonzero_in_range(self, col: Mapping[int, int], j: int) -> dict:
@@ -218,9 +294,9 @@ class ColumnStream:
         read = count()  # zip pulls a column first, so read stops at the number read
         basis = _reduce_columns(map(itemgetter(0), zip(columns, read)), stop_rank)
         n = next(read)
-        below = self._rows_below()
+        rows = _RowsBelow(self.below)
         try:
-            for _ in self._checked_columns(below, basis.values(), 0):
+            for _ in self._checked_columns(rows, basis.values(), 0):
                 pass
         except InvalidComplexError:
             for _ in self.cols:
@@ -230,7 +306,7 @@ class ColumnStream:
                 "streamed columns read, but on none of them when read again"
             ) from None
         self.checked += n
-        for n, _ in enumerate(self._checked_columns(below, columns, n), n + 1):
+        for n, _ in enumerate(self._checked_columns(rows, columns, n), n + 1):
             self.checked += 1
         self._check_length(n)
         return basis
@@ -398,25 +474,27 @@ def _reduce_columns(columns: Iterable[Mapping[int, int]],
                 for k, x in u.items():
                     if k != r:
                         v[k] = v.get(k, 0) - w * x
-        v = {r: w for r, w in v.items() if w}
-        while v:
-            r = max(v)
-            b = basis.get(r)
-            if b is None:
-                if v[r] < 0:
-                    v = {k: -w for k, w in v.items()}
-                enter(r, v)
-                break
-            # b's pivot is not 1: v holds no unit row
-            a, c = b[r], v[r]
-            if c % a == 0:
-                _sub_scaled(v, b, c // a)
-            else:
-                g, x, y = _ext_gcd(a, c)
-                enter(r, _combine(x, b, y, v))
-                v = _combine(a // g, v, -(c // g), b)
-                v.pop(r, None)
-        # a fully reduced column contributes nothing
+        # most columns leave nothing; they skip the filter and the cascade,
+        # but not the exit test, which stop_rank == 0 passes at once
+        if any(v.values()):
+            v = {r: w for r, w in v.items() if w}
+            while v:
+                r = max(v)
+                b = basis.get(r)
+                if b is None:
+                    if v[r] < 0:
+                        v = {k: -w for k, w in v.items()}
+                    enter(r, v)
+                    break
+                # b's pivot is not 1: v holds no unit row
+                a, c = b[r], v[r]
+                if c % a == 0:
+                    _sub_scaled(v, b, c // a)
+                else:
+                    g, x, y = _ext_gcd(a, c)
+                    enter(r, _combine(x, b, y, v))
+                    v = _combine(a // g, v, -(c // g), b)
+                    v.pop(r, None)
         if len(units) == stop_rank == len(basis):
             break
     return basis

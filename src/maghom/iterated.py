@@ -936,6 +936,7 @@ def double_nerve_normed_group(
     The path with no columns spans (0, q) in grading 0 only. Bases cover
     p + q <= max_total_degree + 1.
     """
+    _check_max_degree(max_total_degree)
     T = max_total_degree + 1
     H, ell = _normed_slice(N, grading, _leg_degree("tot", T))
     return _double_nerve(H, T, T, T, ell)

@@ -421,6 +421,7 @@ def category_homology(X: FinCategory, max_degree: int) -> HomologyTable:
     """Homology of the normalized nerve chains through max_degree."""
     from .simplicial import normalized_chains
 
+    _check_max_degree(max_degree)
     S = nerve_category(X, max_degree + 1)
     return homology_table(normalized_chains(S), max_degree)
 
@@ -528,9 +529,9 @@ def metric_homology(
     through the basis it returns and the rest as they are drawn after its
     early exit (see exact_linalg.ColumnStream.reduce).
     """
+    _check_max_degree(max_degree)
     reachable = partial(reachable_gradings, X, max_degree + 1)
     wanted = resolve_gradings(gradings, {"all-reachable": reachable})
-    _check_max_degree(max_degree)
     reps_by_size: dict[int, list] = {}
     for orbit in point_orbits(X):
         reps_by_size.setdefault(len(orbit), []).append(orbit[0])

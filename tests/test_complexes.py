@@ -210,6 +210,13 @@ def test_grading_values_refuse_a_zero_denominator():
         grading_values(["1/0"])
 
 
+def test_grading_values_refuse_a_bool():
+    from maghom.complexes import grading_values
+
+    with pytest.raises(ValidationError, match="grading True is not a finite rational"):
+        grading_values([True])
+
+
 # --- one d*d check per complex, where homology is read -------------------------
 
 

@@ -61,8 +61,7 @@ A3 = frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)})
 # --- validators --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("bad", ["x", "1/0"])
-@pytest.mark.parametrize("build", [
+_EXACT_RATIONAL_ENTRIES = pytest.mark.parametrize("build", [
     as_fraction,
     lambda v: make_metric_space([0, 1], {(0, 0): 0, (0, 1): v, (1, 0): 1, (1, 1): 0}),
     lambda v: make_normed_group(cyclic_group(2), {0: 0, 1: v}),
@@ -70,7 +69,19 @@ A3 = frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)})
     lambda v: discrete_space(2, v),
 ], ids=["as_fraction", "make_metric_space", "make_normed_group", "metric_from_digraph",
         "discrete_space"])
+
+
+@pytest.mark.parametrize("bad", ["x", "1/0"])
+@_EXACT_RATIONAL_ENTRIES
 def test_a_string_that_is_no_rational_is_a_validation_error(build, bad):
+    with pytest.raises(ValidationError, match=f"not an exact rational: {bad!r}"):
+        build(bad)
+
+
+@pytest.mark.parametrize("bad", [True, False])
+@_EXACT_RATIONAL_ENTRIES
+def test_a_bool_is_no_rational(build, bad):
+    """The CLI refuses a JSON true as a number, and so does the library."""
     with pytest.raises(ValidationError, match=f"not an exact rational: {bad!r}"):
         build(bad)
 

@@ -16,9 +16,11 @@ from maghom import (
     tensor_fg,
     tor_fg,
 )
-from maghom import exact_linalg
+from maghom import exact_linalg, iterated, iterated_homology, normed_group_homology
+from maghom.cli import builder_documents, parse_input
 from maghom.exact_linalg import (
     ColumnStream,
+    _RowsBelow,
     _combine,
     _ext_gcd,
     _invariant_chain,
@@ -803,3 +805,172 @@ def test_homology_between_emits_a_stream_once():
     top = ColumnStream(below, 2, columns)
     assert homology_between(below, top) == FgAbelianGroup(0)
     assert len(calls) == 1 and top.checked == 2
+
+
+# --- the packed d*d check against the dense one --------------------------------
+
+
+def _repeated_columns_below(rnd, m: int):
+    """(below, kernel): an m-row below whose columns repeat a few random
+    sparse columns with entries +-1..+-9, some negated, and a zero column;
+    kernel holds the vectors in ker(below) that the repeats give, e_r for
+    a zero column r and s0 e_r0 - s e_r for columns s0 b and s b."""
+    base = [{i: rnd.choice((-1, 1)) * rnd.randint(1, 9)
+             for i in rnd.sample(range(m), min(m, rnd.randint(1, 4)))}
+            for _ in range(rnd.randint(1, 6))] + [{}]
+    rows = [(b, rnd.choice((-1, 1))) for b in range(len(base)) for _ in range(rnd.randint(1, 3))]
+    rnd.shuffle(rows)
+    below = IntMatrix(m, len(rows), tuple({i: s * w for i, w in base[b].items()} for b, s in rows))
+    kernel, first = [], {}
+    for r, (b, s) in enumerate(rows):
+        if not base[b]:
+            kernel.append({r: 1})
+        elif b in first:
+            r0, s0 = first[b]
+            kernel.append({r0: s0, r: -s})
+        else:
+            first[b] = (r, s)
+    return below, kernel
+
+
+def _kernel_columns(rnd, kernel: list, n: int, big: bool) -> list:
+    """Integer combinations of kernel vectors, with coefficients +-1..+-9,
+    or past the packed kernel's bound when big; a few carry explicit zero
+    entries, on rows in range and out of it."""
+    cols = []
+    for _ in range(rnd.randint(1, 8)):
+        col = {}
+        for u in rnd.sample(kernel, min(len(kernel), rnd.randint(1, 3))):
+            c = rnd.choice((-1, 1)) * (rnd.randint(1 << 15, 1 << 20) if big else rnd.randint(1, 9))
+            for r, v in u.items():
+                col[r] = col.get(r, 0) + c * v
+        col = {r: v for r, v in col.items() if v}
+        if rnd.random() < 0.3:
+            col.setdefault(rnd.choice((-1, 0, n - 1, n, n + 3)), 0)
+        cols.append(col)
+    return cols
+
+
+def _carry_column(rnd, below: IntMatrix):
+    """A column that below does not kill but whose packed sum is 0: on two
+    rows r, r2 with independent columns of below, the packed integers'
+    cross multiples, which carry one field into the next. None when below
+    has no two such rows."""
+    nonzero = [r for r, col in enumerate(below.cols) if col]
+    rnd.shuffle(nonzero)
+    for r in nonzero:
+        for r2 in nonzero:
+            a, b = below.cols[r], below.cols[r2]
+            if any(a.get(i, 0) * b.get(k, 0) != a.get(k, 0) * b.get(i, 0)
+                   for i in a for k in b):
+                P = [sum(w << (exact_linalg._FIELD_BITS * i) for i, w in c.items())
+                     for c in (a, b)]
+                g = gcd(*P)
+                return {r: P[1] // g, r2: -P[0] // g}
+    return None
+
+
+def _outcomes(below: IntMatrix, cols: list):
+    """What cols gives when read, and when its homology is read: the
+    columns or the error, and the columns checked."""
+    read = _stream(below, cols)
+    try:
+        got = list(read.cols)
+    except InvalidComplexError as e:
+        got = str(e)
+    reduced = _stream(below, cols)
+    try:
+        group = homology_between(below, reduced)
+    except InvalidComplexError as e:
+        group = str(e)
+    return got, read.checked, group, reduced.checked
+
+
+@pytest.mark.parametrize("rows", [(1, 20), (257, 400)], ids=["narrow", "wide"])
+def test_the_packed_check_agrees_with_the_dense_one(rnd, monkeypatch, rows):
+    """Every stream, clean or with one bad column (an entry off the kernel,
+    a nonzero entry on a row out of range, or a column whose packed sum
+    carries to 0), gives the same columns, errors and checked counts on
+    the packed kernel, forced on even for a wide below, as on the dense."""
+    bad_kinds = {"off the kernel": 0, "out of range": 0, "carry": 0}
+    for _ in range(150):
+        below, kernel = _repeated_columns_below(rnd, rnd.randint(*rows))
+        n = below.ncols
+        assert (_RowsBelow(below).packed is None) == (below.nrows * 16 > 4096)
+        cols = _kernel_columns(rnd, kernel, n, big=rnd.random() < 0.3)
+        streams = [cols]
+        j = rnd.randrange(len(cols))
+        off = next((r for r in range(n) if below.cols[r]), None)
+        if off is not None:
+            streams.append(cols[:j] + [{**cols[j], off: cols[j].get(off, 0) + 1}] + cols[j + 1:])
+            bad_kinds["off the kernel"] += 1
+        streams.append(cols[:j] + [{**cols[j], rnd.choice((-1, n, n + 5)): 2}] + cols[j + 1:])
+        bad_kinds["out of range"] += 1
+        carry = _carry_column(rnd, below)
+        if carry is not None:
+            streams.append(cols[:j] + [carry] + cols[j + 1:])
+            bad_kinds["carry"] += 1
+        for stream in streams:
+            monkeypatch.setattr(exact_linalg, "_PACKED_BITS", -1)
+            dense = _outcomes(below, stream)
+            monkeypatch.setattr(exact_linalg, "_PACKED_BITS", 1 << 30)
+            assert _RowsBelow(below).packed is not None
+            assert _outcomes(below, stream) == dense
+            monkeypatch.undo()
+            if stream is not cols:
+                assert f"streamed column {j}" in dense[0]
+    assert min(bad_kinds.values()) >= 50, bad_kinds
+
+
+DOCS = builder_documents()
+
+
+def _recorded_top(monkeypatch, compute) -> ColumnStream:
+    """The streamed top boundary of the complex that compute reads
+    homology from."""
+    seen = []
+    original = iterated.homology_table
+
+    def recording(C, max_degree):
+        seen.append(C)
+        return original(C, max_degree)
+
+    monkeypatch.setattr(iterated, "homology_table", recording)
+    compute()
+    monkeypatch.undo()
+    (C,) = seen
+    return C.boundary[C.max_degree]
+
+
+@pytest.mark.parametrize("case", ["s3-grading-2", "catgroup-s3-a3-tot"])
+def test_a_broken_drained_column_fails_alike_on_both_kernels(monkeypatch, case):
+    """One entry raised by 1 in a column drawn after the reduction's early
+    exit (column 73,871 of the S3 word norm's grading-2 top, and the last
+    column of a Cat-group's tot top) fails d*d on the packed kernel as on
+    the dense one."""
+    if case == "s3-grading-2":
+        N = parse_input(DOCS["s3-word-norm"])
+        top = _recorded_top(monkeypatch, lambda: normed_group_homology(N, [2], 2, route="diag"))
+        j = 73871
+    else:
+        C = parse_input(DOCS["catgroup-s3-a3"])
+        top = _recorded_top(monkeypatch, lambda: iterated_homology(C, 2, "tot"))
+        j = top.ncols - 1
+    below = top.below
+    assert _RowsBelow(below).packed is not None
+    stop = below.ncols - column_rank(below)
+    _, (read, _) = _reduce_counting_reads(_reduce_columns, top._columns(), stop)
+    assert read <= j < top.ncols
+    r = next(r for r, col in enumerate(below.cols) if col)
+
+    def broken():
+        for k, col in enumerate(top._columns()):
+            yield {**col, r: col.get(r, 0) + 1} if k == j else col
+
+    errors = []
+    for packed_bits in (exact_linalg._PACKED_BITS, -1):
+        monkeypatch.setattr(exact_linalg, "_PACKED_BITS", packed_bits)
+        stream = ColumnStream(below, top.ncols, broken)
+        errors.append(_error(lambda: homology_between(below, stream)))
+        assert stream.checked == j
+    assert errors == [f"composite of consecutive boundaries is nonzero on streamed column {j}"] * 2

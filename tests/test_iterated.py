@@ -843,6 +843,7 @@ def test_negative_max_degree_is_rejected_at_every_entry_point():
         lambda: nerve_category(parallel_arrows_category(), -1),
         lambda: mb_n(sphere_ncat(2), -1),
         lambda: double_nerve_2cat(C, -1),
+        lambda: double_nerve_normed_group(z2_normed(), 1, -1),
         lambda: kunneth_check(cycle_graph(3), cycle_graph(3), -1),
         lambda: reachable_normed_gradings(z2_normed(), -1, "diag"),
         lambda: oracle_suspension(category_homology(parallel_arrows_category(), 1), -1),
@@ -853,6 +854,57 @@ def test_negative_max_degree_is_rejected_at_every_entry_point():
     for bad in (lambda: grading_values(5), lambda: metric_homology(cycle_graph(3), 1, 5)):
         with pytest.raises(ValidationError, match="not a list of rationals"):
             bad()
+
+
+def _max_degree_entry_points():
+    from maghom import (
+        HomologyTable,
+        graded_homology_table,
+        magnitude_complex_metric,
+        metric_homology,
+        metric_nerve,
+        nerve_category,
+        oracle_kunneth,
+        reachable_gradings,
+        unit_complex,
+    )
+
+    C = two_group_from_normal_subgroup(cyclic_group(2), [0, 1])
+    return {
+        "homology_table": lambda d: homology_table(unit_complex(), d),
+        "graded_homology_table": lambda d: graded_homology_table(
+            magnitude_complex_metric(cycle_graph(3), 1), d),
+        "metric_homology": lambda d: metric_homology(cycle_graph(4), d),
+        "magnitude_complex_metric": lambda d: magnitude_complex_metric(cycle_graph(4), d),
+        "metric_nerve": lambda d: metric_nerve(cycle_graph(4), d),
+        "reachable_gradings": lambda d: reachable_gradings(cycle_graph(4), d),
+        "nerve_category": lambda d: nerve_category(parallel_arrows_category(), d),
+        "category_homology": lambda d: category_homology(parallel_arrows_category(), d),
+        "iterated_complex": lambda d: iterated_complex(sphere_ncat(2), d),
+        "iterated_homology-diag": lambda d: iterated_homology(C, d),
+        "iterated_homology-tot": lambda d: iterated_homology(C, d, "tot"),
+        "mb_n": lambda d: mb_n(sphere_ncat(2), d),
+        "double_nerve_2cat": lambda d: double_nerve_2cat(C, d),
+        "double_nerve_normed_group": lambda d: double_nerve_normed_group(z2_normed(), 1, d),
+        "normed_group_homology-diag": lambda d: normed_group_homology(
+            z2_normed(), "norm-values", d, route="diag"),
+        "normed_group_homology-tot": lambda d: normed_group_homology(
+            z2_normed(), "norm-values", d, route="tot"),
+        "reachable_normed_gradings": lambda d: reachable_normed_gradings(z2_normed(), d, "diag"),
+        "kunneth_check": lambda d: kunneth_check(cycle_graph(3), cycle_graph(3), d),
+        "oracle_suspension": lambda d: oracle_suspension(
+            category_homology(parallel_arrows_category(), 1), d),
+        "oracle_kunneth": lambda d: oracle_kunneth(HomologyTable({}), HomologyTable({}), d),
+    }
+
+
+@pytest.mark.parametrize("bad", [1.5, "2", True])
+@pytest.mark.parametrize("entry", sorted(_max_degree_entry_points()))
+def test_a_max_degree_that_is_no_int_is_rejected(entry, bad):
+    """A float or a string is a ValidationError, not a TypeError further
+    in, and a bool is not read as 0 or 1."""
+    with pytest.raises(ValidationError, match=rf"^max_degree {bad!r} is not an integer$"):
+        _max_degree_entry_points()[entry](bad)
 
 
 def test_diagonal_nerve_leaves_no_reference_cycles():
