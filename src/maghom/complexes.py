@@ -117,13 +117,18 @@ def stream_top(C: BasedChainComplex, degree: int, nrows: int, ncols: int,
                              C.boundary + (top,), degree - 1)
 
 
+def _check_count(n: int, what: str) -> None:
+    """Every entry point that takes a max_degree, and every instance
+    builder that takes a size, refuses anything but a nonnegative int; a
+    bool is refused, not read as 0 or 1."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValidationError(f"{what} {n!r} is not an integer")
+    if n < 0:
+        raise ValidationError(f"{what} must be nonnegative")
+
+
 def _check_max_degree(max_degree: int) -> None:
-    """Every entry point that takes a max_degree refuses anything but a
-    nonnegative int; a bool is refused, not read as 0 or 1."""
-    if not isinstance(max_degree, int) or isinstance(max_degree, bool):
-        raise ValidationError(f"max_degree {max_degree!r} is not an integer")
-    if max_degree < 0:
-        raise ValidationError("max_degree must be nonnegative")
+    _check_count(max_degree, "max_degree")
 
 
 def unit_complex() -> BasedChainComplex:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Optional
 
+from .complexes import _check_count
 from .errors import ValidationError
 from .groups import FinGroup
 
@@ -217,6 +218,7 @@ def category_from_preorder(elements: Iterable, leq: Iterable[tuple]) -> FinCateg
 
 
 def linear_order_category(n: int) -> FinCategory:
+    _check_count(n, "number of elements")
     return category_from_preorder(range(n), [(i, i + 1) for i in range(n - 1)])
 
 
@@ -315,15 +317,18 @@ def metric_from_digraph(vertices: Iterable, edges: Iterable[tuple],
 
 
 def cycle_digraph(n: int) -> GenMetricSpace:
+    _check_count(n, "number of vertices")
     return metric_from_digraph(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
 def cycle_graph(n: int) -> GenMetricSpace:
+    _check_count(n, "number of vertices")
     edges = [(i, (i + 1) % n) for i in range(n)] + [((i + 1) % n, i) for i in range(n)]
     return metric_from_digraph(range(n), edges)
 
 
 def complete_graph(n: int) -> GenMetricSpace:
+    _check_count(n, "number of vertices")
     return metric_from_digraph(
         range(n), [(i, j) for i in range(n) for j in range(n) if i != j]
     )
@@ -331,6 +336,7 @@ def complete_graph(n: int) -> GenMetricSpace:
 
 def discrete_space(n: int, d) -> GenMetricSpace:
     """n points, every two distinct points at mutual distance d (or INF)."""
+    _check_count(n, "number of points")
     val = INF if d is INF else as_fraction(d)
     if val is not INF and val <= 0:
         raise ValidationError("separation distance must be positive")
@@ -784,8 +790,7 @@ def suspension(X: StrictNCat) -> NCatSuspension:
 
 def sphere_ncat(n: int) -> StrictNCat:
     """Two parallel cells in every dimension up to n."""
-    if n < 0:
-        raise ValidationError("sphere dimension must be nonnegative")
+    _check_count(n, "sphere dimension")
     if n == 0:
         return NCatSet(("cell0", "cell1"))
     return suspension(sphere_ncat(n - 1))

@@ -12,7 +12,11 @@ in two phases. First the column span is brought to an echelon basis by
 unimodular column operations. This is the only phase that sees the full,
 possibly very wide, matrix. The basis is kept in Gauss-Jordan form on its
 unit pivots, so a column that the unit-pivot vectors already span is
-cleared in one pass, and most columns read are. Then a full Smith
+cleared in one pass, and most columns read are. On rows 0..255 that pass
+is often decided without running it: each row's image under the pass is
+packed into one integer, one 16-bit field per row, and a column whose
+combination of images is 0 is skipped, under the same kind of bound as
+the packed d*d check below (see _reduce_columns). Then a full Smith
 reduction runs on the basis, which has at most one vector per pivot row.
 That reduction first peels off every unit entry alone in its row; an
 echelon basis whose pivots are all units is peeled away completely,
@@ -137,29 +141,37 @@ class IntMatrix:
 # about 27 MB.
 _FIELD_BITS = 16
 _PACKED_BITS = 4096
+_FIELD_LIMIT = (1 << (_FIELD_BITS - 1)) - 1  # the largest |digit| a field holds
 
 
 class _RowsBelow:
     """below's columns, for one pass of ColumnStream._checked_columns.
 
-    dense maps each row of the stream to its column of below, a tuple of
-    entries; packed maps it to that column packed into one integer, or is
-    None when below is too wide to pack; limit is the packed kernel's
-    bound on the sum of |v| over a column's entries. A row outside
-    0..nrows-1 is a KeyError in both maps.
+    packed maps each row r of the stream to below's column r packed into
+    one integer, or is None when below is too wide to pack; limit is the
+    packed kernel's bound on the sum of |v| over a column's entries.
+    dense() maps each row to below's column as a tuple of entries, built
+    when the dense kernel first checks a column, so a pass that the packed
+    kernel checks whole never builds it. A row outside 0..nrows-1 is a
+    KeyError in both maps.
     """
 
-    __slots__ = ("dense", "packed", "limit")
+    __slots__ = ("below", "packed", "limit", "_dense")
 
     def __init__(self, below: IntMatrix):
-        self.dense = dict(enumerate(tuple(col.items()) for col in below.cols))
-        self.packed = self.limit = None
+        self.below = below
+        self.packed = self.limit = self._dense = None
         if below.nrows * _FIELD_BITS <= _PACKED_BITS:
             shifts = [1 << (_FIELD_BITS * i) for i in range(below.nrows)]
-            self.packed = {r: sum(w * shifts[i] for i, w in col)
-                           for r, col in self.dense.items()}
+            self.packed = {r: sum(w * shifts[i] for i, w in col.items())
+                           for r, col in enumerate(below.cols)}
             widest = max((abs(w) for col in below.cols for w in col.values()), default=1)
-            self.limit = ((1 << (_FIELD_BITS - 1)) - 1) // widest
+            self.limit = _FIELD_LIMIT // widest
+
+    def dense(self) -> dict[int, tuple]:
+        if self._dense is None:
+            self._dense = dict(enumerate(tuple(col.items()) for col in self.below.cols))
+        return self._dense
 
 
 def _nonzero_composite(j: int) -> InvalidComplexError:
@@ -230,8 +242,8 @@ class ColumnStream:
                          columns: Iterable[Mapping[int, int]], start: int):
         """Yield columns, numbered from start, each checked as it is
         emitted; the first that fails raises, naming its number."""
-        below, packed, limit = rows.dense, rows.packed, rows.limit
-        acc = [0] * self.below.nrows
+        packed, limit = rows.packed, rows.limit
+        below = acc = None  # the dense kernel's, made for its first column
         for j, col in enumerate(columns, start):
             if packed is not None:
                 s = t = 0
@@ -247,6 +259,8 @@ class ColumnStream:
                     if t <= limit:
                         yield col
                         continue
+            if below is None:
+                below, acc = rows.dense(), [0] * self.below.nrows
             try:
                 for r, v in col.items():
                     for i, w in below[r]:
@@ -402,8 +416,39 @@ def _reduce_columns(columns: Iterable[Mapping[int, int]],
     diagonal), so the early exit fires at the same column and the Smith
     factors are the same. On the benchmark's streams (seed 7) the pass
     leaves 0 in 93% of the columns read on normed-diag and 81% on
-    catgroup-tot. On normed-diag it makes 87k entry updates, where the
-    cascade subtracted 366k entries and scanned 602k with max().
+    catgroup-tot. Over every reduction of one normed-diag pass it makes
+    91k entry updates, where the cascade subtracted 366k entries and
+    scanned 602k with max().
+
+    A packed zero test decides most cleared columns without the pass.
+    With B = _FIELD_BITS, images[r] is what the pass turns e_r into,
+    packed one B-bit field per row: 2**(B*r) on a row that is no unit
+    pivot, and -(u_r - e_r) on a unit pivot r, so a unit with an empty
+    tail packs to 0. Field k of s = sum of col[r] * images[r] is then
+    v[k], the entry the pass would leave, and |v[k]| is at most t * W,
+    with t the sum of |col| and W = max(1, the largest |entry| of every
+    image packed so far). When s = 0 and t * W < 2**(B-1), balanced
+    base-2**B digits are unique, so v = 0 and the column is skipped; the
+    early-exit test still runs after it. Every other column goes through
+    the pass unchanged, so the basis, and the columns read, are the same.
+    - An image is packed when a column first reads its row, and dropped
+      when the row becomes a unit pivot or a Gauss-Jordan step updates
+      its unit. A stale image would still be exact: every image is e_r
+      modulo the span of the unit vectors, which never shrinks, so s = 0
+      under the bound puts col in that span, where the pass leaves 0.
+      It would only miss columns: kept stale, the test skips 10k of
+      catgroup-tot's columns in a pass (seed 7), against 41k.
+    - Width: the test packs only while every row read, and every tail
+      row of a packed image, is an int in 0.._PACKED_BITS // B - 1 (256
+      rows); the first row outside turns it off for the rest of the
+      call. catgroup-tot's tops have at most 129 rows; normed-diag's
+      grading-2 top has 2,232 and stays on the pass.
+    - It runs only on a column that comes right after one the pass
+      cleared. Run on every column, with each image packed again as soon
+      as its vector changed, it made metric-cycle's reductions, which
+      mostly grow the basis, 31% slower.
+    On catgroup-tot (seed 7) it skips 41k of the 54k columns read and
+    cuts the pass's entry updates from 419k to 83k.
 
     With stop_rank set, the columns are read only until the basis holds
     stop_rank vectors whose pivots are all 1. An echelon basis with unit
@@ -418,6 +463,40 @@ def _reduce_columns(columns: Iterable[Mapping[int, int]],
     # row -> pivots of the basis vectors with an entry on it, other than a
     # vector's own pivot row; a set that empties is deleted
     holders: dict[int, set[int]] = {}
+    # row r -> what the unit pass turns e_r into, packed (the zero test)
+    images: dict[int, int] = {}
+    packed_rows = _PACKED_BITS // _FIELD_BITS
+    widest = 1  # W: max(1, the largest |entry| of any image packed so far)
+    limit = _FIELD_LIMIT  # the largest t the zero test takes, given W
+
+    def pack(col: Mapping[int, int]) -> tuple[bool, int, int]:
+        """(True, s, t) for col, packing the image of each of its rows not
+        packed yet; (False, 0, 0) when a row read, or a tail row of its
+        unit, lies outside 0..packed_rows-1."""
+        nonlocal widest, limit
+        s = t = 0
+        for r, w in col.items():
+            x = images.get(r)
+            if x is None:
+                if not (isinstance(r, int) and 0 <= r < packed_rows):
+                    return False, 0, 0
+                u = units.get(r)
+                if u is None:
+                    x = 1 << (_FIELD_BITS * r)
+                else:
+                    x = 0
+                    for k, y in u.items():
+                        if k != r:
+                            if not (isinstance(k, int) and 0 <= k < packed_rows):
+                                return False, 0, 0
+                            x -= y << (_FIELD_BITS * k)
+                            if abs(y) > widest:
+                                widest = abs(y)
+                                limit = _FIELD_LIMIT // widest
+                images[r] = x
+            s += w * x
+            t += abs(w)
+        return True, s, t
 
     def hold(r: int, q: int) -> None:
         s = holders.get(r)
@@ -444,7 +523,9 @@ def _reduce_columns(columns: Iterable[Mapping[int, int]],
         basis[p] = vec
         if vec[p] == 1:
             units[p] = vec
+            images.pop(p, None)
             for q in holders.pop(p, ()):
+                images.pop(q, None)
                 b = basis[q]
                 c = b[p]
                 for r, w in vec.items():
@@ -462,7 +543,22 @@ def _reduce_columns(columns: Iterable[Mapping[int, int]],
             if r != p:
                 hold(r, p)
 
+    image, packing, cleared = images.get, packed_rows > 0, False
     for col in columns:
+        if packing and cleared:
+            # the zero test: field k of s is v[k] below, |v[k]| <= t * W
+            s = t = 0
+            for r, w in col.items():
+                x = image(r)
+                if x is None:  # not packed yet
+                    packing, s, t = pack(col)
+                    break
+                s += w * x
+                t += abs(w)
+            if packing and not s and t <= limit:
+                if len(units) == stop_rank == len(basis):
+                    break
+                continue
         # v = col - sum of col[r] * u_r over col's unit rows r; row r
         # itself cancels, so it is never written
         v: dict[int, int] = {}
@@ -476,7 +572,8 @@ def _reduce_columns(columns: Iterable[Mapping[int, int]],
                         v[k] = v.get(k, 0) - w * x
         # most columns leave nothing; they skip the filter and the cascade,
         # but not the exit test, which stop_rank == 0 passes at once
-        if any(v.values()):
+        cleared = not any(v.values())
+        if not cleared:
             v = {r: w for r, w in v.items() if w}
             while v:
                 r = max(v)

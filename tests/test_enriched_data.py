@@ -51,7 +51,7 @@ from maghom import (
     validate_preordered_group,
     word_norm_group,
 )
-from maghom.enriched_data import as_fraction
+from maghom.enriched_data import as_fraction, linear_order_category
 
 S3 = symmetric_group(3)
 TRANSPOSITION = (1, 0, 2)
@@ -83,6 +83,27 @@ def test_a_string_that_is_no_rational_is_a_validation_error(build, bad):
 def test_a_bool_is_no_rational(build, bad):
     """The CLI refuses a JSON true as a number, and so does the library."""
     with pytest.raises(ValidationError, match=f"not an exact rational: {bad!r}"):
+        build(bad)
+
+
+@pytest.mark.parametrize("build, what", [
+    (cycle_graph, "number of vertices"),
+    (cycle_digraph, "number of vertices"),
+    (complete_graph, "number of vertices"),
+    (lambda n: discrete_space(n, 1), "number of points"),
+    (linear_order_category, "number of elements"),
+    (sphere_ncat, "sphere dimension"),
+], ids=["cycle_graph", "cycle_digraph", "complete_graph", "discrete_space",
+        "linear_order_category", "sphere_ncat"])
+@pytest.mark.parametrize("bad", [-1, -2, True, False, 1.5, "3"])
+def test_an_instance_builder_refuses_a_size_that_is_no_nonnegative_int(build, what, bad):
+    """A negative size would build an empty object, a bool would be read
+    as 0 or 1, and a float or string would leak a TypeError."""
+    if isinstance(bad, int) and not isinstance(bad, bool):
+        message = f"^{what} must be nonnegative$"
+    else:
+        message = f"^{what} {bad!r} is not an integer$".replace(".", r"\.")
+    with pytest.raises(ValidationError, match=message):
         build(bad)
 
 

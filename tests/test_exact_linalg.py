@@ -16,7 +16,14 @@ from maghom import (
     tensor_fg,
     tor_fg,
 )
-from maghom import exact_linalg, iterated, iterated_homology, normed_group_homology
+from maghom import (
+    all_groups_up_to_order_8,
+    exact_linalg,
+    iterated,
+    iterated_homology,
+    normed_group_homology,
+    two_group_from_normal_subgroup,
+)
 from maghom.cli import builder_documents, parse_input
 from maghom.exact_linalg import (
     ColumnStream,
@@ -974,3 +981,157 @@ def test_a_broken_drained_column_fails_alike_on_both_kernels(monkeypatch, case):
         errors.append(_error(lambda: homology_between(below, stream)))
         assert stream.checked == j
     assert errors == [f"composite of consecutive boundaries is nonzero on streamed column {j}"] * 2
+
+
+# --- the packed zero test of _reduce_columns against the dict unit pass --------
+
+
+def _unit_image(basis: dict, r: int) -> dict:
+    """What the unit pass turns e_r into: e_r on a row that is no unit
+    pivot, -(u_r - e_r) on a unit pivot r."""
+    u = basis.get(r)
+    if u is None or u[r] != 1:
+        return {r: 1}
+    return {k: -x for k, x in u.items() if k != r}
+
+
+def _carry_pair(rnd, basis: dict, nrows: int):
+    """[{}, c]: a column the unit pass clears, so the packed test runs on
+    the next, and a column c whose packed sum is 0 although the unit pass
+    leaves it nonzero: on two rows r, r2 with packed images P, P2, c is
+    P2/g on r and -P/g on r2 (g = gcd), whose fields carry into each
+    other. Only the bound on sum |c| keeps c from being skipped. None when
+    no sampled pair leaves c nonzero."""
+    B = exact_linalg._FIELD_BITS
+    images = [_unit_image(basis, r) for r in range(nrows)]
+    packed = [sum(x << (B * k) for k, x in image.items()) for image in images]
+    nonzero = [r for r in range(nrows) if packed[r]]
+    for _ in range(100 if len(nonzero) > 1 else 0):
+        r, r2 = rnd.sample(nonzero, 2)
+        g = gcd(packed[r], packed[r2])
+        x, y = packed[r2] // g, -packed[r] // g
+        v = {k: x * images[r].get(k, 0) + y * images[r2].get(k, 0)
+             for k in images[r].keys() | images[r2].keys()}
+        if any(v.values()):
+            return [{}, {r: x, r2: y}]
+    return None
+
+
+def _unit_pass_stream(rnd, nrows: int, big: bool) -> list:
+    """Columns on rows 0..nrows-1 with entries +-1..+-9 (past the bound
+    when big) that the unit pass often clears: a few random generators,
+    repeats and integer combinations of the columns so far, empty columns,
+    and explicit zero entries."""
+    def fresh():
+        return {r: rnd.choice((-1, 1)) * rnd.randint(1, 9)
+                for r in rnd.sample(range(nrows), min(nrows, rnd.randint(1, 4)))}
+
+    cols = [fresh() for _ in range(rnd.randint(1, 6))]
+    for _ in range(rnd.randint(5, 40)):
+        x = rnd.random()
+        if x < 0.15:
+            col = {}
+        elif x < 0.3:
+            col = fresh()
+        elif x < 0.45:
+            col = dict(rnd.choice(cols))
+        else:
+            col = {}
+            for c in rnd.sample(cols, min(len(cols), rnd.randint(1, 3))):
+                k = rnd.choice((-1, 1)) * (rnd.randint(1 << 12, 1 << 16) if big
+                                           else rnd.randint(1, 9))
+                for r, v in c.items():
+                    col[r] = col.get(r, 0) + k * v
+            col = {r: v for r, v in col.items() if v}
+        if rnd.random() < 0.1:
+            col.setdefault(rnd.randrange(nrows), 0)
+        cols.append(col)
+    return cols
+
+
+def _reduced_both_ways(monkeypatch, columns: list, stop_rank):
+    """_reduce_columns with the packed zero test and without it: for each,
+    the basis as (pivot, entries in order) and the columns read, or the
+    error it raised."""
+    outcomes = []
+    for packed_bits in (exact_linalg._PACKED_BITS, 0):
+        monkeypatch.setattr(exact_linalg, "_PACKED_BITS", packed_bits)
+        try:
+            basis, (read, _) = _reduce_counting_reads(_reduce_columns, iter(columns), stop_rank)
+            outcomes.append(([(p, list(v.items())) for p, v in basis.items()], read))
+        except TypeError as e:
+            outcomes.append(str(e))
+        monkeypatch.undo()
+    return outcomes
+
+
+@pytest.mark.parametrize("rows", [(2, 12), (40, 255), (257, 400)],
+                         ids=["narrow", "wide-narrow", "wide"])
+def test_the_packed_zero_test_agrees_with_the_dict_pass(rnd, monkeypatch, rows):
+    """Random streams, with columns past the bound and with columns whose
+    packed sum carries to 0, give the same basis, entry for entry and in
+    order, and read the same columns, with and without the packed test."""
+    carries = 0
+    for _ in range(120):
+        nrows = rnd.randint(*rows)
+        cols = _unit_pass_stream(rnd, nrows, big=rnd.random() < 0.2)
+        k = rnd.randint(1, len(cols))
+        monkeypatch.setattr(exact_linalg, "_PACKED_BITS", 0)
+        pair = _carry_pair(rnd, _reduce_columns(cols[:k]), nrows)
+        monkeypatch.undo()
+        if pair is not None:
+            cols[k:k] = pair
+            carries += 1
+        rank = len(_reduce_columns(cols))
+        for stop in (None, rank, 0):
+            packed, plain = _reduced_both_ways(monkeypatch, cols, stop)
+            assert packed == plain, (cols, stop)
+    assert carries >= 60, carries
+
+
+@pytest.mark.parametrize("bad", [-1, -300, 256, 1000, 2.5, "x"])
+def test_a_row_the_packed_test_cannot_pack_gives_the_dict_pass_outcome(monkeypatch, bad):
+    """A row outside 0..255, or one that is no int, turns the packed test
+    off for the rest of the call: the basis, the columns read, or the
+    error from comparing rows, are the dict pass's. The bad row comes
+    after a cleared column, so the packed test reads it."""
+    cols = [{0: 1, 1: 2}, {1: 1}, {}, {3: 1, bad: 1}, {0: 1, 1: 1}, {}, {2: 1}]
+    packed, plain = _reduced_both_ways(monkeypatch, cols, None)
+    assert packed == plain
+    if bad == "x":
+        assert "not supported between" in plain
+
+
+def test_a_unit_with_an_empty_tail_packs_to_zero(monkeypatch):
+    """u_0 = e_0 turns e_0 into 0, so its image packs to 0, and a column on
+    row 0 alone is cleared by the packed test as by the dict pass."""
+    cols = [{0: 1}, {}, {0: 3}, {0: -7, 1: 2}, {}, {1: 2, 0: 5}, {1: 1}]
+    packed, plain = _reduced_both_ways(monkeypatch, cols, None)
+    assert packed == plain
+    assert plain[0] == [(0, [(0, 1)]), (1, [(1, 1)])]
+
+
+def test_a_packed_unit_that_a_later_step_updates(monkeypatch):
+    """u_2 = e_2 + e_0 is packed when the third column is tested; then e_0
+    becomes a unit pivot and the Gauss-Jordan step turns u_2 into e_2, so
+    the image of row 2 changes from -e_0 to 0."""
+    cols = [{0: 1, 2: 1}, {}, {2: 1, 0: 1}, {0: 1}, {}, {2: 1, 1: 2}, {}, {2: 1}, {1: 1},
+            {}, {2: 3, 0: -2}]
+    packed, plain = _reduced_both_ways(monkeypatch, cols, None)
+    assert packed == plain
+    assert plain[0] == [(2, [(2, 1)]), (0, [(0, 1)]), (1, [(1, 1)])]
+
+
+def test_the_packed_zero_test_agrees_on_every_catgroup_tot_top(monkeypatch):
+    """Every Cat-group of order at most 8 at degree 2 on the tot route: the
+    streamed top reduces to the same basis and reads the same columns with
+    the packed test and without it."""
+    cases = [two_group_from_normal_subgroup(G, N)
+             for G in all_groups_up_to_order_8() for N in G.normal_subgroups()]
+    assert len(cases) == 64
+    for C in cases:
+        top = _recorded_top(monkeypatch, lambda: iterated_homology(C, 2, "tot"))
+        cols = list(top._columns())
+        stop = top.below.ncols - column_rank(top.below)
+        packed, plain = _reduced_both_ways(monkeypatch, cols, stop)
+        assert packed == plain
