@@ -118,6 +118,10 @@ def validate_category(X: FinCategory) -> None:
             g, f = key
             if g in mors and f in mors and not X.composable(g, f):
                 raise ValidationError(f"composite defined on non-composable ({g!r}, {f!r})")
+    if len({(X.source[m], X.target[m]) for m in X.morphisms}) == len(X.morphisms):
+        # thin: a morphism is fixed by its endpoints, and every composite's
+        # endpoints are checked above, so both laws hold
+        return
     for f in X.morphisms:
         if X.compose[(f, X.identity[X.source[f]])] != f:
             raise ValidationError(f"right unit law fails at {f!r}")

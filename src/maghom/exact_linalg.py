@@ -16,13 +16,12 @@ cleared in one pass, and most columns read are. On rows 0..255 that pass
 is often decided without running it: each row's image under the pass is
 packed into one integer, one 16-bit field per row, and a column whose
 combination of images is 0 is skipped, under the same kind of bound as
-the packed d*d check below (see _reduce_columns). Then a full Smith
-reduction runs on the basis, which has at most one vector per pivot row.
-That reduction first peels off every unit entry alone in its row; an
-echelon basis whose pivots are all units is peeled away completely,
-without a single row or column operation. The few columns a peel leaves
-(at most 3 on every chain complex measured, see _SparseSmith) are
-diagonalized densely.
+the packed d*d check below (see _reduce_columns). Then the Smith diagonal
+is read off the basis, which has at most one vector per pivot row: each
+vector whose pivot is 1 is a 1 on the diagonal, because no other vector
+has an entry on its pivot row, and only the others, at most 3 in a
+benchmark pass and 13 in the group homology measured (see _SparseSmith),
+are diagonalized densely.
 
 A boundary too large to store is a ColumnStream: its columns are computed
 as they are read, and each is checked for d*d = 0 against the boundary
@@ -630,73 +629,51 @@ def _invariant_chain(values: Iterable[int]) -> list[int]:
 
 
 class _SparseSmith:
-    """Smith diagonal of a small sparse matrix: a unit peel, then a dense
-    finisher on what the peel leaves. Transforms are not accumulated, and
-    _invariant_chain puts the diagonal in divisibility order.
+    """Smith diagonal of the echelon basis _reduce_columns returns (pivot
+    row -> vector): a 1 for each unit pivot, then a dense finisher on the
+    other vectors. Transforms are not accumulated, and _invariant_chain
+    puts the diagonal in divisibility order.
 
-    On the echelon bases _reduce_columns builds for chain complexes,
-    whose unit pivots are cleared from every other vector, the peel
-    leaves little: at most 3 columns by 6 rows on the complexes of the
-    test suite and the benchmark's workloads, and 3 columns by 32 rows for
-    the group homology of Q8, D4 and C4 x C2 through degree 4 (with unit
-    pivots left unreduced: 15 by 22, and 37 by 266). A remainder that
-    small needs no fill-reducing sparse pivoting. The suite's random
-    matrices with many non-unit entries leave up to 26 columns.
+    Precondition: no vector whose pivot is not 1 has an entry on the
+    pivot row of a vector whose pivot is 1. _reduce_columns keeps this
+    after every column (its Gauss-Jordan invariant is stronger). Then the
+    basis is equivalent to I + (the other vectors), block diagonal:
+    restricted to their pivot rows, the unit vectors form a unitriangular
+    matrix, so column operations among them make it the identity; row
+    operations from their pivot rows then clear the rest of their
+    columns, and touch no other vector, which is zero on those rows.
+
+    The other vectors are few: at most 3, on 6 rows, in a pass of any of
+    the benchmark's workloads. For group homology through degree 4 they
+    are at most 3 on 32 rows (Q8, D4) and 8 on 60 (C2^3), and at degree 5
+    4 on 512 rows (Q8, D4) and 13 on 243 (C2^3), which the dense finisher
+    takes 5-8 ms for. A remainder that small needs no fill-reducing
+    sparse pivoting.
     """
 
-    def __init__(self, columns: Iterable[Mapping[int, int]]):
-        self.cols: dict[int, dict[int, int]] = {}
-        self.row_occ: dict[int, set[int]] = {}
-        for j, col in enumerate(columns):
-            c = {r: v for r, v in col.items() if v}
-            if c:
-                self.cols[j] = c
-                for r in c:
-                    self.row_occ.setdefault(r, set()).add(j)
-
-    def _peel_units(self) -> int:
-        """Delete every column whose +-1 entry is alone in its row; return
-        how many were deleted.
-
-        Row ops with such a row clear the rest of its column and touch no
-        other column, so the entry is a 1 on the diagonal and the column
-        can go. Deleting it can leave another row with one entry, so a
-        stack carries the peel on: an echelon basis whose pivots are all
-        units peels away completely, in time linear in its entries.
-        """
-        peeled = 0
-        stack = [r for r, occ in self.row_occ.items() if len(occ) == 1]
-        while stack:
-            r = stack.pop()
-            occ = self.row_occ.get(r)
-            if occ is None or len(occ) != 1:
-                continue
-            (j,) = occ
-            col = self.cols[j]
-            if col[r] not in (1, -1):
-                continue
-            del self.cols[j]
-            for r2 in col:
-                occ2 = self.row_occ[r2]
-                occ2.discard(j)
-                if not occ2:
-                    del self.row_occ[r2]
-                elif len(occ2) == 1:
-                    stack.append(r2)
-            peeled += 1
-        return peeled
+    def __init__(self, basis: Mapping[int, Mapping[int, int]]):
+        self.units = 0
+        self.rest: list[Mapping[int, int]] = []  # the vectors whose pivot is not 1
+        for p, v in basis.items():
+            if v[p] == 1:
+                self.units += 1
+            else:
+                self.rest.append(v)
 
     def diagonal(self) -> list[int]:
-        """The peeled 1s, then the dense finisher's pivots. An entry of least
+        """The units' 1s, then the dense finisher's pivots. An entry of least
         absolute value goes to the corner and clears its column and row by
         floor division; any remainder is smaller still, so picking again
         ends, and a corner with nothing left beside it is a diagonal entry."""
-        diag = [1] * self._peel_units()
-        index = {r: i for i, r in enumerate(self.row_occ)}
-        m = [[0] * len(self.cols) for _ in index]
-        for j, col in enumerate(self.cols.values()):
-            for r, v in col.items():
-                m[index[r]][j] = v
+        diag = [1] * self.units
+        index: dict[int, int] = {}  # row -> its row of m, in order of first entry
+        for v in self.rest:
+            for r in v:
+                index.setdefault(r, len(index))
+        m = [[0] * len(self.rest) for _ in index]
+        for j, v in enumerate(self.rest):
+            for r, x in v.items():
+                m[index[r]][j] = x
         while any(map(any, m)):
             _, i, j = min(
                 (abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v
@@ -724,7 +701,10 @@ def smith_normal_form(M: IntMatrix, stop_rank: Optional[int] = None) -> tuple[li
     Returns (factors, rank) where rank == len(factors). The unimodular
     transforms are not computed. stop_rank is passed to _reduce_columns;
     it is sound only when the column span of M lies in a saturated
-    lattice of that rank.
+    lattice of that rank. _SparseSmith reads the diagonal off the basis
+    the reduction returns: a 1 per unit pivot, and the dense finisher on
+    the other vectors (at most 3 in a benchmark pass, at most 13 in
+    group homology through degree 5).
 
     M may be a ColumnStream (ColumnStream.reduce). Its columns go into the
     reduction unchecked; the basis the reduction returns is checked for
@@ -738,7 +718,7 @@ def smith_normal_form(M: IntMatrix, stop_rank: Optional[int] = None) -> tuple[li
         basis = _reduce_columns(M.cols, stop_rank)
     if not basis:
         return [], 0
-    diag = _SparseSmith(basis.values()).diagonal()
+    diag = _SparseSmith(basis).diagonal()
     factors = _invariant_chain(diag)
     return factors, len(factors)
 

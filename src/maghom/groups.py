@@ -9,6 +9,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Hashable, Iterable, Mapping
 
+from .complexes import _check_count
 from .errors import ValidationError
 
 Element = Hashable
@@ -117,6 +118,9 @@ class FinGroup:
 
 
 def cyclic_group(n: int) -> FinGroup:
+    _check_count(n, "cyclic group order")
+    if n == 0:
+        raise ValidationError("cyclic group order must be positive")
     elems = tuple(range(n))
     mul = {(a, b): (a + b) % n for a in elems for b in elems}
     return FinGroup(elems, mul, name=f"C{n}")
@@ -134,6 +138,9 @@ def direct_product_group(G: FinGroup, H: FinGroup) -> FinGroup:
 
 def dihedral_group(n: int) -> FinGroup:
     """Symmetries of the regular n-gon, order 2n; ('r', k) and ('s', k)."""
+    _check_count(n, "number of polygon sides")
+    if n == 0:
+        raise ValidationError("number of polygon sides must be positive: D0 would have order 0")
     rot = [("r", k) for k in range(n)]
     ref = [("s", k) for k in range(n)]
     elems = tuple(rot + ref)
@@ -157,6 +164,7 @@ def symmetric_group(n: int) -> FinGroup:
     """S_n on permutation tuples p with p[i] the image of i."""
     from itertools import permutations
 
+    _check_count(n, "number of permuted points")
     elems = tuple(permutations(range(n)))
     mul = {
         (p, q): tuple(p[q[i]] for i in range(n)) for p in elems for q in elems

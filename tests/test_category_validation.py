@@ -18,9 +18,11 @@ from maghom import (
     ValidationError,
     all_groups_up_to_order_8,
     discrete_category,
+    linear_order_category,
     make_category,
     parallel_arrows_category,
     product_category,
+    symmetric_group,
     terminal_category,
     two_group_from_normal_subgroup,
     validate_category,
@@ -187,3 +189,37 @@ def test_identities_are_keyed_by_exactly_the_objects():
     with pytest.raises(ValidationError, match="non-objects"):
         make_category(X.objects, X.morphisms, X.source, X.target,
                       {**X.identity, "Z": X.identity["A"]}, X.compose)
+
+
+def _thin(X) -> bool:
+    return len({(X.source[m], X.target[m]) for m in X.morphisms}) == len(X.morphisms)
+
+
+def test_thin_and_non_thin_categories_are_refused_with_the_same_messages():
+    """A thin category skips the unit and associativity walks: its
+    composites' endpoints are checked first, and a morphism is fixed by
+    its endpoints. A doctored composite is still refused on thin and
+    non-thin categories alike, and a failing law on a non-thin one, each
+    with the all-pairs validator's message."""
+    line = linear_order_category(5)
+    cells = two_group_from_normal_subgroup(symmetric_group(3), symmetric_group(3).elements).cells
+    pair = parallel_arrows_category()
+    assert _thin(line) and _thin(cells) and not _thin(pair)
+    cases = []
+    for X in (line, cells, pair):
+        (g, f), h = next(iter(X.compose.items()))
+        wrong = next(m for m in X.morphisms
+                     if (X.source[m], X.target[m]) != (X.source[h], X.target[h]))
+        apart = next((a, b) for a in X.morphisms for b in X.morphisms if not X.composable(a, b))
+        dropped = dict(X.compose)
+        del dropped[(g, f)]
+        cases += [(replace(X, compose={**X.compose, (g, f): wrong}), "has bad endpoints"),
+                  (replace(X, compose=dropped), "missing"),
+                  (replace(X, compose={**X.compose, apart: h}), "non-composable")]
+    ident = pair.identity["A"]
+    cases.append((replace(pair, compose={**pair.compose, ("f", ident): "g"}),
+                  "right unit law fails at 'f'"))
+    for Y, message in cases:
+        error = _error(validate_category, Y)
+        assert error is not None and message in error, (error, message)
+        assert error == _error(_old_validate_category, Y)

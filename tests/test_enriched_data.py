@@ -22,6 +22,7 @@ from maghom import (
     cycle_digraph,
     cycle_graph,
     cyclic_group,
+    dihedral_group,
     discrete_cat_group,
     discrete_category,
     discrete_space,
@@ -93,8 +94,12 @@ def test_a_bool_is_no_rational(build, bad):
     (lambda n: discrete_space(n, 1), "number of points"),
     (linear_order_category, "number of elements"),
     (sphere_ncat, "sphere dimension"),
+    (cyclic_group, "cyclic group order"),
+    (dihedral_group, "number of polygon sides"),
+    (symmetric_group, "number of permuted points"),
 ], ids=["cycle_graph", "cycle_digraph", "complete_graph", "discrete_space",
-        "linear_order_category", "sphere_ncat"])
+        "linear_order_category", "sphere_ncat", "cyclic_group", "dihedral_group",
+        "symmetric_group"])
 @pytest.mark.parametrize("bad", [-1, -2, True, False, 1.5, "3"])
 def test_an_instance_builder_refuses_a_size_that_is_no_nonnegative_int(build, what, bad):
     """A negative size would build an empty object, a bool would be read
@@ -105,6 +110,18 @@ def test_an_instance_builder_refuses_a_size_that_is_no_nonnegative_int(build, wh
         message = f"^{what} {bad!r} is not an integer$".replace(".", r"\.")
     with pytest.raises(ValidationError, match=message):
         build(bad)
+
+
+@pytest.mark.parametrize("build, message", [
+    (cyclic_group, "cyclic group order must be positive"),
+    (dihedral_group, "number of polygon sides must be positive: D0 would have order 0"),
+], ids=["cyclic_group", "dihedral_group"])
+def test_a_group_builder_refuses_order_zero(build, message):
+    """A group has an identity, so C0 and D0 are refused by their order;
+    S0, the permutations of no points, is the trivial group."""
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build(0)
+    assert len(symmetric_group(0)) == 1
 
 
 def test_normed_group_validator_accepts_z2():

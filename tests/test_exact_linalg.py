@@ -18,10 +18,17 @@ from maghom import (
 )
 from maghom import (
     all_groups_up_to_order_8,
+    cycle_graph,
+    cyclic_group,
+    dihedral_group,
+    direct_product_group,
     exact_linalg,
     iterated,
     iterated_homology,
+    metric_homology,
     normed_group_homology,
+    oracle_group_homology,
+    quaternion_group,
     two_group_from_normal_subgroup,
 )
 from maghom.cli import builder_documents, parse_input
@@ -311,7 +318,7 @@ def _full_path(A: IntMatrix, B: IntMatrix) -> FgAbelianGroup:
     the early exit."""
     rank_out = len(_reduce_columns(A.cols))
     basis = _reduce_columns(B.cols)
-    factors = _invariant_chain(_SparseSmith(basis.values()).diagonal()) if basis else []
+    factors = _invariant_chain(_SparseSmith(basis).diagonal()) if basis else []
     free = A.ncols - rank_out - len(factors)
     return FgAbelianGroup.from_parts(free, (f for f in factors if f > 1))
 
@@ -397,8 +404,25 @@ def test_invariant_chain_keeps_its_ones_in_front():
 # --- bottommost pivots against the topmost rule they replace -----------------
 
 
+def _clear_unit_rows(basis: dict, bottommost: bool) -> dict:
+    """basis with every unit pivot row cleared from the vectors whose pivot
+    is not 1, as _SparseSmith requires: v -= v[p] * u_p at each unit row
+    p of v, the largest p first for bottommost pivots and the smallest
+    first for topmost, so u_p's other entries land on rows still to come.
+    These are column operations within the basis: its span, its pivots
+    and their entries stay."""
+    units = sorted((p for p, u in basis.items() if u[p] == 1), reverse=bottommost)
+    for p, v in basis.items():
+        if v[p] != 1:
+            for q in units:
+                if q in v:
+                    _sub_scaled(v, basis[q], v[q])
+    return basis
+
+
 def _reduce_columns_topmost(columns, stop_rank=None):
-    """_reduce_columns as it was with the topmost nonzero row as pivot."""
+    """_reduce_columns as it was with the topmost nonzero row as pivot, its
+    unit rows then cleared from the other vectors for _SparseSmith."""
     basis = {}
     nonunit = 0
     for col in columns:
@@ -425,7 +449,7 @@ def _reduce_columns_topmost(columns, stop_rank=None):
                 v.pop(r, None)
         if len(basis) == stop_rank and not nonunit:
             break
-    return basis
+    return _clear_unit_rows(basis, bottommost=False)
 
 
 def _assert_pivot_rules_agree(A: IntMatrix, B: IntMatrix, monkeypatch) -> None:
@@ -488,7 +512,9 @@ def test_bottommost_pivot_matches_topmost_on_acceptance_complexes(monkeypatch):
 
 def _reduce_columns_cascade(columns, stop_rank=None):
     """_reduce_columns as it was before its unit pivots were kept reduced:
-    each column cascades through the pivots, bottommost row first."""
+    each column cascades through the pivots, bottommost row first. Its
+    unit rows are cleared from the other vectors at the end, for
+    _SparseSmith."""
     basis = {}
     nonunit = 0
     for col in columns:
@@ -515,7 +541,7 @@ def _reduce_columns_cascade(columns, stop_rank=None):
                 v.pop(r, None)
         if len(basis) == stop_rank and not nonunit:
             break
-    return basis
+    return _clear_unit_rows(basis, bottommost=True)
 
 
 def _reduce_counting_reads(reduce, columns, stop_rank):
@@ -582,30 +608,71 @@ def test_reduced_unit_pivots_match_the_cascade_on_random_matrices(rnd, monkeypat
         _assert_reduced_like_the_cascade(columns, nrows, monkeypatch)
 
 
-# --- the unit peel in _SparseSmith --------------------------------------------
+# --- Smith on the reduction's basis, against the unit peel it replaces -------
 
 
-class _NoPeel(_SparseSmith):
-    """The Smith loop without the unit peel."""
+def _smith_by_peel(columns) -> list:
+    """The Smith diagonal as _SparseSmith found it before it read the unit
+    pivots off the reduction's basis, on any columns: each column whose
+    +-1 entry is alone in its row is peeled off as a 1 (row ops with that
+    row touch no other column), until none is left; then the least entry
+    of what is left goes to the corner and clears its row and column,
+    until the corner stands alone and is a diagonal entry."""
+    cols = {j: {r: v for r, v in col.items() if v} for j, col in enumerate(columns)}
+    cols = {j: col for j, col in cols.items() if col}
+    row_occ: dict = {}
+    for j, col in cols.items():
+        for r in col:
+            row_occ.setdefault(r, set()).add(j)
+    diag = []
+    stack = [r for r, occ in row_occ.items() if len(occ) == 1]
+    while stack:
+        r = stack.pop()
+        occ = row_occ.get(r)
+        if occ is None or len(occ) != 1 or cols[next(iter(occ))][r] not in (1, -1):
+            continue
+        (j,) = occ
+        for r2 in cols.pop(j):
+            row_occ[r2].discard(j)
+            if not row_occ[r2]:
+                del row_occ[r2]
+            elif len(row_occ[r2]) == 1:
+                stack.append(r2)
+        diag.append(1)
+    index = {r: i for i, r in enumerate(row_occ)}
+    m = [[0] * len(cols) for _ in index]
+    for j, col in enumerate(cols.values()):
+        for r, v in col.items():
+            m[index[r]][j] = v
+    while any(map(any, m)):
+        _, i, j = min((abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v)
+        m[0], m[i] = m[i], m[0]
+        for row in m:
+            row[0], row[j] = row[j], row[0]
+        top, p = m[0], m[0][0]
+        for row in m[1:]:
+            q = row[0] // p
+            row[:] = [v - q * t for v, t in zip(row, top)]
+        for k in range(1, len(top)):
+            q = top[k] // p
+            for row in m:
+                row[k] -= q * row[0]
+        if not any(top[1:]) and not any(row[0] for row in m[1:]):
+            diag.append(abs(p))
+            m = [row[1:] for row in m[1:]]
+    return diag
 
-    def _peel_units(self) -> int:
-        return 0
 
-
-def _assert_peel_agrees(columns) -> None:
+def _assert_smith_agrees(columns, nrows=None) -> None:
+    """The diagonal _SparseSmith reads off the reduction's basis of the
+    columns, put in divisibility order, equals the peel's on the columns
+    themselves and, given nrows, the invariant factors read off the gcds
+    of the k x k minors (snf_by_minors)."""
     columns = list(columns)
-    assert _invariant_chain(_SparseSmith(columns).diagonal()) == _invariant_chain(
-        _NoPeel(columns).diagonal()
-    )
-
-
-def test_unit_peel_matches_the_loop_on_random_matrices(rnd):
-    for _ in range(300):
-        nrows, ncols = rnd.randint(1, 7), rnd.randint(1, 7)
-        entries = (0, 0, 0, 1, -1, 1, 2, -3)
-        _assert_peel_agrees(
-            {r: rnd.choice(entries) for r in range(nrows)} for _ in range(ncols)
-        )
+    got = _invariant_chain(_SparseSmith(_reduce_columns(columns)).diagonal())
+    assert got == _invariant_chain(_smith_by_peel(columns))
+    if nrows is not None:
+        assert got == snf_by_minors([[col.get(r, 0) for col in columns] for r in range(nrows)])
 
 
 def _echelon_basis(rnd, n: int, pivots) -> list:
@@ -621,38 +688,23 @@ def _echelon_basis(rnd, n: int, pivots) -> list:
     return basis
 
 
-def test_unit_peel_matches_the_loop_on_mixed_echelon_bases(rnd):
+def test_smith_diagonal_matches_the_peel_on_random_matrices(rnd):
+    for _ in range(300):
+        nrows, ncols = rnd.randint(1, 7), rnd.randint(1, 7)
+        entries = (0, 0, 0, 1, -1, 1, 2, -3)
+        _assert_smith_agrees({r: rnd.choice(entries) for r in range(nrows)} for _ in range(ncols))
+
+
+def test_smith_diagonal_matches_the_peel_on_mixed_echelon_bases(rnd):
     for _ in range(100):
-        _assert_peel_agrees(_echelon_basis(rnd, rnd.randint(1, 12), (1, -1, 1, 2, 3, -4)))
-
-
-def test_all_unit_echelon_basis_peels_without_picking_a_pivot(rnd):
-    basis = _echelon_basis(rnd, 2000, (1, -1))
-    smith = _SparseSmith(basis)
-    assert smith._peel_units() == 2000
-    assert smith.cols == {} and smith.row_occ == {}
-    assert _SparseSmith(basis).diagonal() == [1] * 2000
-    # the echelon basis of a real top boundary, pivots on the bottommost row
-    B = IntMatrix.from_rows([[1, 1, 0], [-1, 0, 1], [0, -1, -1]])
-    assert _SparseSmith(_reduce_columns(B.cols).values()).diagonal() == [1, 1]
-
-
-# --- the dense finisher against determinantal divisors --------------------------
-
-
-def _assert_minors_agree(columns, nrows: int) -> None:
-    """The Smith diagonal, put in divisibility order, equals the invariant
-    factors read off the gcds of the k x k minors (snf_by_minors)."""
-    columns = list(columns)
-    rows = [[col.get(r, 0) for col in columns] for r in range(nrows)]
-    assert _invariant_chain(_SparseSmith(columns).diagonal()) == snf_by_minors(rows)
+        _assert_smith_agrees(_echelon_basis(rnd, rnd.randint(1, 12), (1, -1, 1, 2, 3, -4)))
 
 
 def test_smith_diagonal_matches_minor_gcds_on_random_matrices(rnd):
     for _ in range(300):
         nrows, ncols = rnd.randint(1, 5), rnd.randint(1, 5)
         entries = (0, 0, 1, -1, 2, -3, 4, 6, -9, 12)
-        _assert_minors_agree(
+        _assert_smith_agrees(
             ({r: rnd.choice(entries) for r in range(nrows)} for _ in range(ncols)), nrows
         )
 
@@ -660,7 +712,73 @@ def test_smith_diagonal_matches_minor_gcds_on_random_matrices(rnd):
 def test_smith_diagonal_matches_minor_gcds_on_echelon_bases(rnd):
     for _ in range(60):
         n = rnd.randint(1, 5)
-        _assert_minors_agree(_echelon_basis(rnd, n, (1, -1, 2, 3, -4, 6)), 2 * n)
+        _assert_smith_agrees(_echelon_basis(rnd, n, (1, -1, 2, 3, -4, 6)), 2 * n)
+
+
+def test_an_all_unit_basis_leaves_the_dense_finisher_nothing(rnd):
+    smith = _SparseSmith(_reduce_columns(_echelon_basis(rnd, 2000, (1, -1))))
+    assert smith.units == 2000 and smith.rest == []
+    assert smith.diagonal() == [1] * 2000
+    # the echelon basis of a real top boundary, pivots on the bottommost row
+    B = IntMatrix.from_rows([[1, 1, 0], [-1, 0, 1], [0, -1, -1]])
+    assert _SparseSmith(_reduce_columns(B.cols)).diagonal() == [1, 1]
+
+
+def _smith_checked(monkeypatch, compute) -> tuple:
+    """Runs compute() with every basis that Smith reads checked: it is in
+    Gauss-Jordan form on its unit pivots (_assert_unit_pivots_reduced),
+    and its diagonal, in divisibility order, is the peel's. Returns how
+    many bases were read, and how many diagonal entries, and entries other
+    than 1, they gave: what the benchmark's trace counts as smith_pivots
+    and smith_nonunit."""
+    counts = [0, 0, 0]
+
+    class Checked(_SparseSmith):
+        def __init__(self, basis):
+            _assert_unit_pivots_reduced(basis)
+            super().__init__(basis)
+            self.basis = basis
+            counts[0] += 1
+
+        def diagonal(self):
+            diag = super().diagonal()
+            assert _invariant_chain(diag) == _invariant_chain(_smith_by_peel(self.basis.values()))
+            counts[1] += len(diag)
+            counts[2] += sum(1 for v in diag if v != 1)
+            return diag
+
+    with monkeypatch.context() as m:
+        m.setattr(exact_linalg, "_SparseSmith", Checked)
+        compute()
+    return tuple(counts)
+
+
+def test_smith_reads_reduced_bases_on_the_benchmark_instances(monkeypatch):
+    """One pass of each benchmark workload: the S3 word norm on diag at
+    degree 2 over the norm values, the 64 Cat-groups of order at most 8 on
+    tot at degree 2, and the 8-cycle at degree 4 over every reachable
+    grading. The diagonals are as long, with as many entries other than
+    1, as the unit peel gave."""
+    N = parse_input(DOCS["s3-word-norm"])
+    got = _smith_checked(monkeypatch, lambda: normed_group_homology(N, "norm-values", 2, "diag"))
+    assert got == (6, 2699, 1)
+    cases = [two_group_from_normal_subgroup(G, K)
+             for G in all_groups_up_to_order_8() for K in G.normal_subgroups()]
+    got = _smith_checked(monkeypatch, lambda: [iterated_homology(X, 2, "tot") for X in cases])
+    assert got == (128, 4600, 82)
+    assert _smith_checked(monkeypatch, lambda: metric_homology(cycle_graph(8), 4)) == (30, 2442, 0)
+
+
+@pytest.mark.parametrize("name", ["Q8", "D4", "C4xC2", "C2^3"])
+def test_smith_matches_the_peel_on_group_homology(monkeypatch, name):
+    """Group homology through degree 4, where non-unit pivots survive the
+    reduction: H_3(Q8) = Z/8, and every H_k of C2^3 has torsion."""
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    G = {"Q8": quaternion_group(), "D4": dihedral_group(4),
+         "C4xC2": direct_product_group(c4, c2),
+         "C2^3": direct_product_group(direct_product_group(c2, c2), c2)}[name]
+    bases, _, nonunit = _smith_checked(monkeypatch, lambda: oracle_group_homology(G, 4))
+    assert bases == 4 and nonunit > 0
 
 
 # --- streamed columns, checked through the reduction's basis -------------------
@@ -680,7 +798,7 @@ def _smith_checking_each_column(M: ColumnStream, stop_rank):
         pass
     if not basis:
         return [], 0
-    factors = _invariant_chain(_SparseSmith(basis.values()).diagonal())
+    factors = _invariant_chain(_SparseSmith(basis).diagonal())
     return factors, len(factors)
 
 
