@@ -22,6 +22,7 @@ from . import oracles
 from .complexes import (
     GradedChainComplex,
     HomologyTable,
+    as_fraction,
     graded_homology_table,
     graded_tensor,
     grading_values,
@@ -65,6 +66,7 @@ from .iterated import (
     normed_group_homology,
 )
 from .magnitude_core import (
+    adjacency,
     category_homology,
     magnitude_complex_metric,
     metric_homology,
@@ -136,21 +138,16 @@ def _reject_unknown(doc: dict, allowed: set, kind: str):
 
 
 def _exact_number(v, where: str):
-    """Integers stay integers; non-integers must arrive as strings."""
-    if isinstance(v, bool):
-        raise SchemaError(f"{where}: not a number")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        if v == "inf":
-            return INF
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(f"{where}: cannot parse {v!r} as an exact rational")
-    raise SchemaError(
-        f"{where}: {v!r} is not an integer or a decimal string; floats are not exact"
-    )
+    """"inf" is INF; anything else goes through as_fraction, so a
+    non-integer must arrive as a string."""
+    if v == "inf":
+        return INF
+    try:
+        return as_fraction(v)
+    except ValidationError:
+        raise SchemaError(
+            f"{where}: {v!r} is not an integer or a rational string; floats are not exact"
+        ) from None
 
 
 def _one_of(doc: dict, first: tuple, second: tuple, kind: str) -> None:
@@ -559,10 +556,7 @@ def _verify_normed(N: NormedGroup, max_degree: int, v: _Verifier):
         for h in G.elements:
             if g == h:
                 continue
-            separated = any(
-                z not in (g, h) and M.d(g, h) == M.d(g, z) + M.d(z, h)
-                for z in G.elements
-            )
+            separated = adjacency(M, g, h) is not None
             factored = any(
                 M.d(g, h) == M.d(g0, h0) + M.d(G.mul(G.inv(g0), g), G.mul(G.inv(h0), h))
                 and g0 != h0

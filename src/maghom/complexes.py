@@ -288,22 +288,33 @@ def tensor_complex(C: BasedChainComplex, D: BasedChainComplex) -> BasedChainComp
     return _tensor_total([((), C, D)])
 
 
+def as_fraction(x) -> Fraction:
+    """A Fraction, an int, or a string that parses as a rational, as a
+    Fraction; every exact number of the package is read here. A float is
+    refused, since it is not exact, and a bool is not read as 0 or 1."""
+    if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValidationError(f"not an exact rational: {x!r}")
+
+
 def grading_values(gradings: Iterable) -> list[Fraction]:
     """An explicit list of length gradings as sorted distinct Fractions.
 
-    Every explicit grading list goes through here, so anything that is not
-    a finite nonnegative rational (INF, NaN, a non-numeric string, a bool)
-    is a ValidationError rather than an arithmetic error further in.
+    Every explicit grading list goes through here, and each grading through
+    as_fraction, so anything that is not a finite nonnegative rational (a
+    float, INF, NaN, a non-numeric string, a bool) is a ValidationError
+    rather than an arithmetic error further in.
     """
     if not isinstance(gradings, Iterable):
         raise ValidationError(f"gradings {gradings!r} are not a list of rationals")
     wanted = set()
     for g in gradings:
         try:
-            if isinstance(g, bool):  # Fraction(True) would be 1
-                raise TypeError
-            wanted.add(Fraction(g))
-        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            wanted.add(as_fraction(g))
+        except ValidationError:
             raise ValidationError(f"grading {g!r} is not a finite rational") from None
     out = sorted(wanted)
     if out and out[0] < 0:

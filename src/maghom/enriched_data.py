@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Optional
 
-from .complexes import _check_count
+from .complexes import _check_count, as_fraction
 from .errors import ValidationError
 from .groups import FinGroup
 
@@ -31,15 +31,12 @@ def d_add(a, b):
     return a + b
 
 
-def as_fraction(x) -> Fraction:
-    """A Fraction, an int, or a string that parses as a rational, as a
-    Fraction. A bool is refused, not read as 0 or 1."""
-    if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValidationError(f"not an exact rational: {x!r}")
+def as_distance(x):
+    """INF for any float infinity, as_fraction(x) for anything else; so
+    -inf and NaN are refused with every other float."""
+    if isinstance(x, float) and x == INF:
+        return INF
+    return as_fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +286,7 @@ def validate_metric(X: GenMetricSpace) -> None:
 
 
 def make_metric_space(points, dist) -> GenMetricSpace:
-    norm = {}
-    for k, v in dict(dist).items():
-        norm[k] = INF if v is INF else as_fraction(v)
-    X = GenMetricSpace(tuple(points), norm)
+    X = GenMetricSpace(tuple(points), {k: as_distance(v) for k, v in dict(dist).items()})
     validate_metric(X)
     return X
 
@@ -341,7 +335,7 @@ def complete_graph(n: int) -> GenMetricSpace:
 def discrete_space(n: int, d) -> GenMetricSpace:
     """n points, every two distinct points at mutual distance d (or INF)."""
     _check_count(n, "number of points")
-    val = INF if d is INF else as_fraction(d)
+    val = as_distance(d)
     if val is not INF and val <= 0:
         raise ValidationError("separation distance must be positive")
     pts = tuple(range(n))
@@ -480,10 +474,10 @@ class CatGroup:
 
 
 def validate_cat_group(C: CatGroup) -> None:
-    """Check a Cat-group as the one-object 2-category it is. The object set
-    is checked first, since that 2-category multiplies the objects as
+    """Check a Cat-group as the one-object 2-category it is, whose one hom
+    is C.cells (so _validate_two_cat checks that category too). The object
+    set is checked first, since that 2-category multiplies the objects as
     group elements."""
-    validate_category(C.cells)
     if set(C.cells.objects) != set(C.group.elements):
         raise ValidationError("object set and group element set differ")
     _validate_two_cat(two_cat_of_cat_group(C))
@@ -706,10 +700,30 @@ def validate_ncat(X: StrictNCat) -> None:
     raise ValidationError(f"not a presentable n-category: {X!r}")
 
 
+def _horizontal_category(X: Explicit2Cat, cells, table, unit: Mapping) -> FinCategory:
+    """The category on X's objects whose morphisms x -> y are the triples
+    (x, y, c) for the c in cells(hom(x, y)), composed by table in diagram
+    order, with identity (x, x, unit[x]). A composite missing from
+    table[x, y, z] is (x, z, None), which validate_category refuses."""
+    objs = X.objects
+    mors = tuple((x, y, c) for x in objs for y in objs for c in cells(X.hom[(x, y)]))
+    compose = {
+        ((y, z, b), (x, y, a)): (x, z, table[(x, y, z)].get((a, b)))
+        for x in objs for y in objs for z in objs
+        for a in cells(X.hom[(x, y)]) for b in cells(X.hom[(y, z)])
+    }
+    return FinCategory(objs, mors, {m: m[0] for m in mors}, {m: m[1] for m in mors},
+                       {x: (x, x, unit[x]) for x in objs}, compose)
+
+
 def _validate_two_cat(X: Explicit2Cat) -> None:
-    objs = set(X.objects)
-    if len(objs) != len(X.objects):
-        raise ValidationError("duplicate object labels")
+    """Check an explicit 2-category: every hom is a category, the identity
+    1-cells and the composition tables are there, horizontal composition
+    makes two categories on the objects, one of 1-cells (compose_obj) and
+    one of 2-cells (compose_mor), and validate_category checks both (every
+    composite lies in its hom, units, associativity). What is left is the
+    functor hom(x, y) x hom(y, z) -> hom(x, z): 2-cell endpoints, identity
+    2-cells and the interchange law."""
     for x in X.objects:
         for y in X.objects:
             H = X.hom.get((x, y))
@@ -719,71 +733,32 @@ def _validate_two_cat(X: Explicit2Cat) -> None:
     for x in X.objects:
         if X.id_onecell.get(x) not in set(X.hom[(x, x)].objects):
             raise ValidationError(f"identity 1-cell of {x!r} missing")
-    for x in X.objects:
-        for y in X.objects:
-            for z in X.objects:
-                A, B, C = X.hom[(x, y)], X.hom[(y, z)], X.hom[(x, z)]
-                cobj = X.compose_obj.get((x, y, z))
-                cmor = X.compose_mor.get((x, y, z))
-                if cobj is None or cmor is None:
-                    raise ValidationError(f"composition at ({x!r}, {y!r}, {z!r}) missing")
-                cells, arrows = set(C.objects), set(C.morphisms)
-                for a in A.objects:
-                    for b in B.objects:
-                        if cobj.get((a, b)) not in cells:
-                            raise ValidationError("composition leaves the hom-category")
-                for p in A.morphisms:
-                    for q in B.morphisms:
-                        r = cmor.get((p, q))
-                        if r not in arrows:
-                            raise ValidationError("2-cell composition missing")
-                        if C.source[r] != cobj[(A.source[p], B.source[q])] or C.target[
-                            r
-                        ] != cobj[(A.target[p], B.target[q])]:
-                            raise ValidationError("2-cell composition has bad endpoints")
-                # functoriality
-                for a in A.objects:
-                    for b in B.objects:
-                        if cmor[(A.identity[a], B.identity[b])] != C.identity[cobj[(a, b)]]:
-                            raise ValidationError("composition does not preserve identity 2-cells")
-                # validate_category keys compose by exactly the composable pairs
-                for (p2, p1), p in A.compose.items():
-                    for (q2, q1), q in B.compose.items():
-                        if cmor[(p, q)] != C.compose[(cmor[(p2, q2)], cmor[(p1, q1)])]:
-                            raise ValidationError("interchange law fails")
-    # strict units and associativity on 1-cells and 2-cells
-    for x in X.objects:
-        for y in X.objects:
-            A = X.hom[(x, y)]
-            for a in A.objects:
-                if X.compose_obj[(x, x, y)][(X.id_onecell[x], a)] != a:
-                    raise ValidationError("left unit 1-cell law fails")
-                if X.compose_obj[(x, y, y)][(a, X.id_onecell[y])] != a:
-                    raise ValidationError("right unit 1-cell law fails")
-            idx = X.hom[(x, x)].identity[X.id_onecell[x]]
-            idy = X.hom[(y, y)].identity[X.id_onecell[y]]
-            for p in A.morphisms:
-                if X.compose_mor[(x, x, y)][(idx, p)] != p:
-                    raise ValidationError("left unit 2-cell law fails")
-                if X.compose_mor[(x, y, y)][(p, idy)] != p:
-                    raise ValidationError("right unit 2-cell law fails")
-    for w in X.objects:
-        for x in X.objects:
-            for y in X.objects:
-                for z in X.objects:
-                    A, B, C = X.hom[(w, x)], X.hom[(x, y)], X.hom[(y, z)]
-                    for cells, word, table in (
-                        ((A.objects, B.objects, C.objects), "1-cell", X.compose_obj),
-                        ((A.morphisms, B.morphisms, C.morphisms), "2-cell", X.compose_mor),
-                    ):
-                        wxy, xyz = table[(w, x, y)], table[(x, y, z)]
-                        wyz, wxz = table[(w, y, z)], table[(w, x, z)]
-                        for a in cells[0]:
-                            for b in cells[1]:
-                                ab = wxy[(a, b)]
-                                for c in cells[2]:
-                                    if wyz[(ab, c)] != wxz[(a, xyz[(b, c)])]:
-                                        raise ValidationError(f"{word} associativity fails")
+    for xyz in product(X.objects, repeat=3):
+        if X.compose_obj.get(xyz) is None or X.compose_mor.get(xyz) is None:
+            raise ValidationError(f"composition at {xyz!r} missing")
+    validate_category(_horizontal_category(
+        X, lambda H: H.objects, X.compose_obj, X.id_onecell))
+    validate_category(_horizontal_category(
+        X, lambda H: H.morphisms, X.compose_mor,
+        {x: X.hom[(x, x)].identity[X.id_onecell[x]] for x in X.objects}))
+    for x, y, z in product(X.objects, repeat=3):
+        A, B, C = X.hom[(x, y)], X.hom[(y, z)], X.hom[(x, z)]
+        cobj, cmor = X.compose_obj[(x, y, z)], X.compose_mor[(x, y, z)]
+        for p in A.morphisms:
+            for q in B.morphisms:
+                r = cmor[(p, q)]
+                if (C.source[r], C.target[r]) != (cobj[(A.source[p], B.source[q])],
+                                                  cobj[(A.target[p], B.target[q])]):
+                    raise ValidationError("2-cell composition has bad endpoints")
+        for a in A.objects:
+            for b in B.objects:
+                if cmor[(A.identity[a], B.identity[b])] != C.identity[cobj[(a, b)]]:
+                    raise ValidationError("composition does not preserve identity 2-cells")
+        # validate_category keys compose by exactly the composable pairs
+        for (p2, p1), p in A.compose.items():
+            for (q2, q1), q in B.compose.items():
+                if cmor[(p, q)] != C.compose[(cmor[(p2, q2)], cmor[(p1, q1)])]:
+                    raise ValidationError("interchange law fails")
 
 
 def suspension(X: StrictNCat) -> NCatSuspension:

@@ -826,13 +826,6 @@ def _leg_degree(route: str, n: int) -> int:
     return n if route == "diag" else max(n - 1, 0)
 
 
-def _truncated_double_nerve(X, max_degree: int) -> BasedBisimplicialObject:
-    """The double nerve on p + q <= max_degree, as iterated_complex's tot
-    route builds it."""
-    return _double_nerve(_hom_nerves_for(X, _leg_degree("tot", max_degree)),
-                         max_degree, max_degree, total_bound=max_degree)
-
-
 def iterated_complex(
     X, max_degree: int, route: str = "diag", normalize_rows: bool = False
 ) -> BasedChainComplex:

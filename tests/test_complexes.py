@@ -190,6 +190,8 @@ def test_graded_homology_table():
 
 
 def test_grading_lookups_reject_what_is_not_a_finite_rational():
+    from maghom.complexes import grading_values
+
     X = discrete_space(2, 1)
     C = magnitude_complex_metric(X, 2)
     t = graded_homology_table(C, 1)
@@ -201,6 +203,13 @@ def test_grading_lookups_reject_what_is_not_a_finite_rational():
         t.group(0, "x")
     with pytest.raises(ValidationError, match="not a finite rational"):
         C.piece(INF)
+    # a float is not exact, even when it is an integer
+    with pytest.raises(ValidationError, match="not a finite rational"):
+        t.group(1, 1.0)
+    with pytest.raises(ValidationError, match="not a finite rational"):
+        C.piece(1.0)
+    with pytest.raises(ValidationError, match="grading 0.1 is not a finite rational"):
+        grading_values([0.1])
 
 
 def test_grading_values_refuse_a_zero_denominator():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -30,6 +31,7 @@ from maghom import (
     make_metric_space,
     make_normed_group,
     metric_from_digraph,
+    metric_homology,
     metric_of_normed_group,
     one_point_space,
     parallel_arrows_category,
@@ -85,6 +87,27 @@ def test_a_bool_is_no_rational(build, bad):
     """The CLI refuses a JSON true as a number, and so does the library."""
     with pytest.raises(ValidationError, match=f"not an exact rational: {bad!r}"):
         build(bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, -math.inf, math.nan])
+@_EXACT_RATIONAL_ENTRIES
+def test_a_float_is_no_rational(build, bad):
+    """A float is not exact; only +inf is read, as INF, and only as a
+    distance (test_any_float_infinity_is_the_distance_inf)."""
+    with pytest.raises(ValidationError, match=f"not an exact rational: {bad!r}"):
+        build(bad)
+
+
+def test_any_float_infinity_is_the_distance_inf():
+    far = discrete_space(2, math.inf)
+    assert far.d(0, 1) is INF and far.d(1, 0) is INF
+    X = make_metric_space([0, 1], {(0, 0): 0, (0, 1): float("inf"), (1, 0): 1, (1, 1): 0})
+    assert X.d(0, 1) is INF
+    assert metric_homology(far, 2, "all-reachable") == metric_homology(
+        discrete_space(2, INF), 2, "all-reachable")
+    assert metric_homology(X, 2, "all-reachable") == metric_homology(
+        make_metric_space([0, 1], {(0, 0): 0, (0, 1): INF, (1, 0): 1, (1, 1): 0}),
+        2, "all-reachable")
 
 
 @pytest.mark.parametrize("build, what", [

@@ -611,7 +611,7 @@ def test_normed_h_face_betweenness_is_the_length_formula():
     assert count > 10**5
 
 
-@pytest.mark.parametrize("grading", [float("inf"), float("nan"), "x", None])
+@pytest.mark.parametrize("grading", [float("inf"), float("nan"), "x", None, 1.0])
 def test_non_finite_normed_grading_is_rejected(grading):
     N = z2_normed()
     for route in ("diag", "tot"):

@@ -57,6 +57,8 @@ def test_oracles_reject_a_grading_that_is_not_finite():
         oracle_mh1_metric(LINE3, INF)
     with pytest.raises(ValidationError, match="not a finite rational"):
         oracle_mh2_normed(word_norm_group(S3, [(1, 0, 2)]), INF)
+    with pytest.raises(ValidationError, match="not a finite rational"):
+        oracle_mh1_metric(LINE3, 1.0)
 
 
 def test_mh01_catgroup_examples():

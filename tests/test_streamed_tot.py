@@ -38,7 +38,7 @@ from maghom import (
 from maghom import exact_linalg, iterated
 from maghom.cli import builder_documents, parse_input
 from maghom.exact_linalg import ColumnStream
-from maghom.iterated import _truncated_double_nerve
+from maghom.iterated import _double_nerve, _hom_nerves_for, _leg_degree
 
 DOCS = builder_documents()
 
@@ -54,6 +54,13 @@ def _record_complexes(monkeypatch) -> list:
 
     monkeypatch.setattr(iterated, "homology_table", recording)
     return seen
+
+
+def _truncated_double_nerve(X, max_degree: int):
+    """The double nerve on p + q <= max_degree, as iterated_complex's tot
+    route builds it."""
+    return _double_nerve(_hom_nerves_for(X, _leg_degree("tot", max_degree)),
+                         max_degree, max_degree, total_bound=max_degree)
 
 
 def _tabulated(B, normalize_rows: bool):
